@@ -96,6 +96,8 @@ class RunConfig:
     command: str
     parameters: dict = field(default_factory=dict)
     output_dir: Path = Path("out")
+    # keys the config file or the command line set, as opposed to defaults
+    given: frozenset = frozenset()
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -163,18 +165,21 @@ def parse_config(argv) -> RunConfig:
             raise ConfigError("invalid command line") from None
         raise
     params = {k: default for k, (_, default, _) in _SCHEMA.items()}
+    given = set()
     if ns.config:
         for key, raw in _read_config_file(ns.config).items():
             params[key] = _coerce(key, raw)
+            given.add(key)
     for key in _SCHEMA:
         raw = getattr(ns, key)
         if raw is not None:
             params[key] = _coerce(key, raw)
+            given.add(key)
     out_dir = os.environ.get("BLOWUPLAB_OUT") or params["output_dir"]
     if not params["tag"]:
         params["tag"] = ns.command
     return RunConfig(command=ns.command, parameters=params,
-                     output_dir=Path(out_dir))
+                     output_dir=Path(out_dir), given=frozenset(given))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +357,8 @@ def _run_evolve(cfg: RunConfig) -> list:
 def _run_instability_p1(cfg: RunConfig) -> list:
     from .evolve import ode_blowup_instability
 
-    p = cfg["p"] if cfg["p"] != _SCHEMA["p"][1] else 0.99
+    # the command's own default sits near the ODE limit p = 1
+    p = cfg["p"] if "p" in cfg.given else 0.99
     rep = ode_blowup_instability(p, kappa=cfg["kappa"])
     rows = [(p, a, s, rep["expected_slope"])
             for a, s in rep["slopes"].items()]
@@ -431,7 +437,7 @@ def run(cfg: RunConfig) -> int:
         t0 = time.perf_counter()
         try:
             checks.extend(_DISPATCH[name](cfg))
-        except (ConfigError, ValueError) as exc:
+        except ConfigError as exc:
             _write_manifest(cfg, timings, checks)
             print(f"config error in {name}: {exc}", file=sys.stderr)
             return EXIT_CONFIG

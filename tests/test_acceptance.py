@@ -155,13 +155,13 @@ def test_criterion_05_eigen_triple_residuals(capsys):
 
 
 def test_criterion_06_riesz_projector_structure(capsys):
-    """Contour projectors: ranks, idempotency, mutual annihilation."""
+    """Riesz projectors from a sorted Schur form and one Sylvester solve:
+    ranks, idempotency, mutual annihilation."""
     from blowuplab.linop import riesz_projectors_for
 
     t0 = time.perf_counter()
     grid = ChebGrid.make(64)
-    P0, r0, P1, r1, _ = riesz_projectors_for(0.75, grid, omega0=0.5,
-                                             M_points=64)
+    P0, r0, P1, r1, _ = riesz_projectors_for(0.75, grid, omega0=0.5)
     e0 = np.linalg.norm(P0 @ P0 - P0) / np.linalg.norm(P0)
     e1 = np.linalg.norm(P1 @ P1 - P1) / np.linalg.norm(P1)
     cross = np.linalg.norm(P0 @ P1)

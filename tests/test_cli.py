@@ -4,9 +4,11 @@ import csv
 
 import pytest
 
+from blowuplab import cli
 from blowuplab.cli import (
     EXIT_ACCEPTANCE,
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_PASS,
     ConfigError,
     RunConfig,
@@ -71,6 +73,39 @@ def test_env_var_overrides_output_dir(tmp_path, monkeypatch):
 
 def test_main_config_error_exit_code():
     assert main(["spectrum", "--p", "2.0"]) == EXIT_CONFIG
+
+
+def test_numerical_value_error_exit_code(tmp_path, monkeypatch):
+    # a ValueError raised while computing is a numerical failure, not a
+    # configuration error
+    def ill_conditioned(cfg):
+        raise ValueError("Gram matrix ill-conditioned")
+
+    monkeypatch.setitem(cli._DISPATCH, "appendixB", ill_conditioned)
+    cfg = parse_config(["appendixB", "--output-dir", str(tmp_path)])
+    assert run(cfg) == EXIT_NUMERICAL
+    assert (tmp_path / "manifest.txt").exists()
+
+
+def test_parse_records_given_keys(tmp_path):
+    f = tmp_path / "run.cfg"
+    f.write_text("N = 48\n")
+    cfg = parse_config(["spectrum", "--config", str(f), "--p", "0.75"])
+    assert cfg.given == {"N", "p"}
+    assert parse_config(["spectrum"]).given == frozenset()
+
+
+@pytest.mark.parametrize("flags,p", [(["--p", "0.75"], "0.75"), ([], "0.99")])
+def test_instability_p1_honours_explicit_p(tmp_path, flags, p):
+    # an explicit --p equal to the schema default is still the user's choice;
+    # only an absent p falls back to the command's default 0.99
+    cfg = parse_config(["instability-p1", "--output-dir", str(tmp_path), *flags])
+    run(cfg)
+    assert [f.name for f in tmp_path.glob("instability_*.csv")] == [
+        f"instability_p{p}.csv"]
+    with open(tmp_path / f"instability_p{p}.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(float(row["p"]) == float(p) for row in rows)
 
 
 def test_appendixB_run_passes(tmp_path, capsys):

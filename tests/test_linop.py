@@ -98,6 +98,22 @@ def test_gap_in_range_and_resolution_robust():
     assert max(gaps) - min(gaps) <= 0.1 * max(gaps)
 
 
+def test_measured_gap_memoised(monkeypatch):
+    from blowuplab import linop
+
+    calls = []
+
+    def counting_spectrum(*args, **kwargs):
+        calls.append(args)
+        return spectrum(*args, **kwargs)
+
+    monkeypatch.setattr(linop, "spectrum", counting_spectrum)
+    # a (p, N) no other test measures, so the cache starts cold
+    gaps = {measured_gap(0.6, 40), measured_gap(0.6, 40, 4),
+            measured_gap(p=0.6, N=40)}
+    assert len(calls) == 1 and len(gaps) == 1
+
+
 def test_spectrum_no_robust_unstable_modes():
     rep = spectrum(0.5, GRID)
     rob = rep.robust_eigenvalues
@@ -145,11 +161,34 @@ def test_projector_ranges(projectors):
 
 
 def test_riesz_projection_empty_contour():
-    # a contour enclosing no spectrum integrates to ~0
+    # a disc enclosing no spectrum gives the zero projector
     L = assemble_Lp(0.75, ChebGrid.make(32))
     P, rank = riesz_projection(L, 0.5 + 0.0j, 0.2)
     assert rank == 0
     assert np.linalg.norm(P) < 1e-8
+
+
+def _contour_projector(L, center, radius, nodes=64):
+    """(2 pi i)^-1 contour integral of the resolvent (z - L)^-1 over the
+    circle, by the trapezoidal rule with complex128 solves."""
+    eye = np.eye(len(L))
+    P = np.zeros(L.shape, dtype=complex)
+    for j in range(nodes):
+        w = radius * np.exp(2j * np.pi * (j + 0.5) / nodes)
+        P += np.linalg.solve((center + w) * eye - L, eye) * w
+    return P / nodes
+
+
+# double-precision resolvent solves cap the oracle's accuracy, the more so
+# as N grows and the operator becomes less normal
+@pytest.mark.parametrize("N,rtol", [(32, 1e-6), (64, 1e-5)])
+@pytest.mark.parametrize("p", [0.5, 0.75])
+def test_schur_projector_matches_contour_oracle(p, N, rtol):
+    L = assemble_Lp(p, ChebGrid.make(N))
+    for center, radius in ((0.0, 0.25), (1.0, 0.5)):
+        P, _ = riesz_projection(L, center, radius)
+        C = _contour_projector(L, center, radius)
+        assert np.linalg.norm(P - C) / np.linalg.norm(C) < rtol
 
 
 # ---------------------------------------------------------------------------
