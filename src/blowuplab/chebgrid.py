@@ -131,21 +131,29 @@ def cheb_vals(coeffs: np.ndarray) -> np.ndarray:
 
 def exponential_filter(vals: np.ndarray, strength: float = 1e-13,
                        fraction: float = 1.0 / 3.0) -> np.ndarray:
-    """Damp the top `fraction` of Chebyshev modes.
+    """Damp the top `fraction` of Chebyshev modes of each row of `vals`.
 
     sigma(n) = exp(log(strength) * ((n - n0)/(N - n0))^8) for n > n0,
     identity below; strength ~ 1e-13 keeps the filter near round-off.
+    Applied as one cached (N+1)x(N+1) matrix on nodal values, so a stack
+    of states (last axis the grid) is filtered in a single matmul.
     """
-    N = len(vals) - 1
-    c = cheb_coeffs(vals)
+    return vals @ _filter_matrix(vals.shape[-1] - 1, strength, fraction).T
+
+
+@lru_cache(maxsize=None)
+def _filter_matrix(N: int, strength: float, fraction: float) -> np.ndarray:
+    """Matrix of v -> cheb_vals(sigma * cheb_coeffs(v)) on nodal values,
+    built column by column from the coefficient-space definition."""
+    sigma = np.ones(N + 1)
     n0 = int(np.floor((1.0 - fraction) * N))
     if n0 < N:
-        n = np.arange(N + 1)
-        sigma = np.ones(N + 1)
-        mask = n > n0
-        sigma[mask] = np.exp(np.log(strength) * ((n[mask] - n0) / (N - n0)) ** 8)
-        c = c * sigma
-    return cheb_vals(c)
+        n = np.arange(n0 + 1, N + 1)
+        sigma[n] = np.exp(np.log(strength) * ((n - n0) / (N - n0)) ** 8)
+    F = np.column_stack([cheb_vals(sigma * cheb_coeffs(e))
+                         for e in np.eye(N + 1)])
+    F.flags.writeable = False
+    return F
 
 
 def truncate_modes(vals: np.ndarray, fraction: float = 2.0 / 3.0) -> np.ndarray:

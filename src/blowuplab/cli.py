@@ -89,6 +89,8 @@ _SCHEMA = {
     "tag": (str, "", None),
     "output_dir": (str, "out", None),
 }
+# instability-p1 probes the ODE limit p -> 1, so its own default p differs
+_INSTABILITY_P1_DEFAULT_P = 0.99
 
 
 @dataclass
@@ -165,6 +167,8 @@ def parse_config(argv) -> RunConfig:
             raise ConfigError("invalid command line") from None
         raise
     params = {k: default for k, (_, default, _) in _SCHEMA.items()}
+    if ns.command == "instability-p1":
+        params["p"] = _INSTABILITY_P1_DEFAULT_P
     given = set()
     if ns.config:
         for key, raw in _read_config_file(ns.config).items():
@@ -256,23 +260,22 @@ def _run_profile_check(cfg: RunConfig) -> list:
 
 
 def _run_mode_scan(cfg: RunConfig) -> list:
-    from .modeanalysis import (default_lambda_grid, mode_scan,
-                               write_mode_scan_csv)
+    from .modeanalysis import DEFAULT_SERIES_N, default_lambda_grid, mode_scan
 
     grid = default_lambda_grid(cfg["lambda_re_min"], cfg["lambda_re_max"],
                                cfg["lambda_im_max"], cfg["lambda_step"])
-    results = mode_scan(cfg["p"], grid)
-    write_mode_scan_csv(cfg.output_dir / "mode_scan.csv", results, 40)
-    bad = []
+    results = mode_scan(cfg["p"], grid, N_colloc=DEFAULT_SERIES_N)
+    write_csv(cfg.output_dir / "mode_scan.csv",
+              ["re_lambda", "im_lambda", "defect", "n_colloc"],
+              [(lam.real, lam.imag, d, DEFAULT_SERIES_N) for lam, d in results])
+    n_nan = sum(math.isnan(d) for _, d in results)
+    n_bad = 0
     for lam, defect in results:
         near = min(abs(lam), abs(lam - 1.0)) <= 0.05
-        if near and not (math.isnan(defect) or defect < 1e-6):
-            bad.append((lam, defect, "expected smooth"))
-        if not near and not (math.isnan(defect) or defect > 1e-3):
-            bad.append((lam, defect, "unexpected near-smooth"))
-    ok = not bad
-    detail = f"{len(results)} points, {len(bad)} violations"
-    return [("mode_scan", ok, detail)]
+        # a NaN defect fails either comparison and so counts as a violation
+        n_bad += not (defect < 1e-6 if near else defect > 1e-3)
+    detail = f"{len(results)} points, {n_bad} violations, {n_nan} NaN"
+    return [("mode_scan", n_bad == 0, detail)]
 
 
 def _run_spectrum(cfg: RunConfig) -> list:
@@ -357,8 +360,9 @@ def _run_evolve(cfg: RunConfig) -> list:
 def _run_instability_p1(cfg: RunConfig) -> list:
     from .evolve import ode_blowup_instability
 
-    # the command's own default sits near the ODE limit p = 1
-    p = cfg["p"] if "p" in cfg.given else 0.99
+    # under `all` cfg holds the shared default p, so fall back to this
+    # command's own default unless p was given
+    p = cfg["p"] if "p" in cfg.given else _INSTABILITY_P1_DEFAULT_P
     rep = ode_blowup_instability(p, kappa=cfg["kappa"])
     rows = [(p, a, s, rep["expected_slope"])
             for a, s in rep["slopes"].items()]
@@ -376,7 +380,7 @@ def _run_instability_p1(cfg: RunConfig) -> list:
 def _run_modulate(cfg: RunConfig) -> list:
     from .chebgrid import ChebGrid
     from .linop import StateVector
-    from .modulation import fit_parameters, modulated_decay, write_modulation_csv
+    from .modulation import fit_parameters, modulated_decay
 
     eps = cfg["epsilon"]
     grid = ChebGrid.make(cfg["N"])
@@ -385,7 +389,9 @@ def _run_modulate(cfg: RunConfig) -> list:
         q2=eps * np.polynomial.legendre.legval(grid.y, (0.5, 1.0, 1.0, 0.0)))
     baseline = (cfg["p"], cfg["T"], cfg["kappa"])
     state = fit_parameters(f, baseline, N=cfg["N"], tol=1e-8)
-    write_modulation_csv(cfg.output_dir / f"modulation_{cfg['tag']}.csv", state)
+    write_csv(cfg.output_dir / f"modulation_{cfg['tag']}.csv",
+              ["iter", "p", "T", "kappa", "F1", "F2", "F3", "correction_norm"],
+              state.history)
     checks = [("modulation_converged", state.converged,
                f"iters={state.iterations} cnorm={state.correction_norm:.2e}")]
     if state.converged:

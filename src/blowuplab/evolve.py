@@ -28,7 +28,7 @@ from scipy.interpolate import CubicSpline
 from .chebgrid import ChebGrid, exponential_filter, truncate_modes
 from .linop import (DEFAULT_K, StateVector, assemble_Lp, energy_norm,
                     riesz_projectors_for, seminorm_stack)
-from .profiles import ProfileParams, similarity_profile
+from .profiles import _FD4_W2, ProfileParams, similarity_profile
 
 TAU_MAX_CAP = 15.0
 
@@ -47,7 +47,6 @@ class EvolveConfig:
     poly_coeffs: tuple = (0.0, 1.0, 1.0, 0.5)
     bump_width: float = 0.8
     k: int = DEFAULT_K
-    use_filter: bool = True
 
     def __post_init__(self):
         ProfileParams(p=self.p, kappa=self.kappa, T=self.T, x0=self.x0)
@@ -89,10 +88,18 @@ def _rhs(L: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rk4(f, u: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step of du/dt = f(u)."""
+    k1 = f(u)
+    k2 = f(u + 0.5 * dt * k1)
+    k3 = f(u + 0.5 * dt * k2)
+    k4 = f(u + dt * k3)
+    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def step_similarity(state: StateVector, p: float, dt: float, grid: ChebGrid,
-                    L: np.ndarray | None = None,
-                    use_filter: bool = True) -> StateVector:
-    """One RK4 step of the perturbation system.
+                    L: np.ndarray | None = None) -> StateVector:
+    """One filtered RK4 step of the perturbation system.
 
     The instability guard uses the base energy norm with a loose per-step
     factor: the non-normal discretisation shows genuine order-10 one-step
@@ -106,19 +113,13 @@ def step_similarity(state: StateVector, p: float, dt: float, grid: ChebGrid,
     S0 = seminorm_stack(grid, 0)
     u = state.flat()
     norm0 = np.linalg.norm(S0 @ u)
-    k1 = _rhs(L, u)
-    k2 = _rhs(L, u + 0.5 * dt * k1)
-    k3 = _rhs(L, u + 0.5 * dt * k2)
-    k4 = _rhs(L, u + dt * k3)
-    u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    u = _rk4(lambda v: _rhs(L, v), u, dt)
     if np.linalg.norm(S0 @ u) > 1e3 * max(norm0, 1e-300) or not np.all(np.isfinite(u)):
         raise RuntimeError(
             f"similarity evolution unstable: energy norm {norm0:.3e} -> "
             f"{np.linalg.norm(S0 @ u):.3e} in one step (dt={dt})")
-    n = grid.N + 1
-    if use_filter:
-        u = np.concatenate([exponential_filter(u[:n]), exponential_filter(u[n:])])
-    return StateVector(q1=u[:n], q2=u[n:])
+    q1, q2 = exponential_filter(u.reshape(2, grid.N + 1))
+    return StateVector(q1=q1, q2=q2)
 
 
 def bump(y: np.ndarray, width: float = 0.8) -> np.ndarray:
@@ -144,8 +145,7 @@ def initial_perturbation(cfg: EvolveConfig, grid: ChebGrid) -> StateVector:
     return StateVector(q1=q1, q2=q2)
 
 
-def evolve_states(cfg: EvolveConfig, q0: StateVector, grid: ChebGrid,
-                  record_every: int = 1):
+def evolve_states(cfg: EvolveConfig, q0: StateVector, grid: ChebGrid):
     """Generator of (tau, StateVector) along the RK4 trajectory."""
     L = assemble_Lp(cfg.p, grid)
     S0 = seminorm_stack(grid, 0)
@@ -156,13 +156,12 @@ def evolve_states(cfg: EvolveConfig, q0: StateVector, grid: ChebGrid,
     norm_init = max(np.linalg.norm(S0 @ q.flat()), 1e-300)
     yield 0.0, q
     for j in range(nsteps):
-        q = step_similarity(q, cfg.p, dt, grid, L=L, use_filter=cfg.use_filter)
+        q = step_similarity(q, cfg.p, dt, grid, L=L)
         if np.linalg.norm(S0 @ q.flat()) > 1e6 * norm_init:
             raise RuntimeError(
                 f"similarity trajectory diverged by tau={(j + 1) * dt:.3f}: "
                 "unstable component present or data outside stability basin")
-        if (j + 1) % record_every == 0 or j == nsteps - 1:
-            yield (j + 1) * dt, q
+        yield (j + 1) * dt, q
 
 
 def evolve_perturbation(cfg: EvolveConfig, project_out_unstable: bool = True,
@@ -257,9 +256,8 @@ def ode_blowup_instability(p: float, a_grid=None, kappa: float = 0.0,
     if tau_grid is None:
         tau_grid = np.linspace(0.0, 200.0, 81)
     tau_grid = np.asarray(tau_grid, dtype=float)
-    g = math.sqrt(1.0 - p)
     grid = ChebGrid.make(M)
-    prof = -p * np.log1p(g * grid.y) + kappa
+    prof = similarity_profile(p, grid.y, kappa)
     slopes = {}
     norms = {}
     for a in a_grid:
@@ -285,13 +283,6 @@ def ode_blowup_instability(p: float, a_grid=None, kappa: float = 0.0,
 # ---------------------------------------------------------------------------
 # Physical-space cross-validation
 # ---------------------------------------------------------------------------
-
-def _fd4_dxx(M: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Interior 4th-order second-derivative stencil weights (applied via
-    slicing, not a matrix)."""
-    c = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
-    return c, np.array([-2, -1, 0, 1, 2])
-
 
 def physical_space_crosscheck(cfg: EvolveConfig, t_samples=None,
                               domain_half_width: float = 1.25,
@@ -328,16 +319,15 @@ def physical_space_crosscheck(cfg: EvolveConfig, t_samples=None,
     q2_0 = np.zeros_like(y0)
     q1_0[inside] = grid.interpolate(q0.q1, y0[inside])
     q2_0[inside] = grid.interpolate(q0.q2, y0[inside])
-    u = -p * np.log1p(g * y0) + cfg.kappa + q1_0
+    u = similarity_profile(p, y0, cfg.kappa) + q1_0
     prof_q2 = p / (1.0 + g * y0)       # profile value of U_tau + y U_y
     v = (prof_q2 + q2_0) / T           # u_t = (U_tau + y U_y)/(T - t)
 
-    cst, _ = _fd4_dxx(M_phys, h)
+    w2 = _FD4_W2 / (h * h)
 
     def dxx(f):
         out = np.zeros_like(f)
-        out[2:-2] = (cst[0] * f[:-4] + cst[1] * f[1:-3] + cst[2] * f[2:-2]
-                     + cst[3] * f[3:-1] + cst[4] * f[4:])
+        out[2:-2] = np.correlate(f, w2, mode="valid")
         return out
 
     def phys_rhs(state):
@@ -359,7 +349,7 @@ def physical_space_crosscheck(cfg: EvolveConfig, t_samples=None,
         nst = max(1, int(math.ceil((tau_t - tau) / base_dt)))
         dt = (tau_t - tau) / nst
         for _ in range(nst):
-            q = step_similarity(q, p, dt, grid, L=L, use_filter=cfg.use_filter)
+            q = step_similarity(q, p, dt, grid, L=L)
         tau = tau_t
         sim_sections.append(q.q1.copy())
 
@@ -371,18 +361,15 @@ def physical_space_crosscheck(cfg: EvolveConfig, t_samples=None,
         nst = max(1, int(math.ceil((ts - t) / dt_phys)))
         dtp = (ts - t) / nst
         for _ in range(nst):
-            k1 = phys_rhs(state)
-            k2 = phys_rhs(state + 0.5 * dtp * k1)
-            k3 = phys_rhs(state + 0.5 * dtp * k2)
-            k4 = phys_rhs(state + dtp * k3)
-            state = state + (dtp / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            state = _rk4(phys_rhs, state, dtp)
             if not np.all(np.isfinite(state)):
                 raise RuntimeError(f"physical solver blew up before t={ts}")
         t = ts
         spline = CubicSpline(x, state[0])
         x_cone = x0 + grid.y * (T - ts)
         u_phys = spline(x_cone)
-        u_sim = -p * np.log1p(g * grid.y) + cfg.kappa + p * (-math.log1p(-ts / T)) + q1_sim
+        u_sim = (similarity_profile(p, grid.y, cfg.kappa)
+                 + p * (-math.log1p(-ts / T)) + q1_sim)
         report["t"].append(ts)
         report["max_abs_err"].append(float(np.max(np.abs(u_phys - u_sim))))
     report["max_discrepancy"] = max(report["max_abs_err"])

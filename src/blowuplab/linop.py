@@ -60,13 +60,20 @@ def seminorm_stack(grid: ChebGrid, k: int = DEFAULT_K) -> np.ndarray:
     Rows: sqrt(w) d^{k+1} and sqrt(w) d and the y=-1 trace on q1;
     sqrt(w) d^k and sqrt(w) id on q2.  Working with S q (never the Gram
     matrix S^T S itself) avoids catastrophic cancellation in the huge
-    entries of the high-derivative blocks.
+    entries of the high-derivative blocks.  Built once per (N, k) and
+    returned read-only.
     """
+    return _stack_cached(grid.N, k)
+
+
+@functools.lru_cache(maxsize=None)
+def _stack_cached(N: int, k: int) -> np.ndarray:
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k + 1 >= grid.N / 2:
+    if k + 1 >= N / 2:
         warnings.warn("grid under-resolves derivatives of order k+1", RuntimeWarning)
-    n = grid.N + 1
+    grid = ChebGrid.make(N)
+    n = N + 1
     sw = np.sqrt(grid.w)[:, None]
     blocks_q1 = [sw * grid.D]
     blocks_q2 = [sw * np.eye(n)]
@@ -85,17 +92,8 @@ def seminorm_stack(grid: ChebGrid, k: int = DEFAULT_K) -> np.ndarray:
     for b in blocks_q2:
         S[r:r + b.shape[0], n:] = b
         r += b.shape[0]
+    S.flags.writeable = False
     return S
-
-
-_STACK_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _stack_cached(N: int, k: int) -> np.ndarray:
-    key = (N, k)
-    if key not in _STACK_CACHE:
-        _STACK_CACHE[key] = seminorm_stack(ChebGrid.make(N), k)
-    return _STACK_CACHE[key]
 
 
 def energy_inner(k: int, q: StateVector, r: StateVector, grid: ChebGrid) -> complex:
@@ -168,6 +166,16 @@ def assemble_free_modified(grid: ChebGrid) -> np.ndarray:
     return L
 
 
+def _random_cheb_state(rng: np.random.Generator, grid: ChebGrid,
+                       degree: int) -> np.ndarray:
+    """Flat state whose halves are Chebyshev series of the given degree with
+    standard-normal coefficients, drawn for q1 first."""
+    c1 = rng.standard_normal(degree + 1)
+    c2 = rng.standard_normal(degree + 1)
+    return np.concatenate([np.polynomial.chebyshev.chebval(grid.y, c1),
+                           np.polynomial.chebyshev.chebval(grid.y, c2)])
+
+
 def free_wave_dissipativity_check(grid: ChebGrid, k: int = DEFAULT_K,
                                   trials: int = 200, seed: int = 0,
                                   degree: int | None = None) -> float:
@@ -178,10 +186,7 @@ def free_wave_dissipativity_check(grid: ChebGrid, k: int = DEFAULT_K,
     deg = degree if degree is not None else grid.N // 2
     worst = -np.inf
     for _ in range(trials):
-        c1 = rng.standard_normal(deg + 1)
-        c2 = rng.standard_normal(deg + 1)
-        q = np.concatenate([np.polynomial.chebyshev.chebval(grid.y, c1),
-                            np.polynomial.chebyshev.chebval(grid.y, c2)])
+        q = _random_cheb_state(rng, grid, deg)
         Sq = S @ q
         num = np.real(np.conj(Sq) @ (S @ (Lt @ q)))
         den = np.real(np.conj(Sq) @ Sq)
@@ -424,11 +429,7 @@ def semigroup_action_check(p: float, grid: ChebGrid, tau_samples=None,
     P0, r0, P1, r1, L = riesz_projectors_for(p, grid, omega0, k)
     Pt = np.eye(len(L)) - P0 - P1
     rng = np.random.Generator(np.random.Philox(seed))
-    c1 = rng.standard_normal(grid.N // 2 + 1)
-    c2 = rng.standard_normal(grid.N // 2 + 1)
-    q = np.concatenate([np.polynomial.chebyshev.chebval(grid.y, c1),
-                        np.polynomial.chebyshev.chebval(grid.y, c2)])
-    qs = Pt @ q
+    qs = Pt @ _random_cheb_state(rng, grid, grid.N // 2)
     err_P1 = 0.0
     err_P0 = 0.0
     norms = []

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.special import loggamma
 
 _INT_TOL = 1e-9          # tolerance for detecting integer exponent gaps
 DEFAULT_SERIES_N = 40    # Frobenius truncation order
@@ -110,18 +109,6 @@ def lorentz_similarity_map(p: float, taup: float, yp: float) -> tuple[float, flo
     return tau, y
 
 
-def log_pochhammer(x: complex, n: int) -> complex:
-    """log (x)_n, via loggamma for large n."""
-    if n == 0:
-        return 0.0
-    if n <= 50:
-        total = 0.0 + 0.0j
-        for k in range(n):
-            total += cmath.log(x + k)
-        return total
-    return loggamma(x + n) - loggamma(x)
-
-
 def hypergeom_2F1(a: complex, b: complex, c: complex, z: complex,
                   N: int = 200) -> complex:
     """Truncated Gauss series sum_{n<N} (a)_n (b)_n / ((c)_n n!) z^n.
@@ -188,7 +175,6 @@ class FrobeniusExpansion:
     s: complex
     coeffs: np.ndarray
     log_branch: bool
-    radius_lower_bound: float
     c_log: complex = 0.0
     base: "FrobeniusExpansion | None" = field(default=None, repr=False)
 
@@ -217,37 +203,45 @@ class FrobeniusExpansion:
 
 
 def frobenius_coeffs(p_taylor: np.ndarray, q_taylor: np.ndarray, s: complex,
-                     N: int, radius_lower_bound: float = 1.0) -> FrobeniusExpansion:
+                     N: int) -> FrobeniusExpansion:
     """Plain Frobenius series a_n for exponent s, a_0 = 1.
 
     p_taylor, q_taylor are the Taylor coefficients of z*p(z) and z^2*q(z).
     Raises if the indicial polynomial vanishes at s+n for some n >= 1 (that
     resonance belongs to the log-branch construction, not here).
     """
-    p_t = np.zeros(N + 1, dtype=complex)
-    q_t = np.zeros(N + 1, dtype=complex)
-    p_t[:min(len(p_taylor), N + 1)] = p_taylor[:N + 1]
-    q_t[:min(len(q_taylor), N + 1)] = q_taylor[:N + 1]
-
-    def P(x):
-        return x * (x - 1.0) + p_t[0] * x + q_t[0]
-
+    p_t, q_t = _padded(p_taylor, N), _padded(q_taylor, N)
     a = np.zeros(N + 1, dtype=complex)
     a[0] = 1.0
     for n in range(1, N + 1):
-        Pn = P(s + n)
+        Pn = _indicial_poly(p_t, q_t, s + n)
         if abs(Pn) < _INT_TOL:
             raise ValueError(f"indicial resonance at n={n}; use the log branch")
-        rhs = 0.0 + 0.0j
-        for k in range(n):
-            rhs += a[k] * ((s + k) * p_t[n - k] + q_t[n - k])
-        a[n] = -rhs / Pn
-    return FrobeniusExpansion(s=s, coeffs=a, log_branch=False,
-                              radius_lower_bound=radius_lower_bound)
+        a[n] = -_lower_order_terms(a, s, p_t, q_t, n) / Pn
+    return FrobeniusExpansion(s=s, coeffs=a, log_branch=False)
 
 
-def fundamental_system(p_taylor: np.ndarray, q_taylor: np.ndarray, N: int,
-                       radius_lower_bound: float = 1.0
+def _padded(taylor: np.ndarray, N: int) -> np.ndarray:
+    out = np.zeros(N + 1, dtype=complex)
+    out[:min(len(taylor), N + 1)] = taylor[:N + 1]
+    return out
+
+
+def _indicial_poly(p_t: np.ndarray, q_t: np.ndarray, x: complex) -> complex:
+    return x * (x - 1.0) + p_t[0] * x + q_t[0]
+
+
+def _lower_order_terms(c: np.ndarray, s: complex, p_t: np.ndarray,
+                       q_t: np.ndarray, n: int) -> complex:
+    """sum_{k<n} c_k ((s+k) p_{n-k} + q_{n-k}): the part of the order-n
+    Frobenius recurrence fixed by the coefficients already known."""
+    rhs = 0.0 + 0.0j
+    for k in range(n):
+        rhs += c[k] * ((s + k) * p_t[n - k] + q_t[n - k])
+    return rhs
+
+
+def fundamental_system(p_taylor: np.ndarray, q_taylor: np.ndarray, N: int
                        ) -> tuple[FrobeniusExpansion, FrobeniusExpansion]:
     """Both local solutions at the regular singular point z = 0.
 
@@ -257,22 +251,16 @@ def fundamental_system(p_taylor: np.ndarray, q_taylor: np.ndarray, N: int,
     the roots coincide, and c_log may turn out to be 0 — an apparent
     resonance, giving two analytic solutions).
     """
-    p_t = np.zeros(N + 1, dtype=complex)
-    q_t = np.zeros(N + 1, dtype=complex)
-    p_t[:min(len(p_taylor), N + 1)] = p_taylor[:N + 1]
-    q_t[:min(len(q_taylor), N + 1)] = q_taylor[:N + 1]
+    p_t, q_t = _padded(p_taylor, N), _padded(q_taylor, N)
     s1, s2 = indicial_roots(p_t[0], q_t[0])
     gap = s1 - s2
     m0 = round(gap.real)
     resonant = abs(gap - m0) < _INT_TOL and m0 >= 0
 
-    phi1 = frobenius_coeffs(p_t, q_t, s1, N, radius_lower_bound)
+    phi1 = frobenius_coeffs(p_t, q_t, s1, N)
     if not resonant:
-        phi2 = frobenius_coeffs(p_t, q_t, s2, N, radius_lower_bound)
+        phi2 = frobenius_coeffs(p_t, q_t, s2, N)
         return phi1, phi2
-
-    def P(x):
-        return x * (x - 1.0) + p_t[0] * x + q_t[0]
 
     a = phi1.coeffs
 
@@ -291,25 +279,17 @@ def fundamental_system(p_taylor: np.ndarray, q_taylor: np.ndarray, N: int,
     else:
         b[0] = 1.0
         for n in range(1, m0):
-            rhs = 0.0 + 0.0j
-            for k in range(n):
-                rhs += b[k] * ((s2 + k) * p_t[n - k] + q_t[n - k])
-            b[n] = -rhs / P(s2 + n)
-        rhs = 0.0 + 0.0j
-        for k in range(m0):
-            rhs += b[k] * ((s2 + k) * p_t[m0 - k] + q_t[m0 - k])
-        c_log = -rhs / R(0)
+            b[n] = (-_lower_order_terms(b, s2, p_t, q_t, n)
+                    / _indicial_poly(p_t, q_t, s2 + n))
+        c_log = -_lower_order_terms(b, s2, p_t, q_t, m0) / R(0)
         b[m0] = 0.0  # free direction (adding phi1); fixed by this convention
         start = m0 + 1
     for n in range(start, N + 1):
-        rhs = 0.0 + 0.0j
-        for k in range(n):
-            rhs += b[k] * ((s2 + k) * p_t[n - k] + q_t[n - k])
+        rhs = _lower_order_terms(b, s2, p_t, q_t, n)
         if n - m0 <= N:
             rhs += c_log * R(n - m0)
-        b[n] = -rhs / P(s2 + n)
+        b[n] = -rhs / _indicial_poly(p_t, q_t, s2 + n)
     phi2 = FrobeniusExpansion(s=s2, coeffs=b, log_branch=True,
-                              radius_lower_bound=radius_lower_bound,
                               c_log=c_log, base=phi1)
     return phi1, phi2
 
@@ -353,8 +333,29 @@ def connection_defect(p: float, lam: complex, N: int = DEFAULT_SERIES_N,
     2*delta], least-squares fits it against the two local branches at 0
     (both normalised to leading coefficient 1), and returns
     |B| / (|A| + |B|) where B multiplies the non-smooth branch.  Several
-    analytic candidates at z=1 (degenerate case): the minimum is reported.
+    analytic candidates at z=1 (degenerate case): the minimum over those
+    whose continuation succeeds is reported.
     """
+    defects = [d for d in _candidate_defects(p, lam, N, delta, rtol)
+               if d is not None]
+    if not defects:
+        raise RuntimeError(f"continuation failed for p={p}, lam={lam}")
+    return min(defects)
+
+
+def smooth_candidate_defects(p: float, lam: complex, N: int = DEFAULT_SERIES_N
+                             ) -> list[float]:
+    """Defect of every analytic-at-1 candidate separately (degenerate cases)."""
+    defects = _candidate_defects(p, lam, N, COLLAR_DELTA, CONT_RTOL)
+    if None in defects:
+        raise RuntimeError(f"continuation failed for p={p}, lam={lam}")
+    return defects
+
+
+def _candidate_defects(p: float, lam: complex, N: int, delta: float,
+                       rtol: float) -> list[float | None]:
+    """Connection defect of each analytic-at-1 candidate, None where its
+    continuation to the collar fails."""
     hp = lorentz_frame_params(p, lam)
     a, b, c = hp.a, hp.b, hp.c
     smooth_at_1 = _smooth_solutions_at_one(a, b, c, N)
@@ -367,10 +368,11 @@ def connection_defect(p: float, lam: complex, N: int = DEFAULT_SERIES_N,
     elif psi2.smooth and not psi1.smooth:
         smooth_b, sing_b = psi2, psi1
     elif psi1.smooth and psi2.smooth:
-        return 0.0  # both local branches analytic: every solution is smooth
+        # both local branches analytic: every solution is smooth
+        return [0.0] * len(smooth_at_1)
     else:
         # no analytic branch at 0 at all: nothing smooth can come through
-        return 1.0
+        return [1.0] * len(smooth_at_1)
 
     zs = np.linspace(2.0 * delta, delta, 9)
     M = np.zeros((2 * len(zs), 2), dtype=complex)
@@ -385,76 +387,21 @@ def connection_defect(p: float, lam: complex, N: int = DEFAULT_SERIES_N,
         ddphi = (-(c - (a + b + 1.0) * z) * dphi + a * b * phi) / (z * (1.0 - z))
         return [dphi, ddphi]
 
-    best = math.inf
-    z_start = 1.0 - delta
+    defects = []
     for cand in smooth_at_1:
         v0, d0 = cand.eval(delta)        # w = delta, i.e. z = 1 - delta
-        u0 = [v0, -d0]                   # d/dz = -d/dw
         scale = max(abs(v0), abs(d0), 1e-30)
-        sol = solve_ivp(rhs, (z_start, delta), [u0[0] / scale, u0[1] / scale],
+        # d/dz = -d/dw
+        sol = solve_ivp(rhs, (1.0 - delta, delta), [v0 / scale, -d0 / scale],
                         t_eval=zs, method="DOP853", rtol=rtol, atol=1e-14)
         if not sol.success:
+            defects.append(None)
             continue
         rvec = np.concatenate([sol.y[0], delta * sol.y[1]])
         ab_fit, *_ = np.linalg.lstsq(M, rvec, rcond=None)
         denom = abs(ab_fit[0]) + abs(ab_fit[1])
-        defect = abs(ab_fit[1]) / denom if denom > 0 else 1.0
-        best = min(best, defect)
-    if not math.isfinite(best):
-        raise RuntimeError(f"continuation failed for p={p}, lam={lam}")
-    return best
-
-
-def smooth_candidate_defects(p: float, lam: complex, N: int = DEFAULT_SERIES_N
-                             ) -> list[float]:
-    """Defect of every analytic-at-1 candidate separately (degenerate cases)."""
-    hp = lorentz_frame_params(p, lam)
-    cands = _smooth_solutions_at_one(hp.a, hp.b, hp.c, N)
-    out = []
-    for k in range(len(cands)):
-        out.append(_single_candidate_defect(p, lam, N, k))
-    return out
-
-
-def _single_candidate_defect(p: float, lam: complex, N: int, which: int) -> float:
-    hp = lorentz_frame_params(p, lam)
-    a, b, c = hp.a, hp.b, hp.c
-    cands = _smooth_solutions_at_one(a, b, c, N)
-    cand = cands[which]
-    delta = COLLAR_DELTA
-    p0_t, q0_t = hypergeom_taylor_data(a, b, c, N)
-    psi1, psi2 = fundamental_system(p0_t, q0_t, N)
-    if psi1.smooth and psi2.smooth:
-        return 0.0
-    if psi1.smooth:
-        smooth_b, sing_b = psi1, psi2
-    elif psi2.smooth:
-        smooth_b, sing_b = psi2, psi1
-    else:
-        return 1.0
-    zs = np.linspace(2.0 * delta, delta, 9)
-    M = np.zeros((2 * len(zs), 2), dtype=complex)
-    for j, z in enumerate(zs):
-        v1, d1 = smooth_b.eval(z)
-        v2, d2 = sing_b.eval(z)
-        M[j] = (v1, v2)
-        M[len(zs) + j] = (delta * d1, delta * d2)
-
-    def rhs(z, u):
-        phi, dphi = u
-        ddphi = (-(c - (a + b + 1.0) * z) * dphi + a * b * phi) / (z * (1.0 - z))
-        return [dphi, ddphi]
-
-    v0, d0 = cand.eval(delta)
-    scale = max(abs(v0), abs(d0), 1e-30)
-    sol = solve_ivp(rhs, (1.0 - delta, delta), [v0 / scale, -d0 / scale],
-                    t_eval=zs, method="DOP853", rtol=CONT_RTOL, atol=1e-14)
-    if not sol.success:
-        raise RuntimeError(f"continuation failed for p={p}, lam={lam}")
-    rvec = np.concatenate([sol.y[0], delta * sol.y[1]])
-    ab_fit, *_ = np.linalg.lstsq(M, rvec, rcond=None)
-    denom = abs(ab_fit[0]) + abs(ab_fit[1])
-    return abs(ab_fit[1]) / denom if denom > 0 else 1.0
+        defects.append(abs(ab_fit[1]) / denom if denom > 0 else 1.0)
+    return defects
 
 
 def default_lambda_grid(re_min: float = 0.0, re_max: float = 3.0,
@@ -474,31 +421,21 @@ def _scan_one(args):
 
 
 def mode_scan(p: float, lambda_grid=None, N_colloc: int = DEFAULT_SERIES_N,
-              parallel: bool = True, include_strip: bool = False
-              ) -> list[tuple[complex, float]]:
-    """Connection defect over a lambda grid.
+              include_strip: bool = False) -> list[tuple[complex, float]]:
+    """Connection defect over a lambda grid, NaN where it cannot be computed.
 
     Defaults to the rectangle Re in [0,3], Im in [-3,3], step 0.1 (extended
-    to Re > -1 when include_strip is set).  Trivially parallel.
+    to Re > -1 when include_strip is set).  Grids of more than 8 points are
+    spread over a process pool.
     """
     if lambda_grid is None:
         re_min = -0.9 if include_strip else 0.0
         lambda_grid = default_lambda_grid(re_min=re_min)
     lambda_grid = np.asarray(lambda_grid).ravel()
     jobs = [(p, complex(lam), N_colloc) for lam in lambda_grid]
-    if parallel and len(jobs) > 8:
+    if len(jobs) > 8:
         with ProcessPoolExecutor() as ex:
             results = list(ex.map(_scan_one, jobs, chunksize=16))
     else:
         results = [_scan_one(j) for j in jobs]
     return results
-
-
-def write_mode_scan_csv(path, results, n_colloc: int):
-    import csv
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["re_lambda", "im_lambda", "defect", "n_colloc"])
-        for lam, d in results:
-            w.writerow([f"{lam.real:.17g}", f"{lam.imag:.17g}",
-                        f"{d:.17g}", n_colloc])

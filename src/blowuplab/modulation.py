@@ -23,10 +23,11 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .chebgrid import ChebGrid
+from .evolve import EvolveConfig, evolve_perturbation, evolve_states
 from .linop import (DEFAULT_K, StateVector, assemble_Lp, energy_inner,
                     energy_norm, f0_state, f1_state, g0_state,
                     riesz_projectors_for)
-from .evolve import EvolveConfig, evolve_states, stable_dt
+from .profiles import similarity_profile, similarity_profile_dy
 
 GRAM_COND_LIMIT = 1e10
 DEFAULT_TAU_MAX = 12.0
@@ -46,23 +47,8 @@ class ModulationState:
 @dataclass
 class GramData:
     Gamma: np.ndarray
-    Gamma_inv: np.ndarray
-    dual_basis: list          # [g^1, g^2, g^3] dual to {g0, f0, f1}
     basis: list = field(default_factory=list, repr=False)
-    k: int = DEFAULT_K
     _basis_qr: tuple = field(default=None, repr=False)
-
-    def pair_dual(self, q: StateVector, grid: ChebGrid) -> np.ndarray:
-        """(<q, g^1>, <q, g^2>, <q, g^3>) under the energy inner product.
-
-        Evaluated as Gamma^{-1} @ <q, basis>: recombining *after* the
-        high-derivative seminorm map is applied to each basis state.
-        Forming the dual states in value space first and applying the map
-        afterwards cancels catastrophically at k = 4.
-        """
-        prim = np.array([float(np.real(energy_inner(self.k, q, b, grid)))
-                         for b in self.basis])
-        return self.Gamma_inv @ prim
 
     def coords_in_span(self, q_flat: np.ndarray) -> np.ndarray:
         """Coordinates of a state known to lie in span{g0, f0, f1}.
@@ -77,15 +63,6 @@ class GramData:
             self._basis_qr = np.linalg.qr(B)
         Q, R = self._basis_qr
         return np.linalg.solve(R, Q.T @ np.real(q_flat))
-
-
-def profile_sim(p: float, kappa: float, y: np.ndarray) -> np.ndarray:
-    return -p * np.log1p(y * math.sqrt(1.0 - p)) + kappa
-
-
-def profile_sim_dy(p: float, y: np.ndarray) -> np.ndarray:
-    g = math.sqrt(1.0 - p)
-    return -p * g / (1.0 + y * g)
 
 
 def initial_data_operator(p: float, T: float, kappa: float, baseline: tuple,
@@ -108,15 +85,19 @@ def initial_data_operator(p: float, T: float, kappa: float, baseline: tuple,
     fT1 = grid.interpolate(f.q1, T * y)
     fT2 = T * grid.interpolate(f.q2, T * y)
     yr = ratio * y
-    f0T1 = profile_sim(p0, kappa0, yr)
-    f0T2 = ratio * p0 + ratio ** 2 * y * profile_sim_dy(p0, yr)
-    fp1 = profile_sim(p, kappa, y)
-    fp2 = p + y * profile_sim_dy(p, y)
+    f0T1 = similarity_profile(p0, yr, kappa0)
+    f0T2 = ratio * p0 + ratio ** 2 * y * similarity_profile_dy(p0, yr)
+    fp1 = similarity_profile(p, y, kappa)
+    fp2 = p + y * similarity_profile_dy(p, y)
     return StateVector(q1=fT1 + f0T1 - fp1, q2=fT2 + f0T2 - fp2)
 
 
 def gram_dual_basis(p: float, grid: ChebGrid, k: int = DEFAULT_K) -> GramData:
-    """Dual basis {g^n} to {g0, f0, f1} under the energy inner product."""
+    """Gram matrix of {g0, f0, f1} under the energy inner product.
+
+    Raises ValueError when its condition number exceeds GRAM_COND_LIMIT,
+    i.e. when the basis is nearly degenerate.
+    """
     basis = [g0_state(grid, p), f0_state(grid, p), f1_state(grid, p)]
     Gamma = np.empty((3, 3))
     for i in range(3):
@@ -125,14 +106,7 @@ def gram_dual_basis(p: float, grid: ChebGrid, k: int = DEFAULT_K) -> GramData:
     if np.linalg.cond(Gamma) > GRAM_COND_LIMIT:
         raise ValueError(f"Gram matrix ill-conditioned (cond = "
                          f"{np.linalg.cond(Gamma):.2e}); basis nearly degenerate")
-    Gamma_inv = np.linalg.inv(Gamma)
-    dual = []
-    for n in range(3):
-        q1 = sum(Gamma_inv[n, m] * basis[m].q1 for m in range(3))
-        q2 = sum(Gamma_inv[n, m] * basis[m].q2 for m in range(3))
-        dual.append(StateVector(q1=q1, q2=q2))
-    return GramData(Gamma=Gamma, Gamma_inv=Gamma_inv, dual_basis=dual,
-                    basis=basis, k=k)
+    return GramData(Gamma=Gamma, basis=basis)
 
 
 class _Workspace:
@@ -175,7 +149,7 @@ def correction_functional(p: float, T: float, kappa: float, f: StateVector,
     the dual basis are exactly its coordinates in {g0, f0, f1}.
     """
     ws.refresh(p)
-    grid, k = ws.grid, ws.k
+    grid = ws.grid
     d = initial_data_operator(p, T, kappa, baseline, f, grid).flat()
     C = (ws.P0 + ws.P1) @ d
     if q_traj is not None:
@@ -194,10 +168,9 @@ def correction_functional(p: float, T: float, kappa: float, f: StateVector,
 
 
 def _evolve_traj(p: float, data_flat: np.ndarray, ws: _Workspace,
-                 tau_max: float, use_filter: bool = True):
+                 tau_max: float):
     """Nonlinear trajectory of `data`; returns (taus, q2^2 history)."""
-    cfg = EvolveConfig(p=p, N=ws.N, tau_max=tau_max, epsilon=0.0,
-                       use_filter=use_filter, k=ws.k)
+    cfg = EvolveConfig(p=p, N=ws.N, tau_max=tau_max, epsilon=0.0, k=ws.k)
     q0 = StateVector.from_flat(data_flat)
     taus, q2sq = [], []
     for tau, q in evolve_states(cfg, q0, ws.grid):
@@ -217,9 +190,8 @@ def _corrected_trajectory(p: float, T: float, kappa: float, f: StateVector,
     d = initial_data_operator(p, T, kappa, baseline, f, ws.grid).flat()
     ell = correction_functional(p, T, kappa, f, None, baseline, ws)
     traj = None
-    basis = [g0_state(ws.grid, p), f0_state(ws.grid, p), f1_state(ws.grid, p)]
     for _ in range(inner_iters):
-        C = sum(ell[n] * basis[n].flat() for n in range(3))
+        C = sum(ell[n] * ws.gram.basis[n].flat() for n in range(3))
         traj = _evolve_traj(p, d - C, ws, tau_max)
         ell_new = correction_functional(p, T, kappa, f, traj, baseline, ws)
         if max(abs(a - b) for a, b in zip(ell, ell_new)) < 1e-15:
@@ -263,8 +235,7 @@ def fit_parameters(f: StateVector, baseline: tuple, N: int = 64,
     grid = ws.grid
     for it in range(1, max_iter + 1):
         ell, _ = _corrected_trajectory(p, T, kappa, f, baseline, ws, tau_max)
-        ws.refresh(p)
-        basis = [g0_state(grid, p), f0_state(grid, p), f1_state(grid, p)]
+        basis = ws.gram.basis          # {g0, f0, f1} at the workspace's p
         C = StateVector.from_flat(sum(ell[n] * basis[n].flat() for n in range(3)))
         cnorm = energy_norm(k, C, grid)
         history.append((it, p, T, kappa, *ell, cnorm))
@@ -315,21 +286,9 @@ def modulated_decay(f: StateVector, baseline: tuple, state: ModulationState,
     stops before the residual unstable remnant (which grows like e^tau from
     the correction-norm floor) re-emerges.
     """
-    from .evolve import EvolveConfig, evolve_perturbation
     grid = ChebGrid.make(N)
     d = initial_data_operator(state.p_star, state.T_star, state.kappa_star,
                               baseline, f, grid)
     cfg = EvolveConfig(p=state.p_star, N=N, tau_max=tau_max, epsilon=0.0, k=0)
     return evolve_perturbation(cfg, project_out_unstable=False, q0=d,
                                fit_window=fit_window)
-
-
-def write_modulation_csv(path, state: ModulationState):
-    import csv
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iter", "p", "T", "kappa", "F1", "F2", "F3",
-                    "correction_norm"])
-        for row in state.history:
-            it, p, T, kappa, F1, F2, F3, cn = row
-            w.writerow([it] + [f"{v:.17g}" for v in (p, T, kappa, F1, F2, F3, cn)])

@@ -88,16 +88,13 @@ def test_criterion_03_mode_scan_rectangle(capsys):
 
     t0 = time.perf_counter()
     ok = True
-    n_viol = 0
+    n_viol = n_nan = 0
     for p in (0.25, 0.5, 0.75):
         for lam, defect in mode_scan(p):
             near = min(abs(lam), abs(lam - 1.0)) <= 0.05
-            if math.isnan(defect):
-                continue
-            if near and defect >= 1e-6:
-                n_viol += 1
-            if not near and defect <= 1e-3:
-                n_viol += 1
+            # a NaN defect fails either comparison: a violation
+            n_nan += math.isnan(defect)
+            n_viol += not (defect < 1e-6 if near else defect > 1e-3)
     ok &= n_viol == 0
     # stability of the classification under doubling of the series length
     for lam in (0.0, 1.0, 0.5, 1.5 + 1.0j):
@@ -107,7 +104,8 @@ def test_criterion_03_mode_scan_rectangle(capsys):
     dt = time.perf_counter() - t0
     ok &= dt < 300.0
     report(capsys, "criterion 03", ok,
-           f"3 x 1891 points, {n_viol} violations, N-doubling stable, {dt:.0f}s")
+           f"3 x 1891 points, {n_viol} violations ({n_nan} NaN), "
+           f"N-doubling stable, {dt:.0f}s")
 
 
 def test_criterion_04_degenerate_case_mode_structure(capsys):
@@ -124,19 +122,18 @@ def test_criterion_04_degenerate_case_mode_structure(capsys):
     ok &= connection_defect(1.0, -1.0) < 1e-6   # next rung of lambda = 1 - n
     # strip Re > -1: no other defect-free points
     grid = default_lambda_grid(re_min=-0.75, re_max=3.0, im_max=3.0, step=0.25)
-    n_viol = 0
+    n_viol = n_nan = 0
     for lam, defect in mode_scan(1.0, lambda_grid=grid):
-        if math.isnan(defect):
-            continue
         near = min(abs(lam), abs(lam - 1.0)) <= 0.05
-        if not near and defect <= 1e-3:
-            n_viol += 1
+        n_nan += math.isnan(defect)
+        # a NaN defect counts as a violation
+        n_viol += math.isnan(defect) or (not near and defect <= 1e-3)
     ok &= n_viol == 0
     dt = time.perf_counter() - t0
     ok &= dt < 60.0
     report(capsys, "criterion 04", ok,
-           f"candidates (2,1), ladder at -1, {n_viol} strip violations, "
-           f"{dt:.0f}s")
+           f"candidates (2,1), ladder at -1, {n_viol} strip violations "
+           f"({n_nan} NaN), {dt:.0f}s")
 
 
 def test_criterion_05_eigen_triple_residuals(capsys):

@@ -95,6 +95,19 @@ def test_exponential_filter_preserves_low_modes():
     assert np.max(np.abs(filtered - vals)) < 1e-10
 
 
+@pytest.mark.parametrize("N", [32, 64])
+def test_exponential_filter_matches_coefficient_space(N):
+    # oracle: transform, damp the top third of the modes, transform back
+    n = np.arange(N + 1)
+    n0 = int(np.floor(2.0 * N / 3.0))
+    sigma = np.where(n > n0, np.exp(np.log(1e-13) * ((n - n0) / (N - n0)) ** 8), 1.0)
+    rng = np.random.Generator(np.random.Philox(N))
+    rows = rng.standard_normal((2, N + 1))
+    expected = np.stack([cheb_vals(sigma * cheb_coeffs(v)) for v in rows])
+    assert np.max(np.abs(exponential_filter(rows) - expected)) < 1e-14
+    assert np.max(np.abs(exponential_filter(rows[0]) - expected[0])) < 1e-14
+
+
 def test_truncate_modes_zeroes_tail():
     grid = ChebGrid.make(30)
     rng = np.random.Generator(np.random.Philox(3))

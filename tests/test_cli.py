@@ -1,10 +1,11 @@
 """Front-end: config resolution, exit codes, CSV/manifest contracts."""
 
 import csv
+import math
 
 import pytest
 
-from blowuplab import cli
+from blowuplab import cli, modeanalysis, modulation
 from blowuplab.cli import (
     EXIT_ACCEPTANCE,
     EXIT_CONFIG,
@@ -106,6 +107,52 @@ def test_instability_p1_honours_explicit_p(tmp_path, flags, p):
     with open(tmp_path / f"instability_p{p}.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert rows and all(float(row["p"]) == float(p) for row in rows)
+    # the manifest records the p the run used
+    manifest = dict(line.split(" = ", 1) for line in
+                    (tmp_path / "manifest.txt").read_text().splitlines())
+    assert float(manifest["p"]) == float(p)
+
+
+def _reference_csv(path, header, rows):
+    # the writers the library modules used before the CLI took over:
+    # csv.writer, every float at 17 significant digits
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([v if isinstance(v, int) else f"{v:.17g}" for v in row])
+
+
+def test_mode_scan_csv_matches_reference_writer(tmp_path, monkeypatch):
+    results = [(0j, 3.5e-12), (0.1 - 0.2j, 0.4182736450192837),
+               (2.9 + 3j, math.nan)]
+    monkeypatch.setattr(modeanalysis, "mode_scan", lambda p, grid, **kw: results)
+    cfg = parse_config(["mode-scan", "--output-dir", str(tmp_path / "run")])
+    assert run(cfg) == EXIT_ACCEPTANCE          # the NaN fails the check
+    _reference_csv(tmp_path / "ref.csv",
+                   ["re_lambda", "im_lambda", "defect", "n_colloc"],
+                   [(lam.real, lam.imag, d, 40) for lam, d in results])
+    assert ((tmp_path / "run" / "mode_scan.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
+    assert "1 NaN" in (tmp_path / "run" / "manifest.txt").read_text()
+    assert not list(tmp_path.glob("run/*.tmp"))
+
+
+def test_modulation_csv_matches_reference_writer(tmp_path, monkeypatch):
+    history = [(1, 0.75, 1.0, 0.0, 1.25e-5, -3.0e-6, 7.5e-7, 2.2e-4),
+               (2, 0.7500125, 0.99999925, -2.5e-6, 1e-9, 2e-10, -3e-11, 4e-9)]
+    state = modulation.ModulationState(
+        p_star=0.7500125, T_star=0.99999925, kappa_star=-2.5e-6,
+        correction_norm=4e-9, iterations=2, converged=False, history=history)
+    monkeypatch.setattr(modulation, "fit_parameters", lambda *a, **kw: state)
+    cfg = parse_config(["modulate", "--output-dir", str(tmp_path / "run")])
+    assert run(cfg) == EXIT_ACCEPTANCE          # not converged
+    _reference_csv(tmp_path / "ref.csv",
+                   ["iter", "p", "T", "kappa", "F1", "F2", "F3",
+                    "correction_norm"], history)
+    assert ((tmp_path / "run" / "modulation_modulate.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
+    assert not list(tmp_path.glob("run/*.tmp"))
 
 
 def test_appendixB_run_passes(tmp_path, capsys):

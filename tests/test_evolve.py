@@ -8,6 +8,8 @@ import pytest
 from blowuplab.chebgrid import ChebGrid
 from blowuplab.evolve import (
     EvolveConfig,
+    _rhs,
+    _rk4,
     bump,
     evolve_perturbation,
     evolve_states,
@@ -17,9 +19,8 @@ from blowuplab.evolve import (
     physical_space_crosscheck,
     smallness_functional,
     stable_dt,
-    step_similarity,
 )
-from blowuplab.linop import StateVector, energy_norm, f1_state
+from blowuplab.linop import StateVector, assemble_Lp, energy_norm, f1_state
 
 
 def test_config_validation():
@@ -88,19 +89,21 @@ def test_projected_decay_rate_epsilon_independent():
 
 
 def test_rk4_self_convergence_order():
+    # the bare RK4 core on the unfiltered right-hand side
     p, N = 0.75, 32
     grid = ChebGrid.make(N)
     cfg = EvolveConfig(p=p, N=N, epsilon=1e-3)
-    q0 = initial_perturbation(cfg, grid)
+    u0 = initial_perturbation(cfg, grid).flat()
+    L = assemble_Lp(p, grid)
     base = stable_dt(p, N)
 
     def run(dt):
         n = int(round(1.0 / dt))
         dt = 1.0 / n
-        q = q0
+        u = u0
         for _ in range(n):
-            q = step_similarity(q, p, dt, grid, use_filter=False)
-        return q.flat()
+            u = _rk4(lambda v: _rhs(L, v), u, dt)
+        return u
 
     dts = (base / 2.0, base / 4.0, base / 8.0)
     sols = [run(dt) for dt in dts]

@@ -184,8 +184,7 @@ def test_defect_vanishes_at_symmetry_modes(p, lam):
 @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
 def test_defect_large_away_from_symmetry_modes(p):
     for lam in (0.5, 2.0, 0.1, 1.2 + 0.5j):
-        d = connection_defect(p, lam)
-        assert math.isnan(d) or d > 1e-3
+        assert connection_defect(p, lam) > 1e-3
 
 
 def test_defect_stable_under_series_doubling():
@@ -202,6 +201,11 @@ def test_p1_degenerate_two_candidates_at_zero():
     defects = smooth_candidate_defects(1.0, 0.0)
     assert len(defects) == 2
     assert max(defects) < 1e-6
+
+
+@pytest.mark.parametrize("p,lam", [(1.0, 0.0), (0.5, 0.5)])
+def test_connection_defect_is_least_candidate_defect(p, lam):
+    assert connection_defect(p, lam) == min(smooth_candidate_defects(p, lam))
 
 
 def test_p1_lambda_one_simple():

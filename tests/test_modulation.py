@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blowuplab.chebgrid import ChebGrid
-from blowuplab.linop import StateVector, energy_inner, energy_norm, f0_state, f1_state, g0_state
+from blowuplab.linop import StateVector, energy_norm, f0_state, f1_state, g0_state
 from blowuplab.modulation import (
     _bracket_terms,
     correction_functional,
@@ -74,22 +74,11 @@ def test_expansion_remainder_quadratic():
 def test_gram_symmetric_and_duality():
     gram = gram_dual_basis(0.75, GRID)
     assert np.max(np.abs(gram.Gamma - gram.Gamma.T)) < 1e-12
-    # delta relations of the stored dual states via coordinates of exact
-    # combinations of the primal basis
+    # exact combinations of the basis give back their coefficients
     combo = (0.5 * gram.basis[0].flat() - 2.0 * gram.basis[1].flat()
              + 3.0 * gram.basis[2].flat())
     coords = gram.coords_in_span(combo)
     assert np.allclose(coords, [0.5, -2.0, 3.0], atol=1e-9)
-
-
-def test_gram_dual_pairing_consistency():
-    gram = gram_dual_basis(0.75, GRID)
-    q = StateVector(q1=GRID.y ** 2, q2=np.sin(GRID.y))
-    coords = gram.pair_dual(q, GRID)
-    # pairing against the stored dual basis reproduces Gamma^{-1} <q, basis>
-    prim = np.array([float(np.real(energy_inner(4, q, b, GRID)))
-                     for b in gram.basis])
-    assert np.allclose(coords, gram.Gamma_inv @ prim, atol=1e-10)
 
 
 def test_gram_condition_grows_as_p_to_one():
