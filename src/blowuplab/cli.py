@@ -24,6 +24,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -195,16 +196,27 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_csv(path: Path, header: list, rows) -> None:
-    """RFC-4180 CSV, 17 significant digits, written atomically (tmp+rename)
-    so a failure mid-run never leaves a truncated or header-less file."""
+@contextmanager
+def _atomic_open(path: Path):
+    """Text handle on `path` + ".tmp", renamed onto `path` only once written,
+    so a failure mid-write never leaves a truncated file and keeps any
+    previous one; the temporary file is removed either way."""
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_csv(path: Path, header: list, rows) -> None:
+    """RFC-4180 CSV, 17 significant digits, written atomically."""
+    with _atomic_open(path) as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
             w.writerow([_fmt(v) for v in row])
-    os.replace(tmp, path)
 
 
 def _write_manifest(cfg: RunConfig, timings: list, checks: list) -> None:
@@ -221,8 +233,8 @@ def _write_manifest(cfg: RunConfig, timings: list, checks: list) -> None:
         lines.append(f"timing_{name}_s = {seconds:.3f}")
     for name, ok, detail in checks:
         lines.append(f"check_{name} = {'pass' if ok else 'FAIL'} ({detail})")
-    (cfg.output_dir / "manifest.txt").write_text("\n".join(lines) + "\n",
-                                                 encoding="utf-8")
+    with _atomic_open(cfg.output_dir / "manifest.txt") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +276,8 @@ def _run_mode_scan(cfg: RunConfig) -> list:
 
     grid = default_lambda_grid(cfg["lambda_re_min"], cfg["lambda_re_max"],
                                cfg["lambda_im_max"], cfg["lambda_step"])
-    results = mode_scan(cfg["p"], grid, N_colloc=DEFAULT_SERIES_N)
+    scan = mode_scan(cfg["p"], grid, N_colloc=DEFAULT_SERIES_N)
+    results = scan.points
     write_csv(cfg.output_dir / "mode_scan.csv",
               ["re_lambda", "im_lambda", "defect", "n_colloc"],
               [(lam.real, lam.imag, d, DEFAULT_SERIES_N) for lam, d in results])
@@ -274,7 +287,13 @@ def _run_mode_scan(cfg: RunConfig) -> list:
         near = min(abs(lam), abs(lam - 1.0)) <= 0.05
         # a NaN defect fails either comparison and so counts as a violation
         n_bad += not (defect < 1e-6 if near else defect > 1e-3)
-    detail = f"{len(results)} points, {n_bad} violations, {n_nan} NaN"
+    n_closed = len(results) - scan.n_continuation
+    detail = (f"{len(results)} points ({n_closed} closed form, "
+              f"{scan.n_continuation} continuation), {n_bad} violations, "
+              f"{n_nan} NaN")
+    if scan.failures:
+        lam, message = scan.failures[0]
+        detail += f" (lam={lam:g}: {message})"
     return [("mode_scan", n_bad == 0, detail)]
 
 
@@ -300,8 +319,8 @@ def _run_spectrum(cfg: RunConfig) -> list:
               f"gap_raw = {_fmt(rep.gap_raw)}",
               f"rank_P0 = {r0}", f"rank_P1 = {r1}"]
     report += [f"{k} = {_fmt(v)}" for k, v in res.items()]
-    (cfg.output_dir / "spectral_report.txt").write_text(
-        "\n".join(report) + "\n", encoding="utf-8")
+    with _atomic_open(cfg.output_dir / "spectral_report.txt") as fh:
+        fh.write("\n".join(report) + "\n")
     checks = [
         ("gap", 0.0 < rep.gap_omega0 <= 0.5, f"omega0={rep.gap_omega0:g}"),
         ("ranks", (r0, r1) == (2, 1), f"rank_P0={r0} rank_P1={r1}"),

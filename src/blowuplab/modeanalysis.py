@@ -8,9 +8,15 @@ similarity frames the equation is hypergeometric,
 
 with a = lam, b = lam - 1, c = lam - sqrt(1-p).  A genuinely smooth mode on
 [-1, 1] must be smooth at both singular endpoints z = 0 and z = 1
-simultaneously; the scanner quantifies the obstruction ("connection defect")
-by continuing the locally-smooth solution from z = 1 to a collar near z = 0
-and measuring its component along the non-smooth local branch there.
+simultaneously; the obstruction ("connection defect") is the component of
+the solution smooth at z = 1 along the non-smooth local branch at z = 0.
+
+`mode_scan` takes it in closed form from the Gauss connection formula
+(DLMF 15.10.21), vectorised over the whole lambda grid.  `connection_defect`
+continues the locally-smooth solution from z = 1 to a collar near z = 0 and
+fits it against the Frobenius branches there: it is the fallback where the
+formula degenerates (integer c or c - a - b) and the oracle the closed form
+is tested against.
 """
 
 from __future__ import annotations
@@ -18,11 +24,11 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.special import expit, loggamma, rgamma
 
 _INT_TOL = 1e-9          # tolerance for detecting integer exponent gaps
 DEFAULT_SERIES_N = 40    # Frobenius truncation order
@@ -412,30 +418,77 @@ def default_lambda_grid(re_min: float = 0.0, re_max: float = 3.0,
     return grid
 
 
-def _scan_one(args):
-    p, lam, N = args
-    try:
-        return lam, connection_defect(p, lam, N)
-    except Exception:
-        return lam, math.nan
+def _log_abs_rgamma(x: np.ndarray) -> np.ndarray:
+    """log|1/Gamma(x)| through loggamma, so no argument can overflow; exactly
+    -inf at the poles x = 0, -1, -2, ... of Gamma, where rgamma is exactly 0
+    (for Re x > 0 rgamma only underflows, so it is not asked there)."""
+    pole = (x.real <= 0.0) & (rgamma(x) == 0.0)
+    return np.where(pole, -np.inf, -loggamma(np.where(pole, 1.0, x)).real)
 
 
-def mode_scan(p: float, lambda_grid=None, N_colloc: int = DEFAULT_SERIES_N,
-              include_strip: bool = False) -> list[tuple[complex, float]]:
+def _near_integer(x: np.ndarray) -> np.ndarray:
+    return np.abs(x - np.round(x.real)) < _INT_TOL
+
+
+def _gauss_defects(p: float, lam: np.ndarray) -> np.ndarray:
+    """Connection defect from the Gauss connection formula (DLMF 15.10.21),
+    NaN where the formula degenerates or gives no finite number.
+
+    F(a, b; a+b-c+1; 1-z), the solution analytic at z = 1, equals
+    A F(a, b; c; z) + B z^{1-c} F(a-c+1, b-c+1; 2-c; z) with
+    A ~ Gamma(1-c) / (Gamma(a-c+1) Gamma(b-c+1)) and
+    B ~ Gamma(c-1) / (Gamma(a) Gamma(b)) (common factor Gamma(a+b-c+1)), so
+    the defect |B| / (|A| + |B|) is expit(log|B| - log|A|).  Here
+    a - c + 1 = 1 + g and b - c + 1 = g exactly, with g = sqrt(1-p).
+    Degenerate: c or c - a - b an integer, where a local exponent gap is
+    an integer and log branches can appear.
+    """
+    g = np.full(lam.shape, EigenParams(p, 0j).root_1mp, dtype=complex)
+    a, b, c = lam, lam - 1.0, lam - g
+    with np.errstate(invalid="ignore"):      # inf - inf: NaN, continued
+        log_A = (_log_abs_rgamma(1.0 + g) + _log_abs_rgamma(g)
+                 - _log_abs_rgamma(1.0 - c))
+        log_B = (_log_abs_rgamma(a) + _log_abs_rgamma(b)
+                 - _log_abs_rgamma(c - 1.0))
+        defects = expit(log_B - log_A)
+    defects[_near_integer(c) | _near_integer(c - a - b)] = math.nan
+    return defects
+
+
+@dataclass(frozen=True)
+class ModeScan:
+    """Defects of a lambda grid and how each was computed.
+
+    points: (lam, defect) in grid order, NaN where no defect could be had.
+    n_continuation: points the closed form could not take, handed to
+    `connection_defect`; the rest are closed form.
+    failures: (lam, message) of every continuation that raised.
+    """
+    points: list[tuple[complex, float]]
+    n_continuation: int
+    failures: list[tuple[complex, str]]
+
+
+def mode_scan(p: float, lambda_grid=None, N_colloc: int = DEFAULT_SERIES_N
+              ) -> ModeScan:
     """Connection defect over a lambda grid, NaN where it cannot be computed.
 
-    Defaults to the rectangle Re in [0,3], Im in [-3,3], step 0.1 (extended
-    to Re > -1 when include_strip is set).  Grids of more than 8 points are
-    spread over a process pool.
+    Defaults to the rectangle Re in [0,3], Im in [-3,3], step 0.1.  The
+    whole grid goes through the Gauss connection formula in one vectorised
+    pass; only points where it degenerates or is not finite are continued
+    (`connection_defect` with N_colloc series terms), one by one.
     """
     if lambda_grid is None:
-        re_min = -0.9 if include_strip else 0.0
-        lambda_grid = default_lambda_grid(re_min=re_min)
-    lambda_grid = np.asarray(lambda_grid).ravel()
-    jobs = [(p, complex(lam), N_colloc) for lam in lambda_grid]
-    if len(jobs) > 8:
-        with ProcessPoolExecutor() as ex:
-            results = list(ex.map(_scan_one, jobs, chunksize=16))
-    else:
-        results = [_scan_one(j) for j in jobs]
-    return results
+        lambda_grid = default_lambda_grid()
+    lams = np.asarray(lambda_grid, dtype=complex).ravel()
+    defects = _gauss_defects(p, lams)
+    fallback = np.flatnonzero(~np.isfinite(defects))
+    failures = []
+    for i in fallback:
+        try:
+            defects[i] = connection_defect(p, complex(lams[i]), N_colloc)
+        except (RuntimeError, ValueError) as exc:
+            failures.append((complex(lams[i]), str(exc)))
+    return ModeScan(points=[(complex(lam), float(d))
+                            for lam, d in zip(lams, defects)],
+                    n_continuation=len(fallback), failures=failures)

@@ -126,7 +126,8 @@ def _reference_csv(path, header, rows):
 def test_mode_scan_csv_matches_reference_writer(tmp_path, monkeypatch):
     results = [(0j, 3.5e-12), (0.1 - 0.2j, 0.4182736450192837),
                (2.9 + 3j, math.nan)]
-    monkeypatch.setattr(modeanalysis, "mode_scan", lambda p, grid, **kw: results)
+    scan = modeanalysis.ModeScan(results, n_continuation=0, failures=[])
+    monkeypatch.setattr(modeanalysis, "mode_scan", lambda p, grid, **kw: scan)
     cfg = parse_config(["mode-scan", "--output-dir", str(tmp_path / "run")])
     assert run(cfg) == EXIT_ACCEPTANCE          # the NaN fails the check
     _reference_csv(tmp_path / "ref.csv",
@@ -136,6 +137,57 @@ def test_mode_scan_csv_matches_reference_writer(tmp_path, monkeypatch):
             == (tmp_path / "ref.csv").read_bytes())
     assert "1 NaN" in (tmp_path / "run" / "manifest.txt").read_text()
     assert not list(tmp_path.glob("run/*.tmp"))
+
+
+def test_mode_scan_reports_method_counts_and_first_failure(tmp_path,
+                                                           monkeypatch):
+    # at p = 0.75 the closed form degenerates at lambda = 0.5, 1.5, 2.5, so
+    # those three go to the continuation; make the one at 1.5 fail
+    continue_defect = modeanalysis.connection_defect
+
+    def failing_at_1p5(p, lam, N=modeanalysis.DEFAULT_SERIES_N):
+        if abs(lam - 1.5) < 1e-9:
+            raise RuntimeError("continuation failed: step size underflow")
+        return continue_defect(p, lam, N)
+
+    monkeypatch.setattr(modeanalysis, "connection_defect", failing_at_1p5)
+    cfg = parse_config(["mode-scan", "--output-dir", str(tmp_path)])
+    assert run(cfg) == EXIT_ACCEPTANCE
+    manifest = (tmp_path / "manifest.txt").read_text()
+    assert ("1891 points (1888 closed form, 3 continuation), 1 violations, "
+            "1 NaN (lam=1.5+0j: continuation failed: step size underflow)"
+            in manifest)
+
+
+def test_manifest_written_atomically(tmp_path, monkeypatch):
+    cfg = parse_config(["appendixB", "--output-dir", str(tmp_path)])
+    assert run(cfg) == EXIT_PASS
+    assert not list(tmp_path.glob("*.tmp"))
+    before = (tmp_path / "manifest.txt").read_text()
+
+    def rename_fails(src, dst):
+        raise OSError("disk full")
+
+    # the rename after the temporary file is written fails: the previous
+    # manifest stays and no temporary file is left behind
+    monkeypatch.setattr(cli.os, "replace", rename_fails)
+    with pytest.raises(OSError, match="disk full"):
+        cli._write_manifest(cfg, [("appendixB", 1.0)], [])
+    assert (tmp_path / "manifest.txt").read_text() == before
+    assert not list(tmp_path.glob("*.tmp"))
+    monkeypatch.undo()
+
+    # a failure while the rows are being written leaves the previous CSV
+    csv_before = (tmp_path / "appendixB.csv").read_bytes()
+
+    def rows():
+        yield ("jump", 1.0)
+        raise ValueError("row failed")
+
+    with pytest.raises(ValueError, match="row failed"):
+        cli.write_csv(tmp_path / "appendixB.csv", ["quantity", "value"], rows())
+    assert (tmp_path / "appendixB.csv").read_bytes() == csv_before
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_modulation_csv_matches_reference_writer(tmp_path, monkeypatch):

@@ -18,6 +18,7 @@ from blowuplab.modeanalysis import (
     indicial_roots,
     lorentz_frame_params,
     lorentz_similarity_map,
+    mode_scan,
     pf_coeffs,
     series_coeff_ratio,
     smooth_candidate_defects,
@@ -219,3 +220,37 @@ def test_p1_negative_integer_ladder():
     assert connection_defect(1.0, -1.0) < 1e-6
     assert connection_defect(1.0, -0.5) > 1e-3
     assert connection_defect(1.0, 0.5) > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# mode scan: Gauss connection formula against the ODE continuation
+
+@pytest.mark.parametrize("p,n,re_min", [(0.25, 60, 0.0), (0.5, 60, 0.0),
+                                        (0.75, 60, 0.0), (1.0, 40, -0.75)])
+def test_mode_scan_closed_form_matches_continuation(p, n, re_min):
+    # seeded points of the scanned rectangle (the strip Re > -1 at p = 1)
+    rng = np.random.Generator(np.random.Philox(int(100 * p)))
+    lams = rng.uniform(re_min, 3.0, n) + 1j * rng.uniform(-3.0, 3.0, n)
+    scan = mode_scan(p, lams)
+    assert scan.n_continuation == 0 and scan.failures == []
+    for lam, defect in scan.points:
+        assert defect == pytest.approx(connection_defect(p, lam), abs=1e-7), lam
+
+
+@pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
+def test_mode_scan_closed_form_exact_zeros(p):
+    # Gamma(a) resp. Gamma(b) has a pole at lambda = 0 resp. 1: B = 0
+    scan = mode_scan(p, [0.0, 1.0])
+    assert scan.n_continuation == 0
+    assert [d for _, d in scan.points] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("p,lams", [(0.75, [0.5, 1.5, 2.5]),
+                                    (1.0, [0.0, 1.0, 2.0, 3.0])])
+def test_mode_scan_continues_where_closed_form_degenerates(p, lams):
+    # an integer c or c - a - b: the connection formula has no finite
+    # value there, so each such point is one continuation
+    scan = mode_scan(p, lams + [0.25 + 0.5j])
+    assert scan.n_continuation == len(lams) and scan.failures == []
+    for lam, defect in scan.points[:-1]:
+        assert defect == connection_defect(p, lam)
