@@ -2,8 +2,10 @@
 """Connection-defect scans over the standard lambda rectangle.
 
 Writes one mode_scan.csv per value of p under out/mode_scans/p{p}/.
-Columns: re, im, defect, n_colloc.  Plot |defect| on the grid to see the
-two smooth modes at lambda = 0 and 1 stand out by ten orders of magnitude.
+Columns: re_lambda, im_lambda, defect, continued (1 where the Gauss
+connection formula degenerates and the ODE continuation gave the defect,
+0 where the closed form did).  Plot |defect| on the grid to see the two
+smooth modes at lambda = 0 and 1 stand out by ten orders of magnitude.
 """
 
 import argparse

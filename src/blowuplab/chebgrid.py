@@ -12,6 +12,10 @@ from functools import lru_cache
 
 import numpy as np
 
+FILTER_STRENGTH = 1e-13        # damping of the top mode, near round-off
+FILTER_FRACTION = 1.0 / 3.0    # share of the modes the filter damps
+TRUNCATE_FRACTION = 2.0 / 3.0  # share of the modes truncate_modes keeps
+
 
 def cheb_diff(N: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes cos(pi*n/N) and the (N+1)x(N+1) differentiation matrix."""
@@ -129,35 +133,34 @@ def cheb_vals(coeffs: np.ndarray) -> np.ndarray:
     return np.cos(theta) @ coeffs
 
 
-def exponential_filter(vals: np.ndarray, strength: float = 1e-13,
-                       fraction: float = 1.0 / 3.0) -> np.ndarray:
-    """Damp the top `fraction` of Chebyshev modes of each row of `vals`.
+def exponential_filter(vals: np.ndarray) -> np.ndarray:
+    """Damp the top FILTER_FRACTION of Chebyshev modes of each row of `vals`.
 
-    sigma(n) = exp(log(strength) * ((n - n0)/(N - n0))^8) for n > n0,
-    identity below; strength ~ 1e-13 keeps the filter near round-off.
-    Applied as one cached (N+1)x(N+1) matrix on nodal values, so a stack
-    of states (last axis the grid) is filtered in a single matmul.
+    sigma(n) = exp(log(FILTER_STRENGTH) * ((n - n0)/(N - n0))^8) for n > n0,
+    identity below.  Applied as one cached (N+1)x(N+1) matrix on nodal
+    values, so a stack of states (last axis the grid) is filtered in a
+    single matmul.
     """
-    return vals @ _filter_matrix(vals.shape[-1] - 1, strength, fraction).T
+    return vals @ _filter_matrix(vals.shape[-1] - 1).T
 
 
 @lru_cache(maxsize=None)
-def _filter_matrix(N: int, strength: float, fraction: float) -> np.ndarray:
+def _filter_matrix(N: int) -> np.ndarray:
     """Matrix of v -> cheb_vals(sigma * cheb_coeffs(v)) on nodal values,
     built column by column from the coefficient-space definition."""
     sigma = np.ones(N + 1)
-    n0 = int(np.floor((1.0 - fraction) * N))
+    n0 = int(np.floor((1.0 - FILTER_FRACTION) * N))
     if n0 < N:
         n = np.arange(n0 + 1, N + 1)
-        sigma[n] = np.exp(np.log(strength) * ((n - n0) / (N - n0)) ** 8)
+        sigma[n] = np.exp(np.log(FILTER_STRENGTH) * ((n - n0) / (N - n0)) ** 8)
     F = np.column_stack([cheb_vals(sigma * cheb_coeffs(e))
                          for e in np.eye(N + 1)])
     F.flags.writeable = False
     return F
 
 
-def truncate_modes(vals: np.ndarray, fraction: float = 2.0 / 3.0) -> np.ndarray:
-    """Zero all Chebyshev modes above `fraction` of the grid order.
+def truncate_modes(vals: np.ndarray) -> np.ndarray:
+    """Zero all Chebyshev modes above TRUNCATE_FRACTION of the grid order.
 
     Marginally resolved coefficient tails excite violent (though
     power-bounded) transients of the non-normal collocation operators;
@@ -165,5 +168,5 @@ def truncate_modes(vals: np.ndarray, fraction: float = 2.0 / 3.0) -> np.ndarray:
     error of the representable part.
     """
     c = cheb_coeffs(vals)
-    c[int(fraction * len(c)):] = 0.0
+    c[int(TRUNCATE_FRACTION * len(c)):] = 0.0
     return cheb_vals(c)

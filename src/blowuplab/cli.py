@@ -272,15 +272,16 @@ def _run_profile_check(cfg: RunConfig) -> list:
 
 
 def _run_mode_scan(cfg: RunConfig) -> list:
-    from .modeanalysis import DEFAULT_SERIES_N, default_lambda_grid, mode_scan
+    from .modeanalysis import default_lambda_grid, mode_scan
 
     grid = default_lambda_grid(cfg["lambda_re_min"], cfg["lambda_re_max"],
                                cfg["lambda_im_max"], cfg["lambda_step"])
-    scan = mode_scan(cfg["p"], grid, N_colloc=DEFAULT_SERIES_N)
+    scan = mode_scan(cfg["p"], grid)
     results = scan.points
     write_csv(cfg.output_dir / "mode_scan.csv",
-              ["re_lambda", "im_lambda", "defect", "n_colloc"],
-              [(lam.real, lam.imag, d, DEFAULT_SERIES_N) for lam, d in results])
+              ["re_lambda", "im_lambda", "defect", "continued"],
+              [(lam.real, lam.imag, d, int(cont))
+               for (lam, d), cont in zip(results, scan.continued)])
     n_nan = sum(math.isnan(d) for _, d in results)
     n_bad = 0
     for lam, defect in results:
@@ -311,9 +312,7 @@ def _run_spectrum(cfg: RunConfig) -> list:
               ["re", "im", "residual", "robust_flag"], rows)
 
     P0, r0, P1, r1, _ = riesz_projectors_for(p, grid, omega0=rep.gap_omega0)
-    # k = 0 norm: the k = 4 seminorm amplifies the collocation tail of the
-    # slowly-resolved states at small p past the 1e-7 certification level
-    res = eigen_triple_residuals(p, N=N, k=0)
+    res = eigen_triple_residuals(p, N=N)
     report = [f"p = {_fmt(p)}", f"N = {N}",
               f"gap_omega0 = {_fmt(rep.gap_omega0)}",
               f"gap_raw = {_fmt(rep.gap_raw)}",
@@ -438,6 +437,8 @@ def _run_appendixB(cfg: RunConfig) -> list:
          f"log-slope {out['d2_log_slope']:.3f}"),
         ("arctan_jump", jump_err < 1e-8,
          f"|jump - pi*prefactor| = {jump_err:.2e}"),
+        ("ode_crosscheck", out["ode_crosscheck_err"] < 1e-8,
+         f"|dv1 - ODE solution| = {out['ode_crosscheck_err']:.2e}"),
     ]
 
 

@@ -31,6 +31,12 @@ from .linop import (DEFAULT_K, StateVector, assemble_Lp, energy_norm,
 from .profiles import _FD4_W2, ProfileParams, similarity_profile
 
 TAU_MAX_CAP = 15.0
+RK4_SAFETY = 2.0                 # RK4 step times the spectral radius
+BUMP_WIDTH = 0.8                 # support |y| < BUMP_WIDTH of the initial bump
+CROSSCHECK_HALF_WIDTH = 1.25     # physical domain [x0 - R, x0 + R], R / T
+CROSSCHECK_INTERVALS = 4096      # finite-difference intervals on that domain
+SMALLNESS_NODES = 400            # Chebyshev order of the smallness quadrature
+INSTABILITY_NODES = 200          # Chebyshev order of the divergence L2 norms
 
 
 @dataclass(frozen=True)
@@ -43,9 +49,6 @@ class EvolveConfig:
     dt: float | None = None
     tau_max: float = 12.0
     epsilon: float = 1e-4
-    perturbation: str = "bump"       # "bump" | "legendre"
-    poly_coeffs: tuple = (0.0, 1.0, 1.0, 0.5)
-    bump_width: float = 0.8
     k: int = DEFAULT_K
 
     def __post_init__(self):
@@ -76,9 +79,9 @@ def _spectral_radius(p: float, N: int) -> float:
     return float(np.abs(np.linalg.eigvals(L)).max())
 
 
-def stable_dt(p: float, N: int, safety: float = 2.0) -> float:
+def stable_dt(p: float, N: int) -> float:
     """RK4 step from the measured spectral radius (~0.033 N^2)."""
-    return safety / _spectral_radius(p, N)
+    return RK4_SAFETY / _spectral_radius(p, N)
 
 
 def _rhs(L: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -122,27 +125,22 @@ def step_similarity(state: StateVector, p: float, dt: float, grid: ChebGrid,
     return StateVector(q1=q1, q2=q2)
 
 
-def bump(y: np.ndarray, width: float = 0.8) -> np.ndarray:
-    """Smooth compactly supported bump on |y| < width, peak value 1."""
+def bump(y: np.ndarray) -> np.ndarray:
+    """Smooth compactly supported bump on |y| < BUMP_WIDTH, peak value 1."""
     y = np.asarray(y, dtype=float)
     out = np.zeros_like(y)
-    inside = np.abs(y) < width
-    s = y[inside] / width
+    inside = np.abs(y) < BUMP_WIDTH
+    s = y[inside] / BUMP_WIDTH
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - s ** 2))
     return out
 
 
 def initial_perturbation(cfg: EvolveConfig, grid: ChebGrid) -> StateVector:
-    if cfg.perturbation == "bump":
-        # chop the unresolved coefficient tail; see truncate_modes
-        q1 = truncate_modes(cfg.epsilon * bump(grid.y, cfg.bump_width))
-        q2 = truncate_modes(cfg.epsilon * 0.5 * bump(grid.y, cfg.bump_width))
-    elif cfg.perturbation == "legendre":
-        q1 = cfg.epsilon * np.polynomial.legendre.legval(grid.y, cfg.poly_coeffs)
-        q2 = cfg.epsilon * np.polynomial.legendre.legval(grid.y, cfg.poly_coeffs[::-1])
-    else:
-        raise ValueError(f"unknown perturbation family {cfg.perturbation!r}")
-    return StateVector(q1=q1, q2=q2)
+    """epsilon * (bump, bump / 2), with the unresolved coefficient tail
+    chopped; see truncate_modes."""
+    b = bump(grid.y)
+    return StateVector(q1=truncate_modes(cfg.epsilon * b),
+                       q2=truncate_modes(cfg.epsilon * 0.5 * b))
 
 
 def evolve_states(cfg: EvolveConfig, q0: StateVector, grid: ChebGrid):
@@ -177,7 +175,7 @@ def evolve_perturbation(cfg: EvolveConfig, project_out_unstable: bool = True,
     if q0 is None:
         q0 = initial_perturbation(cfg, grid)
     if project_out_unstable:
-        P0, _, P1, _, _ = riesz_projectors_for(cfg.p, grid, k=cfg.k)
+        P0, _, P1, _, _ = riesz_projectors_for(cfg.p, grid)
         u = q0.flat()
         u = u - (P0 @ u).real - (P1 @ u).real
         q0 = StateVector.from_flat(u)
@@ -216,8 +214,9 @@ def fit_log_slope(taus: np.ndarray, norms: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def smallness_functional(p: float, T: float = 1.0, kappa: float = 0.0,
-                         k: int = DEFAULT_K, q: int = 1, M: int = 400) -> float:
-    """inf_a ( ||u(0,.) - a||_{H^{k+1}(-T,T)} + ||u_t(0,.) - 1/T||_{H^k} ).
+                         q: int = 1) -> float:
+    """inf_a ( ||u(0,.) - a||_{H^{k+1}(-T,T)} + ||u_t(0,.) - 1/T||_{H^k} ),
+    k = DEFAULT_K.
 
     Distance at t = 0 between the blow-up-family data and constant (ODE)
     data.  Spatial derivatives of u(0, x) = -p log(T + q g x) + p log T +
@@ -225,7 +224,8 @@ def smallness_functional(p: float, T: float = 1.0, kappa: float = 0.0,
     infimum is attained at the spatial mean.  Vanishes as p -> 1 (g -> 0).
     """
     g = math.sqrt(1.0 - p)
-    grid = ChebGrid.make(M)
+    k = DEFAULT_K
+    grid = ChebGrid.make(SMALLNESS_NODES)
     x = grid.y * T                     # quadrature on (-T, T)
     w = grid.w * T
     denom = T + q * g * x
@@ -243,20 +243,17 @@ def smallness_functional(p: float, T: float = 1.0, kappa: float = 0.0,
     return math.sqrt(sq_u) + math.sqrt(sq_v)
 
 
-def ode_blowup_instability(p: float, a_grid=None, kappa: float = 0.0,
-                           tau_grid=None, M: int = 200) -> dict:
+def ode_blowup_instability(p: float, kappa: float = 0.0) -> dict:
     """Linear-in-tau divergence of the blow-up profile from tau + a.
 
     ||U_p(tau,.) - (tau+a)||_{L2(-1,1)} with U_p(tau,y) = p tau - p log(1 +
-    y sqrt(1-p)) + kappa grows like |p-1| sqrt(2) tau for every shift a; the
-    slope is measured by a late-window linear fit.
+    y sqrt(1-p)) + kappa grows like |p-1| sqrt(2) tau for every shift
+    a in {0, kappa, 1}; the slope is measured by a linear fit over the late
+    half of tau in [0, 200].
     """
-    if a_grid is None:
-        a_grid = (0.0, kappa, 1.0)
-    if tau_grid is None:
-        tau_grid = np.linspace(0.0, 200.0, 81)
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    grid = ChebGrid.make(M)
+    a_grid = (0.0, kappa, 1.0)
+    tau_grid = np.linspace(0.0, 200.0, 81)
+    grid = ChebGrid.make(INSTABILITY_NODES)
     prof = similarity_profile(p, grid.y, kappa)
     slopes = {}
     norms = {}
@@ -284,13 +281,12 @@ def ode_blowup_instability(p: float, a_grid=None, kappa: float = 0.0,
 # Physical-space cross-validation
 # ---------------------------------------------------------------------------
 
-def physical_space_crosscheck(cfg: EvolveConfig, t_samples=None,
-                              domain_half_width: float = 1.25,
-                              M_phys: int = 4096) -> dict:
+def physical_space_crosscheck(cfg: EvolveConfig, t_samples=None) -> dict:
     """Evolve the same perturbed data in (x, t) and in similarity variables.
 
     The physical solver is a 4th-order finite-difference method-of-lines RK4
-    scheme for u_tt - u_xx = u_t^2 on [x0 - R, x0 + R], R = 1.25 T; by finite
+    scheme for u_tt - u_xx = u_t^2 on [x0 - R, x0 + R], R = 1.25 T
+    (CROSSCHECK_HALF_WIDTH), with CROSSCHECK_INTERVALS intervals; by finite
     speed of propagation the frozen far boundaries cannot influence the light
     cone for t <= 0.5 T.  The singular surface of the unperturbed profile
     (at x - x0 = -q (T-t)/sqrt(1-p)) stays outside the domain for p >= 0.9.
@@ -298,7 +294,7 @@ def physical_space_crosscheck(cfg: EvolveConfig, t_samples=None,
     """
     p, T, x0 = cfg.p, cfg.T, cfg.x0
     g = math.sqrt(1.0 - p)
-    if g > 0 and domain_half_width >= 1.0 / g:
+    if g > 0 and CROSSCHECK_HALF_WIDTH >= 1.0 / g:
         raise ValueError("singular surface enters the physical domain")
     if t_samples is None:
         t_samples = (0.25 * T, 0.5 * T)
@@ -310,8 +306,8 @@ def physical_space_crosscheck(cfg: EvolveConfig, t_samples=None,
     grid = ChebGrid.make(cfg.N)
     q0 = initial_perturbation(cfg, grid)
 
-    R = domain_half_width * T
-    x = np.linspace(x0 - R, x0 + R, M_phys + 1)
+    R = CROSSCHECK_HALF_WIDTH * T
+    x = np.linspace(x0 - R, x0 + R, CROSSCHECK_INTERVALS + 1)
     h = x[1] - x[0]
     y0 = (x - x0) / T
     inside = np.abs(y0) <= 1.0

@@ -23,6 +23,11 @@ from scipy.linalg import expm, schur, solve_sylvester
 from .chebgrid import ChebGrid
 
 DEFAULT_K = 4
+MATCH_TOL = 1e-5            # simple eigenvalue: relative move from N to 2N
+CLUSTER_MATCH_TOL = 0.025   # Jordan-type cluster: move of its mean
+CERT_K = 0                  # seminorm order of the eigen-triple certificate
+CERT_DPS = 35               # its working precision in decimal digits
+APPENDIXB_WINDOW = (1e-6, 1e-4)   # 1 - y range of the boundedness check
 
 
 @dataclass
@@ -176,17 +181,16 @@ def _random_cheb_state(rng: np.random.Generator, grid: ChebGrid,
                            np.polynomial.chebyshev.chebval(grid.y, c2)])
 
 
-def free_wave_dissipativity_check(grid: ChebGrid, k: int = DEFAULT_K,
-                                  trials: int = 200, seed: int = 0,
-                                  degree: int | None = None) -> float:
-    """max over random polynomial states of Re<Ltilde q, q>_k / ||q||_k^2."""
+def free_wave_dissipativity_check(grid: ChebGrid, trials: int = 200,
+                                  seed: int = 0) -> float:
+    """max over random states of Re<Ltilde q, q>_k / ||q||_k^2 (k = DEFAULT_K),
+    each half a Chebyshev series of degree N/2."""
     rng = np.random.Generator(np.random.Philox(seed))
     Lt = assemble_free_modified(grid)
-    S = _stack_cached(grid.N, k)
-    deg = degree if degree is not None else grid.N // 2
+    S = _stack_cached(grid.N, DEFAULT_K)
     worst = -np.inf
     for _ in range(trials):
-        q = _random_cheb_state(rng, grid, deg)
+        q = _random_cheb_state(rng, grid, grid.N // 2)
         Sq = S @ q
         num = np.real(np.conj(Sq) @ (S @ (Lt @ q)))
         den = np.real(np.conj(Sq) @ Sq)
@@ -203,11 +207,14 @@ def free_wave_dissipativity_check(grid: ChebGrid, k: int = DEFAULT_K,
 # therefore certified with arbitrary-precision arithmetic (mpmath), applying
 # the same collocation operator and quadrature.
 
-def eigen_triple_residuals(p: float, N: int = 64, k: int = DEFAULT_K,
-                           dps: int = 35) -> dict:
+def eigen_triple_residuals(p: float, N: int = 64) -> dict:
+    """Relative residuals of the four identities in the order-CERT_K norm;
+    that low order keeps the collocation tail of the slowly-resolved states
+    at small p from swamping the 1e-7 certification level."""
     import mpmath as mp
 
-    with mp.workdps(dps):
+    k = CERT_K
+    with mp.workdps(CERT_DPS):
         one = mp.mpf(1)
         idx = np.arange(N + 1)
         y = np.array([mp.cos(mp.pi * j / N) for j in idx], dtype=object)
@@ -294,9 +301,9 @@ class SpectrumReport:
         return self.eigenvalues[self.robust]
 
 
-def _eig_with_residuals(L: np.ndarray, grid: ChebGrid, k: int):
+def _eig_with_residuals(L: np.ndarray, grid: ChebGrid):
     lam, V = np.linalg.eig(L)
-    S = _stack_cached(grid.N, k)
+    S = _stack_cached(grid.N, DEFAULT_K)
     R = S @ (L @ V - V * lam[None, :])
     Vn = S @ V
     res = np.linalg.norm(R, axis=0) / np.maximum(np.linalg.norm(Vn, axis=0), 1e-300)
@@ -324,17 +331,16 @@ def _cluster(lam: np.ndarray, tol: float = 0.12):
     return np.asarray(means), np.asarray(sizes), labels
 
 
-def spectrum(p: float, grid: ChebGrid, k: int = DEFAULT_K,
-             match_tol: float = 1e-5, cluster_match_tol: float = 0.025) -> SpectrumReport:
+def spectrum(p: float, grid: ChebGrid) -> SpectrumReport:
     """Eigenvalues of the collocation matrix, filtered by agreement at 2N.
 
-    Simple eigenvalues must reappear at 2N within match_tol.  Near-degenerate
+    Simple eigenvalues must reappear at 2N within MATCH_TOL.  Near-degenerate
     (Jordan-type) clusters split under roundoff by far more than their means
     move, so clusters of size >= 2 are matched through their means with the
-    looser cluster_match_tol.
+    looser CLUSTER_MATCH_TOL.  Residuals are in the DEFAULT_K energy norm.
     """
     L = assemble_Lp(p, grid)
-    lam, res = _eig_with_residuals(L, grid, k)
+    lam, res = _eig_with_residuals(L, grid)
     grid2 = ChebGrid.make(2 * grid.N)
     lam2 = np.linalg.eigvals(assemble_Lp(p, grid2))
     means, sizes, labels = _cluster(lam)
@@ -343,10 +349,10 @@ def spectrum(p: float, grid: ChebGrid, k: int = DEFAULT_K,
     for i, z in enumerate(lam):
         c = labels[i]
         if sizes[c] == 1:
-            robust[i] = np.min(np.abs(lam2 - z)) <= match_tol * max(1.0, abs(z))
+            robust[i] = np.min(np.abs(lam2 - z)) <= MATCH_TOL * max(1.0, abs(z))
         else:
             j = np.argmin(np.abs(means2 - means[c]))
-            robust[i] = (abs(means2[j] - means[c]) <= cluster_match_tol
+            robust[i] = (abs(means2[j] - means[c]) <= CLUSTER_MATCH_TOL
                          and sizes2[j] >= 2)
     rob = lam[robust]
     # gap: most slowly-decaying robust mode away from the {0,1} clusters
@@ -363,15 +369,16 @@ def spectrum(p: float, grid: ChebGrid, k: int = DEFAULT_K,
     return report
 
 
-def measured_gap(p: float, N: int = 64, k: int = DEFAULT_K) -> float:
-    # memoised through a helper that always receives all three arguments, so
-    # measured_gap(p, N) and measured_gap(p, N, k) share one cache entry
-    return _gap_cached(p, N, k)
+def measured_gap(p: float, N: int = 64) -> float:
+    # memoised through a helper that always receives both arguments
+    # positionally, so measured_gap(p, N) and measured_gap(p=p, N=N) share
+    # one cache entry
+    return _gap_cached(p, N)
 
 
 @functools.lru_cache(maxsize=16)
-def _gap_cached(p: float, N: int, k: int) -> float:
-    rep = spectrum(p, ChebGrid.make(N), k)
+def _gap_cached(p: float, N: int) -> float:
+    rep = spectrum(p, ChebGrid.make(N))
     if not np.isfinite(rep.gap_omega0) or rep.gap_omega0 <= 0:
         raise RuntimeError("could not measure a spectral gap")
     return rep.gap_omega0
@@ -403,11 +410,10 @@ def riesz_projection(L: np.ndarray, center: complex,
     return P, int(np.sum(sv > 1e-6 * sv[0]))
 
 
-def riesz_projectors_for(p: float, grid: ChebGrid, omega0: float | None = None,
-                         k: int = DEFAULT_K):
+def riesz_projectors_for(p: float, grid: ChebGrid, omega0: float | None = None):
     """P0 (about 0, radius omega0/2) and P1 (about 1, radius 1/2)."""
     if omega0 is None:
-        omega0 = measured_gap(p, grid.N, k)
+        omega0 = measured_gap(p, grid.N)
     radius0 = omega0 / 2.0 if omega0 >= 0.05 else 0.025
     L = assemble_Lp(p, grid)
     P0, r0 = riesz_projection(L, 0.0, radius0)
@@ -415,25 +421,21 @@ def riesz_projectors_for(p: float, grid: ChebGrid, omega0: float | None = None,
     return P0, r0, P1, r1, L
 
 
-def semigroup_action_check(p: float, grid: ChebGrid, tau_samples=None,
-                           k: int = DEFAULT_K, seed: int = 0,
+def semigroup_action_check(p: float, grid: ChebGrid, seed: int = 0,
                            omega0: float | None = None) -> dict:
-    """exp(tau L) against the three structure statements of the linear flow."""
-    if tau_samples is None:
-        tau_samples = np.linspace(0.0, 8.0, 17)
-    tau_samples = np.asarray(tau_samples, dtype=float)
-    if np.any(tau_samples > 10.0):
-        raise ValueError("tau capped at 10 for the matrix exponential")
+    """exp(tau L) against the three structure statements of the linear flow,
+    at tau = 0, 0.5, ..., 8; norms in the DEFAULT_K energy norm."""
+    tau_samples = np.linspace(0.0, 8.0, 17)
     if omega0 is None:
-        omega0 = measured_gap(p, grid.N, k)
-    P0, r0, P1, r1, L = riesz_projectors_for(p, grid, omega0, k)
+        omega0 = measured_gap(p, grid.N)
+    P0, r0, P1, r1, L = riesz_projectors_for(p, grid, omega0)
     Pt = np.eye(len(L)) - P0 - P1
     rng = np.random.Generator(np.random.Philox(seed))
     qs = Pt @ _random_cheb_state(rng, grid, grid.N // 2)
     err_P1 = 0.0
     err_P0 = 0.0
     norms = []
-    S = _stack_cached(grid.N, k)
+    S = _stack_cached(grid.N, DEFAULT_K)
 
     def enorm(v):
         return float(np.linalg.norm(S @ v))
@@ -499,12 +501,12 @@ def _appendixB_ode_rhs(y, v):
     return (g + y * (1.0 + 2.0 * y) / (y + 2.0) * v) / (1.0 - y * y)
 
 
-def appendixB_no_second_jordan_block(window=(1e-6, 1e-4)) -> dict:
+def appendixB_no_second_jordan_block() -> dict:
     """Certify v1 (with L_p v = g0) fails H^2 and the lambda=1 equation jumps.
 
     (i)  With c = -3 sqrt(3) pi / 2 the closed-form dv1 is bounded through
-         y = 1 (relative variation over 1-y in `window` stays tiny); any other
-         c reintroduces a (1-y)^{-1/2} blow-up.
+         y = 1 (relative variation over 1-y in APPENDIXB_WINDOW stays tiny);
+         any other c reintroduces a (1-y)^{-1/2} blow-up.
     (ii) The surviving square-root branch sits at the opposite endpoint:
          |d2v1| ~ (1+y)^{-1/2}, measured log-log slope -0.5.  (The closed
          form is analytic at y=+1 once c is tuned; the H^2 failure is real
@@ -512,7 +514,7 @@ def appendixB_no_second_jordan_block(window=(1e-6, 1e-4)) -> dict:
     (iii) The lambda=1 candidate u1 (c2=0) jumps across y=-1/2 by
          pi * prefactor(-1/2) = pi/2.
     """
-    lo, hi = window
+    lo, hi = APPENDIXB_WINDOW
     ts = np.geomspace(lo, hi, 9)
 
     vals_right = appendixB_dv1(1.0 - ts)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,129 +35,14 @@ COLLAR_DELTA = 1e-2      # collar [delta, 2*delta] for the branch fit
 CONT_RTOL = 1e-11        # continuation tolerance
 
 
-class ZeroCoefficientError(ValueError):
-    """Series coefficient identically zero, ratio undefined."""
-
-
-class HypergeomPoleError(ValueError):
-    """Lower parameter c at a non-positive integer."""
-
-
-@dataclass(frozen=True)
-class EigenParams:
-    p: float
-    lam: complex
-
-    def __post_init__(self):
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError(f"p must lie in (0, 1], got {self.p}")
-        if not (math.isfinite(self.lam.real) and math.isfinite(self.lam.imag)):
-            raise ValueError("lambda must be finite")
-
-    @property
-    def root_1mp(self) -> float:
-        return math.sqrt(1.0 - self.p)
-
-
-@dataclass(frozen=True)
-class PartialFractionCoeffs:
-    A: complex
-    B: complex
-    C: complex
-    D: complex
-    E: complex
-    F: complex
-
-
-@dataclass(frozen=True)
-class HypergeomParams:
-    a: complex
-    b: complex
-    c: complex
-
-
-def pf_coeffs(p: float, lam: complex) -> PartialFractionCoeffs:
-    """Partial-fraction coefficients of the first-order terms of the
-    eigenequation about its three finite singular points."""
-    ep = EigenParams(p, lam)
-    g = ep.root_1mp
-    return PartialFractionCoeffs(
-        A=lam - g,
-        B=lam + g,
-        C=2.0 * g,
-        D=lam * lam / 2.0 - lam / 2.0 + lam * g,
-        E=-lam * lam / 2.0 + lam / 2.0 + lam * g,
-        F=-2.0 * lam * (1.0 - p),
-    )
-
-
-def lorentz_frame_params(p: float, lam: complex) -> HypergeomParams:
-    """Hypergeometric parameters of the boosted-frame eigenequation."""
-    g = EigenParams(p, lam).root_1mp
-    return HypergeomParams(a=lam, b=lam - 1.0, c=lam - g)
-
-
-def lorentz_similarity_map(p: float, taup: float, yp: float) -> tuple[float, float]:
-    """Boost expressed directly in similarity coordinates.
-
-    Maps the similarity frame of the boosted observer (tau', y') to the rest
-    frame (tau, y); defined for 1 - sqrt(1-p) y' > 0.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError("boost map needs p in (0, 1)")
-    g = math.sqrt(1.0 - p)
-    denom = 1.0 - g * yp
-    if denom <= 0.0:
-        raise ValueError(f"similarity boost undefined: 1 - sqrt(1-p)*y' = {denom}")
-    tau = taup - math.log(denom / p)
-    y = (yp - g) / denom
-    return tau, y
-
-
-def hypergeom_2F1(a: complex, b: complex, c: complex, z: complex,
-                  N: int = 200) -> complex:
-    """Truncated Gauss series sum_{n<N} (a)_n (b)_n / ((c)_n n!) z^n.
-
-    Term-recurrence evaluation; raises if c sits at a non-positive integer
-    (unless a or b terminates the series first), warns outside |z| < 1.
-    """
-    c_int = round(c.real) if abs(c.imag) < _INT_TOL else None
-    if c_int is not None and c_int <= 0 and abs(c - c_int) < _INT_TOL:
-        # a or b hitting a non-positive integer above c truncates the series
-        # before the pole is reached
-        def _trunc(x):
-            xi = round(x.real) if abs(complex(x).imag) < _INT_TOL else None
-            if xi is not None and xi <= 0 and abs(x - xi) < _INT_TOL:
-                return -xi
-            return None
-
-        na, nb = _trunc(complex(a)), _trunc(complex(b))
-        stop = min(n for n in (na, nb) if n is not None) if (na is not None or nb is not None) else None
-        if stop is None or stop > -c_int:
-            raise HypergeomPoleError(f"c = {c} is a non-positive integer")
-    if abs(z) >= 1.0:
-        warnings.warn(f"|z| = {abs(z)} >= 1: series does not converge", stacklevel=2)
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    for n in range(N - 1):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-        total += term
-        if abs(term) < 1e-17 * max(abs(total), 1.0):
-            break
-    return total
-
-
-def series_coeff_ratio(p: float, lam: complex, n: int) -> complex:
-    """Ratio alpha_{n+1}/alpha_n of the smooth-branch coefficients.
-
-    r_n = (lam+n)(lam+n-1) / ((n+1)(lam+sqrt(1-p)+n)); tends to 1, so the
-    radius of convergence of the smooth branch is exactly 1.
-    """
-    lam = complex(lam)
-    if lam in (0.0 + 0.0j, 1.0 + 0.0j):
-        raise ZeroCoefficientError("series terminates: coefficients vanish for n >= 1")
-    g = math.sqrt(1.0 - p)
-    return (lam + n) * (lam + n - 1.0) / ((n + 1.0) * (lam + g + n))
+def lorentz_frame_params(p: float, lam):
+    """Hypergeometric parameters (a, b, c) = (lam, lam - 1, lam - sqrt(1-p))
+    of the boosted-frame eigenequation; lam is a number or an array."""
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"p must lie in (0, 1], got {p}")
+    if np.ndim(lam) == 0 and not cmath.isfinite(lam):
+        raise ValueError("lambda must be finite")
+    return lam, lam - 1.0, lam - math.sqrt(1.0 - p)
 
 
 # ---------------------------------------------------------------------------
@@ -330,20 +214,19 @@ def _smooth_solutions_at_one(a: complex, b: complex, c: complex, N: int
     return out
 
 
-def connection_defect(p: float, lam: complex, N: int = DEFAULT_SERIES_N,
-                      delta: float = COLLAR_DELTA, rtol: float = CONT_RTOL
+def connection_defect(p: float, lam: complex, N: int = DEFAULT_SERIES_N
                       ) -> float:
     """Singular-branch content at z=0 of the solution smooth at z=1.
 
-    Continues each analytic-at-1 local solution to the collar [delta,
-    2*delta], least-squares fits it against the two local branches at 0
-    (both normalised to leading coefficient 1), and returns
+    Continues each analytic-at-1 local solution (relative tolerance
+    CONT_RTOL) to the collar [delta, 2*delta], delta = COLLAR_DELTA,
+    least-squares fits it against the two local branches at 0 (both
+    normalised to leading coefficient 1), and returns
     |B| / (|A| + |B|) where B multiplies the non-smooth branch.  Several
     analytic candidates at z=1 (degenerate case): the minimum over those
     whose continuation succeeds is reported.
     """
-    defects = [d for d in _candidate_defects(p, lam, N, delta, rtol)
-               if d is not None]
+    defects = [d for d in _candidate_defects(p, lam, N) if d is not None]
     if not defects:
         raise RuntimeError(f"continuation failed for p={p}, lam={lam}")
     return min(defects)
@@ -352,18 +235,16 @@ def connection_defect(p: float, lam: complex, N: int = DEFAULT_SERIES_N,
 def smooth_candidate_defects(p: float, lam: complex, N: int = DEFAULT_SERIES_N
                              ) -> list[float]:
     """Defect of every analytic-at-1 candidate separately (degenerate cases)."""
-    defects = _candidate_defects(p, lam, N, COLLAR_DELTA, CONT_RTOL)
+    defects = _candidate_defects(p, lam, N)
     if None in defects:
         raise RuntimeError(f"continuation failed for p={p}, lam={lam}")
     return defects
 
 
-def _candidate_defects(p: float, lam: complex, N: int, delta: float,
-                       rtol: float) -> list[float | None]:
+def _candidate_defects(p: float, lam: complex, N: int) -> list[float | None]:
     """Connection defect of each analytic-at-1 candidate, None where its
     continuation to the collar fails."""
-    hp = lorentz_frame_params(p, lam)
-    a, b, c = hp.a, hp.b, hp.c
+    a, b, c = lorentz_frame_params(p, lam)
     smooth_at_1 = _smooth_solutions_at_one(a, b, c, N)
 
     p0_t, q0_t = hypergeom_taylor_data(a, b, c, N)
@@ -380,6 +261,7 @@ def _candidate_defects(p: float, lam: complex, N: int, delta: float,
         # no analytic branch at 0 at all: nothing smooth can come through
         return [1.0] * len(smooth_at_1)
 
+    delta = COLLAR_DELTA
     zs = np.linspace(2.0 * delta, delta, 9)
     M = np.zeros((2 * len(zs), 2), dtype=complex)
     for j, z in enumerate(zs):
@@ -399,7 +281,7 @@ def _candidate_defects(p: float, lam: complex, N: int, delta: float,
         scale = max(abs(v0), abs(d0), 1e-30)
         # d/dz = -d/dw
         sol = solve_ivp(rhs, (1.0 - delta, delta), [v0 / scale, -d0 / scale],
-                        t_eval=zs, method="DOP853", rtol=rtol, atol=1e-14)
+                        t_eval=zs, method="DOP853", rtol=CONT_RTOL, atol=1e-14)
         if not sol.success:
             defects.append(None)
             continue
@@ -443,8 +325,8 @@ def _gauss_defects(p: float, lam: np.ndarray) -> np.ndarray:
     Degenerate: c or c - a - b an integer, where a local exponent gap is
     an integer and log branches can appear.
     """
-    g = np.full(lam.shape, EigenParams(p, 0j).root_1mp, dtype=complex)
-    a, b, c = lam, lam - 1.0, lam - g
+    a, b, c = lorentz_frame_params(p, lam)
+    g = np.complex128(math.sqrt(1.0 - p))
     with np.errstate(invalid="ignore"):      # inf - inf: NaN, continued
         log_A = (_log_abs_rgamma(1.0 + g) + _log_abs_rgamma(g)
                  - _log_abs_rgamma(1.0 - c))
@@ -460,35 +342,38 @@ class ModeScan:
     """Defects of a lambda grid and how each was computed.
 
     points: (lam, defect) in grid order, NaN where no defect could be had.
-    n_continuation: points the closed form could not take, handed to
-    `connection_defect`; the rest are closed form.
+    continued: per point, whether the closed form could not take it and it
+    was handed to `connection_defect`; the rest are closed form.
     failures: (lam, message) of every continuation that raised.
     """
     points: list[tuple[complex, float]]
-    n_continuation: int
+    continued: list[bool]
     failures: list[tuple[complex, str]]
 
+    @property
+    def n_continuation(self) -> int:
+        return sum(self.continued)
 
-def mode_scan(p: float, lambda_grid=None, N_colloc: int = DEFAULT_SERIES_N
-              ) -> ModeScan:
+
+def mode_scan(p: float, lambda_grid=None) -> ModeScan:
     """Connection defect over a lambda grid, NaN where it cannot be computed.
 
     Defaults to the rectangle Re in [0,3], Im in [-3,3], step 0.1.  The
     whole grid goes through the Gauss connection formula in one vectorised
     pass; only points where it degenerates or is not finite are continued
-    (`connection_defect` with N_colloc series terms), one by one.
+    (`connection_defect`), one by one.
     """
     if lambda_grid is None:
         lambda_grid = default_lambda_grid()
     lams = np.asarray(lambda_grid, dtype=complex).ravel()
     defects = _gauss_defects(p, lams)
-    fallback = np.flatnonzero(~np.isfinite(defects))
+    continued = ~np.isfinite(defects)
     failures = []
-    for i in fallback:
+    for i in np.flatnonzero(continued):
         try:
-            defects[i] = connection_defect(p, complex(lams[i]), N_colloc)
+            defects[i] = connection_defect(p, complex(lams[i]))
         except (RuntimeError, ValueError) as exc:
             failures.append((complex(lams[i]), str(exc)))
     return ModeScan(points=[(complex(lam), float(d))
                             for lam, d in zip(lams, defects)],
-                    n_continuation=len(fallback), failures=failures)
+                    continued=continued.tolist(), failures=failures)

@@ -9,7 +9,7 @@ matching blow-up parameters are adjusted: the initial-data operator
 
 measures the perturbation relative to a *trial* profile, and the correction
 functional (the unstable/neutral spectral content of the full nonlinear
-trajectory) is driven to zero over (p, T, kappa) by a damped fixed-point
+trajectory) is driven to zero over (p, T, kappa) by a fixed-point
 iteration with a Broyden fallback.  The fixed point certifies that the
 perturbed data lies on the stable manifold of the trial profile.
 """
@@ -30,7 +30,11 @@ from .linop import (DEFAULT_K, StateVector, assemble_Lp, energy_inner,
 from .profiles import similarity_profile, similarity_profile_dy
 
 GRAM_COND_LIMIT = 1e10
-DEFAULT_TAU_MAX = 12.0
+FIT_TAU_MAX = 12.0          # horizon of the trajectories the fit evaluates
+FIT_MAX_ITER = 30           # outer iterations of fit_parameters
+INNER_ITERS = 3             # self-consistency passes per outer iteration
+DECAY_TAU_MAX = 8.0         # horizon of modulated_decay
+DECAY_FIT_WINDOW = (3.0, 7.0)
 
 
 @dataclass
@@ -92,8 +96,8 @@ def initial_data_operator(p: float, T: float, kappa: float, baseline: tuple,
     return StateVector(q1=fT1 + f0T1 - fp1, q2=fT2 + f0T2 - fp2)
 
 
-def gram_dual_basis(p: float, grid: ChebGrid, k: int = DEFAULT_K) -> GramData:
-    """Gram matrix of {g0, f0, f1} under the energy inner product.
+def gram_dual_basis(p: float, grid: ChebGrid) -> GramData:
+    """Gram matrix of {g0, f0, f1} under the DEFAULT_K energy inner product.
 
     Raises ValueError when its condition number exceeds GRAM_COND_LIMIT,
     i.e. when the basis is nearly degenerate.
@@ -102,7 +106,8 @@ def gram_dual_basis(p: float, grid: ChebGrid, k: int = DEFAULT_K) -> GramData:
     Gamma = np.empty((3, 3))
     for i in range(3):
         for j in range(3):
-            Gamma[i, j] = float(np.real(energy_inner(k, basis[j], basis[i], grid)))
+            Gamma[i, j] = float(np.real(energy_inner(DEFAULT_K, basis[j],
+                                                     basis[i], grid)))
     if np.linalg.cond(Gamma) > GRAM_COND_LIMIT:
         raise ValueError(f"Gram matrix ill-conditioned (cond = "
                          f"{np.linalg.cond(Gamma):.2e}); basis nearly degenerate")
@@ -112,9 +117,8 @@ def gram_dual_basis(p: float, grid: ChebGrid, k: int = DEFAULT_K) -> GramData:
 class _Workspace:
     """Per-(p0-run) discrete operators, rebuilt when p moves materially."""
 
-    def __init__(self, N: int, k: int):
+    def __init__(self, N: int):
         self.N = N
-        self.k = k
         self.grid = ChebGrid.make(N)
         self._p = None
 
@@ -124,11 +128,11 @@ class _Workspace:
         self._p = p
         grid = self.grid
         self.L = assemble_Lp(p, grid)
-        P0, _, P1, _, _ = riesz_projectors_for(p, grid, k=self.k)
+        P0, _, P1, _, _ = riesz_projectors_for(p, grid)
         self.P0 = P0.real
         self.P1 = P1.real
         self.LP0 = self.L @ self.P0
-        self.gram = gram_dual_basis(p, grid, self.k)
+        self.gram = gram_dual_basis(p, grid)
 
 
 def _nonlinear_integrals(taus: np.ndarray, q2sq: np.ndarray) -> tuple:
@@ -167,10 +171,10 @@ def correction_functional(p: float, T: float, kappa: float, f: StateVector,
     return tuple(ws.gram.coords_in_span(C))
 
 
-def _evolve_traj(p: float, data_flat: np.ndarray, ws: _Workspace,
-                 tau_max: float):
-    """Nonlinear trajectory of `data`; returns (taus, q2^2 history)."""
-    cfg = EvolveConfig(p=p, N=ws.N, tau_max=tau_max, epsilon=0.0, k=ws.k)
+def _evolve_traj(p: float, data_flat: np.ndarray, ws: _Workspace):
+    """Nonlinear trajectory of `data` up to FIT_TAU_MAX; returns (taus,
+    q2^2 history)."""
+    cfg = EvolveConfig(p=p, N=ws.N, tau_max=FIT_TAU_MAX, epsilon=0.0)
     q0 = StateVector.from_flat(data_flat)
     taus, q2sq = [], []
     for tau, q in evolve_states(cfg, q0, ws.grid):
@@ -180,9 +184,9 @@ def _evolve_traj(p: float, data_flat: np.ndarray, ws: _Workspace,
 
 
 def _corrected_trajectory(p: float, T: float, kappa: float, f: StateVector,
-                          baseline: tuple, ws: _Workspace, tau_max: float,
-                          inner_iters: int = 3):
-    """Self-consistent corrected flow: evolve U(f) - C, update C, repeat.
+                          baseline: tuple, ws: _Workspace):
+    """Self-consistent corrected flow: evolve U(f) - C, update C, repeat
+    (at most INNER_ITERS times).
 
     Returns (ell, q_traj) at the last inner iterate.
     """
@@ -190,9 +194,9 @@ def _corrected_trajectory(p: float, T: float, kappa: float, f: StateVector,
     d = initial_data_operator(p, T, kappa, baseline, f, ws.grid).flat()
     ell = correction_functional(p, T, kappa, f, None, baseline, ws)
     traj = None
-    for _ in range(inner_iters):
+    for _ in range(INNER_ITERS):
         C = sum(ell[n] * ws.gram.basis[n].flat() for n in range(3))
-        traj = _evolve_traj(p, d - C, ws, tau_max)
+        traj = _evolve_traj(p, d - C, ws)
         ell_new = correction_functional(p, T, kappa, f, traj, baseline, ws)
         if max(abs(a - b) for a, b in zip(ell, ell_new)) < 1e-15:
             ell = ell_new
@@ -217,27 +221,27 @@ def _bracket_terms(p: float, T: float, kappa: float, baseline: tuple) -> tuple:
 
 
 def fit_parameters(f: StateVector, baseline: tuple, N: int = 64,
-                   k: int = DEFAULT_K, tau_max: float = DEFAULT_TAU_MAX,
-                   tol: float = 1e-12, max_iter: int = 30,
-                   damping: float = 1.0) -> ModulationState:
+                   tol: float = 1e-12) -> ModulationState:
     """Solve l_{p,T,kappa} = 0 for the modulation parameters.
 
-    Damped fixed-point iteration of the affine recombination map; if progress
-    stalls, a 3-dimensional Broyden (secant) step takes over.  Each iterate
-    evaluates the correction on a self-consistently corrected trajectory.
+    Fixed-point iteration of the affine recombination map, at most
+    FIT_MAX_ITER steps; if progress stalls, a 3-dimensional Broyden (secant)
+    step takes over.  Each iterate evaluates the correction on a
+    self-consistently corrected trajectory; converged once the DEFAULT_K
+    energy norm of the correction is below tol.
     """
     p0, T0, kappa0 = baseline
-    ws = _Workspace(N, k)
+    ws = _Workspace(N)
     p, T, kappa = p0, T0, kappa0
     history = []
     Binv = None            # Broyden approximation of the inverse Jacobian
     prev_x = prev_ell = None
     grid = ws.grid
-    for it in range(1, max_iter + 1):
-        ell, _ = _corrected_trajectory(p, T, kappa, f, baseline, ws, tau_max)
+    for it in range(1, FIT_MAX_ITER + 1):
+        ell, _ = _corrected_trajectory(p, T, kappa, f, baseline, ws)
         basis = ws.gram.basis          # {g0, f0, f1} at the workspace's p
         C = StateVector.from_flat(sum(ell[n] * basis[n].flat() for n in range(3)))
-        cnorm = energy_norm(k, C, grid)
+        cnorm = energy_norm(DEFAULT_K, C, grid)
         history.append((it, p, T, kappa, *ell, cnorm))
         if cnorm < tol:
             return ModulationState(p_star=p, T_star=T, kappa_star=kappa,
@@ -249,7 +253,7 @@ def fit_parameters(f: StateVector, baseline: tuple, N: int = 64,
                 np.linalg.norm(e) > 0.7 * np.linalg.norm(prev_ell):
             # stalled: Broyden step on l(x) = 0
             if Binv is None:
-                Binv = np.eye(3) * 1.0
+                Binv = np.eye(3)
             s = x - prev_x
             ye = e - prev_ell
             By = Binv @ ye
@@ -266,18 +270,16 @@ def fit_parameters(f: StateVector, baseline: tuple, N: int = 64,
                 + p * (p0 - p) / (2.0 * (1.0 - p)) + F2
             T_new = T0 * (1.0 + math.sqrt(1.0 - p) * F3)
         prev_x, prev_ell = x, e
-        p = (1.0 - damping) * p + damping * float(p_new)
-        kappa = (1.0 - damping) * kappa + damping * float(kappa_new)
-        T = (1.0 - damping) * T + damping * float(T_new)
+        p, kappa, T = float(p_new), float(kappa_new), float(T_new)
     return ModulationState(p_star=p, T_star=T, kappa_star=kappa,
-                           correction_norm=cnorm, iterations=max_iter,
+                           correction_norm=cnorm, iterations=FIT_MAX_ITER,
                            converged=False, history=history)
 
 
 def modulated_decay(f: StateVector, baseline: tuple, state: ModulationState,
-                    N: int = 64, tau_max: float = 8.0,
-                    fit_window: tuple = (3.0, 7.0)):
-    """Unprojected decay of the data prepared with the fitted parameters.
+                    N: int = 64):
+    """Unprojected decay of the data prepared with the fitted parameters,
+    up to DECAY_TAU_MAX and fitted over DECAY_FIT_WINDOW.
 
     After modulation the neutral/unstable content of U_{p*,T*,kappa*}(f) is
     reduced to the size of the final correction norm, so the raw nonlinear
@@ -289,6 +291,7 @@ def modulated_decay(f: StateVector, baseline: tuple, state: ModulationState,
     grid = ChebGrid.make(N)
     d = initial_data_operator(state.p_star, state.T_star, state.kappa_star,
                               baseline, f, grid)
-    cfg = EvolveConfig(p=state.p_star, N=N, tau_max=tau_max, epsilon=0.0, k=0)
+    cfg = EvolveConfig(p=state.p_star, N=N, tau_max=DECAY_TAU_MAX, epsilon=0.0,
+                       k=0)
     return evolve_perturbation(cfg, project_out_unstable=False, q0=d,
-                               fit_window=fit_window)
+                               fit_window=DECAY_FIT_WINDOW)

@@ -252,8 +252,7 @@ def exact_ss_denominator(c: float, y) -> float:
     return flat.reshape(y.shape) if y.shape else float(flat[0])
 
 
-def bisect(f, a: float, b: float, tol: float = BISECT_TOL,
-           maxit: int = BISECT_MAXIT) -> float:
+def bisect(f, a: float, b: float) -> float:
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
@@ -261,10 +260,10 @@ def bisect(f, a: float, b: float, tol: float = BISECT_TOL,
         return b
     if fa * fb > 0:
         raise ValueError("no sign change on the bracketing interval")
-    for _ in range(maxit):
+    for _ in range(BISECT_MAXIT):
         m = 0.5 * (a + b)
         fm = f(m)
-        if fm == 0.0 or 0.5 * (b - a) < tol:
+        if fm == 0.0 or 0.5 * (b - a) < BISECT_TOL:
             return m
         if fa * fm < 0:
             b, fb = m, fm

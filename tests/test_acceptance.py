@@ -143,7 +143,7 @@ def test_criterion_05_eigen_triple_residuals(capsys):
     t0 = time.perf_counter()
     worst = 0.0
     for p in (0.25, 0.5, 0.75, 0.9):
-        res = eigen_triple_residuals(p, N=64, k=0)
+        res = eigen_triple_residuals(p, N=64)
         worst = max(worst, max(res.values()))
     dt = time.perf_counter() - t0
     ok = worst < 1e-7 and dt < 10.0

@@ -112,12 +112,12 @@ def test_truncate_modes_zeroes_tail():
     grid = ChebGrid.make(30)
     rng = np.random.Generator(np.random.Philox(3))
     vals = rng.standard_normal(grid.N + 1)
-    out = truncate_modes(vals, fraction=0.5)
+    out = truncate_modes(vals)
     c = cheb_coeffs(out)
-    assert np.max(np.abs(c[len(c) // 2:])) < 1e-14
+    keep = int(2.0 / 3.0 * len(c))        # modes 0..19 of 31
+    assert np.max(np.abs(c[keep:])) < 1e-14
     # low modes untouched
-    assert np.max(np.abs(c[: len(c) // 2]
-                         - cheb_coeffs(vals)[: len(c) // 2])) < 1e-12
+    assert np.max(np.abs(c[:keep] - cheb_coeffs(vals)[:keep])) < 1e-12
 
 
 def test_cheb_diff_rows_sum_to_zero():

@@ -126,13 +126,15 @@ def _reference_csv(path, header, rows):
 def test_mode_scan_csv_matches_reference_writer(tmp_path, monkeypatch):
     results = [(0j, 3.5e-12), (0.1 - 0.2j, 0.4182736450192837),
                (2.9 + 3j, math.nan)]
-    scan = modeanalysis.ModeScan(results, n_continuation=0, failures=[])
-    monkeypatch.setattr(modeanalysis, "mode_scan", lambda p, grid, **kw: scan)
+    continued = [False, True, True]
+    scan = modeanalysis.ModeScan(results, continued=continued, failures=[])
+    monkeypatch.setattr(modeanalysis, "mode_scan", lambda p, grid: scan)
     cfg = parse_config(["mode-scan", "--output-dir", str(tmp_path / "run")])
     assert run(cfg) == EXIT_ACCEPTANCE          # the NaN fails the check
     _reference_csv(tmp_path / "ref.csv",
-                   ["re_lambda", "im_lambda", "defect", "n_colloc"],
-                   [(lam.real, lam.imag, d, 40) for lam, d in results])
+                   ["re_lambda", "im_lambda", "defect", "continued"],
+                   [(lam.real, lam.imag, d, int(cont))
+                    for (lam, d), cont in zip(results, continued)])
     assert ((tmp_path / "run" / "mode_scan.csv").read_bytes()
             == (tmp_path / "ref.csv").read_bytes())
     assert "1 NaN" in (tmp_path / "run" / "manifest.txt").read_text()

@@ -57,7 +57,7 @@ def test_realness_preserved():
 
 def test_bump_support_and_smoothness():
     y = np.linspace(-1.0, 1.0, 201)
-    b = bump(y, width=0.8)
+    b = bump(y)
     assert np.all(b[np.abs(y) >= 0.8] == 0.0)
     assert b[100] == pytest.approx(1.0)
 
@@ -159,6 +159,8 @@ def test_crosscheck_unperturbed_profile():
 
 
 def test_crosscheck_rejects_singular_domain():
+    # at p = 0.1 the singular surface x - x0 = -(T-t)/sqrt(1-p) lies inside
+    # the domain half-width 1.25 T
     cfg = EvolveConfig(p=0.1, N=32, epsilon=0.0)
-    with pytest.raises(ValueError):
-        physical_space_crosscheck(cfg, domain_half_width=5.0)
+    with pytest.raises(ValueError, match="singular surface"):
+        physical_space_crosscheck(cfg)

@@ -77,7 +77,7 @@ def test_eigen_triple_states_satisfy_collocation_identities():
 
 @pytest.mark.parametrize("p", [0.25, 0.5, 0.75, 0.9])
 def test_eigen_triple_residuals_certified(p):
-    res = eigen_triple_residuals(p, k=0)
+    res = eigen_triple_residuals(p)
     assert max(res.values()) < 1e-7
 
 
@@ -109,8 +109,7 @@ def test_measured_gap_memoised(monkeypatch):
 
     monkeypatch.setattr(linop, "spectrum", counting_spectrum)
     # a (p, N) no other test measures, so the cache starts cold
-    gaps = {measured_gap(0.6, 40), measured_gap(0.6, 40, 4),
-            measured_gap(p=0.6, N=40)}
+    gaps = {measured_gap(0.6, 40), measured_gap(p=0.6, N=40)}
     assert len(calls) == 1 and len(gaps) == 1
 
 

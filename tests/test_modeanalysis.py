@@ -1,39 +1,43 @@
-"""Eigenequation analysis: hypergeometric oracles, Frobenius series, defects."""
+"""Eigenequation analysis: Frobenius series, connection defects, mode scan."""
 
-import cmath
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import hyp2f1
 
 from blowuplab.modeanalysis import (
-    ZeroCoefficientError,
+    _smooth_solutions_at_one,
     connection_defect,
     frobenius_coeffs,
     fundamental_system,
-    hypergeom_2F1,
     hypergeom_taylor_data,
     indicial_roots,
     lorentz_frame_params,
-    lorentz_similarity_map,
     mode_scan,
-    pf_coeffs,
-    series_coeff_ratio,
     smooth_candidate_defects,
 )
 
 
+def gauss_series(a, b, c, z, N=150):
+    """2F1(a, b; c; z) as the exponent-0 Frobenius branch of the
+    hypergeometric equation at z = 0, summed to N terms."""
+    p_t, q_t = hypergeom_taylor_data(a, b, c, N)
+    coeffs = frobenius_coeffs(p_t, q_t, 0.0, N).coeffs
+    return np.polynomial.polynomial.polyval(z, coeffs)
+
+
 # ---------------------------------------------------------------------------
-# hypergeometric series against closed forms
+# the Frobenius series of the hypergeometric equation against closed forms
 
 @settings(max_examples=60, deadline=None)
 @given(z=st.floats(-0.8, 0.8))
 def test_2f1_log_closed_form(z):
     # 2F1(1, 1; 2; z) = -log(1-z)/z
     expected = 1.0 if z == 0 else -math.log1p(-z) / z
-    assert hypergeom_2F1(1, 1, 2, z) == pytest.approx(expected, rel=1e-12)
+    assert gauss_series(1, 1, 2, z) == pytest.approx(expected, rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -41,22 +45,29 @@ def test_2f1_log_closed_form(z):
 def test_2f1_binomial_closed_form(z, a):
     # 2F1(a, b; b; z) = (1-z)^(-a)
     expected = (1.0 - z) ** (-a)
-    assert hypergeom_2F1(a, 0.5, 0.5, z) == pytest.approx(expected, rel=1e-10)
+    assert gauss_series(a, 0.5, 0.5, z) == pytest.approx(expected, rel=1e-10)
 
 
 def test_2f1_arcsin_closed_form():
     # 2F1(1/2, 1/2; 3/2; z^2) = arcsin(z)/z
     z = 0.6
-    val = hypergeom_2F1(0.5, 0.5, 1.5, z * z)
+    val = gauss_series(0.5, 0.5, 1.5, z * z)
     assert val == pytest.approx(math.asin(z) / z, rel=1e-12)
 
 
 def test_2f1_pole_detection():
-    from blowuplab.modeanalysis import HypergeomPoleError
-    with pytest.raises(HypergeomPoleError):
-        hypergeom_2F1(0.3, 0.7, -2.0, 0.5)
-    # terminating numerator rescues a non-positive-integer c
-    val = hypergeom_2F1(-1.0, 0.7, -2.0, 0.5)
+    # c = -2: the exponents 0 and 1 - c = 3 differ by an integer, and the
+    # plain exponent-0 series breaks down at n = 3
+    with pytest.raises(ValueError, match="resonance"):
+        frobenius_coeffs(*hypergeom_taylor_data(0.3, 0.7, -2.0, 10), 0.0, 10)
+    # generically the second solution then carries a log term ...
+    _, phi2 = fundamental_system(*hypergeom_taylor_data(0.3, 0.7, -2.0, 10), 10)
+    assert not phi2.smooth
+    # ... but a terminating numerator rescues it: the resonance is apparent
+    # and the exponent-0 solution is the polynomial 1 + (a b / c) z
+    _, phi2 = fundamental_system(*hypergeom_taylor_data(-1.0, 0.7, -2.0, 10), 10)
+    assert phi2.smooth and phi2.c_log == 0.0
+    val, _ = phi2.eval(0.5)
     assert val == pytest.approx(1.0 + (-1.0) * 0.7 / (-2.0) * 0.5, rel=1e-14)
 
 
@@ -64,58 +75,51 @@ def test_2f1_complex_argument():
     # complex parameters: verify against the defining term recurrence at low N
     a, b, c, z = 0.3 + 0.2j, -0.4j, 1.1, 0.3 + 0.1j
     brute = sum(
-        np.prod([(a + k) * (b + k) / ((c + k) * (k + 1.0)) for k in range(n)])
-        * z ** 0 if n == 0 else
         np.prod([(a + k) * (b + k) / ((c + k) * (k + 1.0)) * z for k in range(n)])
         for n in range(40))
-    assert hypergeom_2F1(a, b, c, z) == pytest.approx(brute, rel=1e-10)
+    assert gauss_series(a, b, c, z) == pytest.approx(brute, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
 # eigenequation structure
 
-def test_pf_coeffs_oracle():
-    pf = pf_coeffs(0.75, 0.0)
-    assert (pf.A, pf.B, pf.C) == (-0.5, 0.5, 1.0)
-    assert (pf.D, pf.E, pf.F) == (0.0, 0.0, 0.0)
-
-
 def test_lorentz_frame_params():
-    hp = lorentz_frame_params(0.75, 2.0)
-    assert hp.a == 2.0
-    assert hp.b == 1.0
-    assert hp.c == pytest.approx(1.5)
+    a, b, c = lorentz_frame_params(0.75, 2.0)
+    assert a == 2.0
+    assert b == 1.0
+    assert c == pytest.approx(1.5)
+    with pytest.raises(ValueError, match="p must lie"):
+        lorentz_frame_params(1.5, 2.0)
+    with pytest.raises(ValueError, match="finite"):
+        lorentz_frame_params(0.75, complex(math.inf, 0.0))
 
 
-def test_lorentz_similarity_map_oracle():
-    tau, y = lorentz_similarity_map(0.75, 0.0, 0.0)
-    assert tau == pytest.approx(-math.log(4.0 / 3.0) + math.log(1.0), abs=1e-13) \
-        or tau == pytest.approx(math.log(0.75), abs=1e-13)
-    assert y == pytest.approx(-0.5, abs=1e-14)
-
-
-def test_lorentz_similarity_map_domain():
-    with pytest.raises(ValueError):
-        lorentz_similarity_map(0.75, 0.0, 3.0)
+def _smooth_branch_at_one(p, lam, N):
+    """Taylor coefficients in w = 1 - z of the solution analytic at z = 1."""
+    (phi,) = _smooth_solutions_at_one(*lorentz_frame_params(p, lam), N)
+    return phi.coeffs
 
 
 def test_series_coeff_ratio_oracle():
-    # (lam+n)(lam+n-1) / ((n+1)(lam+g+n)) at p=0.75, lam=2, n=1
-    val = series_coeff_ratio(0.75, 2.0, 1)
-    assert val == pytest.approx((3.0 * 2.0) / (2.0 * 3.5), rel=1e-14)
+    # alpha_{n+1}/alpha_n = (lam+n)(lam+n-1) / ((n+1)(lam+g+n)), g = sqrt(1-p),
+    # at p = 0.75, lam = 2, n = 1
+    coeffs = _smooth_branch_at_one(0.75, 2.0, 10)
+    assert coeffs[2] / coeffs[1] == pytest.approx((3.0 * 2.0) / (2.0 * 3.5),
+                                                  rel=1e-14)
 
 
 def test_series_coeff_ratio_terminates():
-    with pytest.raises(ZeroCoefficientError):
-        series_coeff_ratio(0.75, 0.0, 3)
-    with pytest.raises(ZeroCoefficientError):
-        series_coeff_ratio(0.75, 1.0, 3)
+    # at the symmetry modes lam = 0, 1 the smooth branch is a constant
+    for lam in (0.0, 1.0):
+        assert np.all(_smooth_branch_at_one(0.75, lam, 10)[1:] == 0.0)
 
 
 def test_series_coeff_ratio_tends_to_one():
-    """|r_n - 1| decays like C/n: measured log-log slope -1 within 20%."""
-    ns = np.geomspace(1e2, 1e4, 9).astype(int)
-    dev = [abs(series_coeff_ratio(0.5, 2.3, int(n)) - 1.0) for n in ns]
+    """|r_n - 1| decays like C/n: measured log-log slope -1 within 20%, so
+    the smooth branch has radius of convergence exactly 1."""
+    coeffs = _smooth_branch_at_one(0.5, 2.3, 1000)
+    ns = np.geomspace(1e2, 999, 9).astype(int)
+    dev = [abs(coeffs[n + 1] / coeffs[n] - 1.0) for n in ns]
     slope = np.polyfit(np.log(ns), np.log(dev), 1)[0]
     assert slope == pytest.approx(-1.0, abs=0.2)
 
@@ -139,7 +143,7 @@ def test_frobenius_reproduces_hypergeometric():
     coeffs = exp.coeffs
     z = 0.3
     series = sum(coeffs[n] * z ** n for n in range(len(coeffs)))
-    assert series == pytest.approx(hypergeom_2F1(a, b, c, z), rel=1e-12)
+    assert series == pytest.approx(hyp2f1(a, b, c, z), rel=1e-12)
 
 
 def test_frobenius_radius_root_test():

@@ -93,14 +93,14 @@ def test_gram_condition_grows_as_p_to_one():
 # correction functional
 
 def test_correction_zero_for_trivial_data():
-    ws = _Workspace(64, 4)
+    ws = _Workspace(64)
     zero = StateVector(q1=np.zeros(65), q2=np.zeros(65))
     ell = correction_functional(0.75, 1.0, 0.0, zero, None, BASELINE, ws)
     assert max(abs(x) for x in ell) < 1e-10
 
 
 def test_correction_scales_linearly_in_epsilon():
-    ws = _Workspace(64, 4)
+    ws = _Workspace(64)
     e1 = correction_functional(0.75, 1.0, 0.0, _legendre_f(1e-5), None,
                                BASELINE, ws)
     e2 = correction_functional(0.75, 1.0, 0.0, _legendre_f(1e-4), None,
@@ -133,10 +133,10 @@ def test_fit_converges_and_is_idempotent():
     assert disp < 50 * 1e-4
     # idempotency: at the fitted point (same baseline) the correction is
     # below tolerance, so one more evaluation leaves the parameters fixed
-    ws = _Workspace(64, 4)
+    ws = _Workspace(64)
     from blowuplab.modulation import _corrected_trajectory
     ell, _ = _corrected_trajectory(st.p_star, st.T_star, st.kappa_star, f,
-                                   BASELINE, ws, 12.0)
+                                   BASELINE, ws)
     b = _bracket_terms(st.p_star, st.T_star, st.kappa_star, BASELINE)
     F = [e - bb for e, bb in zip(ell, b)]
     p_next = BASELINE[0] + F[0]
