@@ -8,9 +8,9 @@ scale linearly with epsilon.
 
 The default amplitudes are 1e-5 and 1e-4, the range the acceptance gate
 (criterion 09) certifies.  At epsilon = 1e-3 the second trajectory of the
-fit's first iteration already blows up (the RK4 guard stops it with
-"similarity evolution unstable" and the run exits 3), so larger amplitudes
-are outside what the method covers.
+fit's first iteration already blows up (the one-step guard of the
+similarity flow stops it with "similarity evolution unstable" and the run
+exits 3), so larger amplitudes are outside what the method covers.
 """
 
 import argparse

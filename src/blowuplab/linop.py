@@ -207,39 +207,61 @@ def free_wave_dissipativity_check(grid: ChebGrid, trials: int = 200,
 # therefore certified with arbitrary-precision arithmetic (mpmath), applying
 # the same collocation operator and quadrature.
 
+def _mp_cheb(N: int):
+    """Chebyshev nodes, differentiation matrix and Clenshaw-Curtis weights as
+    mpmath object arrays at the working precision in force."""
+    import mpmath as mp
+
+    one = mp.mpf(1)
+    idx = np.arange(N + 1)
+    y = np.array([mp.cos(mp.pi * j / N) for j in idx], dtype=object)
+    c = np.array([mp.mpf(2 if j in (0, N) else 1) * (-1) ** j for j in idx],
+                 dtype=object)
+    D = np.empty((N + 1, N + 1), dtype=object)
+    for i in range(N + 1):
+        for j in range(N + 1):
+            if i != j:
+                D[i, j] = (c[i] / c[j]) / (y[i] - y[j])
+    for i in range(N + 1):
+        D[i, i] = mp.mpf(0)
+        D[i, i] = -sum(D[i, :])
+    w = np.empty(N + 1, dtype=object)
+    theta = [mp.pi * j / N for j in range(1, N)]
+    v = [one for _ in range(N - 1)]
+    for m in range(1, N // 2 + 1):
+        fac = one if 2 * m == N else mp.mpf(2)
+        for i, th in enumerate(theta):
+            v[i] -= fac * mp.cos(2 * m * th) / (4 * m * m - 1)
+    for i in range(1, N):
+        w[i] = 2 * v[i - 1] / N
+    w[0] = w[N] = one / (N * N - 1) if N % 2 == 0 else one / N**2
+    return y, D, w
+
+
+def _mp_energy_norm(q: tuple, D: np.ndarray, w: np.ndarray, k: int):
+    """The order-k energy norm of seminorm_stack, in mpmath: the order-(k+1)
+    and order-k terms join the fixed ones only for k >= 1, as there."""
+    import mpmath as mp
+
+    q1, q2 = q
+    dq1 = D @ q1
+    val = w @ (dq1 * dq1) + q1[-1] ** 2 + w @ (q2 * q2)
+    if k >= 1:
+        d1, d2 = dq1, q2
+        for _ in range(k):
+            d1, d2 = D @ d1, D @ d2
+        val += w @ (d1 * d1) + w @ (d2 * d2)
+    return mp.sqrt(val)
+
+
 def eigen_triple_residuals(p: float, N: int = 64) -> dict:
     """Relative residuals of the four identities in the order-CERT_K norm;
     that low order keeps the collocation tail of the slowly-resolved states
     at small p from swamping the 1e-7 certification level."""
     import mpmath as mp
 
-    k = CERT_K
     with mp.workdps(CERT_DPS):
-        one = mp.mpf(1)
-        idx = np.arange(N + 1)
-        y = np.array([mp.cos(mp.pi * j / N) for j in idx], dtype=object)
-        c = np.array([mp.mpf(2 if j in (0, N) else 1) * (-1) ** j for j in idx],
-                     dtype=object)
-        D = np.empty((N + 1, N + 1), dtype=object)
-        for i in range(N + 1):
-            for j in range(N + 1):
-                if i != j:
-                    D[i, j] = (c[i] / c[j]) / (y[i] - y[j])
-        for i in range(N + 1):
-            D[i, i] = mp.mpf(0)
-            D[i, i] = -sum(D[i, :])
-        # Clenshaw-Curtis weights
-        w = np.empty(N + 1, dtype=object)
-        theta = [mp.pi * j / N for j in range(1, N)]
-        v = [one for _ in range(N - 1)]
-        for m in range(1, N // 2 + 1):
-            fac = one if 2 * m == N else mp.mpf(2)
-            for i, th in enumerate(theta):
-                v[i] -= fac * mp.cos(2 * m * th) / (4 * m * m - 1)
-        for i in range(1, N):
-            w[i] = 2 * v[i - 1] / N
-        w[0] = w[N] = one / (N * N - 1) if N % 2 == 0 else one / N**2
-
+        y, D, w = _mp_cheb(N)
         pm = mp.mpf(p)
         g = mp.sqrt(1 - pm)
         d = 1 + y * g
@@ -251,17 +273,7 @@ def eigen_triple_residuals(p: float, N: int = 64) -> dict:
             return (-y * dq1 + q2, D @ dq1 - y * (D @ q2) + (U - 1) * q2)
 
         def norm(q):
-            q1, q2 = q
-            d1 = q1
-            for _ in range(k + 1):
-                d1 = D @ d1
-            d2 = q2
-            for _ in range(k):
-                d2 = D @ d2
-            dq1 = D @ q1
-            val = (w @ (d1 * d1) + w @ (dq1 * dq1) + q1[-1] ** 2
-                   + w @ (d2 * d2) + w @ (q2 * q2))
-            return mp.sqrt(val)
+            return _mp_energy_norm(q, D, w, CERT_K)
 
         zero = np.array([mp.mpf(0)] * (N + 1), dtype=object)
         f0 = (zero + 1, zero.copy())

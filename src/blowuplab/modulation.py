@@ -34,7 +34,6 @@ FIT_TAU_MAX = 12.0          # horizon of the trajectories the fit evaluates
 FIT_MAX_ITER = 30           # outer iterations of fit_parameters
 INNER_ITERS = 3             # self-consistency passes per outer iteration
 DECAY_TAU_MAX = 8.0         # horizon of modulated_decay
-DECAY_FIT_WINDOW = (3.0, 7.0)
 
 
 @dataclass
@@ -279,7 +278,7 @@ def fit_parameters(f: StateVector, baseline: tuple, N: int = 64,
 def modulated_decay(f: StateVector, baseline: tuple, state: ModulationState,
                     N: int = 64):
     """Unprojected decay of the data prepared with the fitted parameters,
-    up to DECAY_TAU_MAX and fitted over DECAY_FIT_WINDOW.
+    up to DECAY_TAU_MAX and fitted over evolve.DECAY_FIT_WINDOW.
 
     After modulation the neutral/unstable content of U_{p*,T*,kappa*}(f) is
     reduced to the size of the final correction norm, so the raw nonlinear
@@ -293,5 +292,4 @@ def modulated_decay(f: StateVector, baseline: tuple, state: ModulationState,
                               baseline, f, grid)
     cfg = EvolveConfig(p=state.p_star, N=N, tau_max=DECAY_TAU_MAX, epsilon=0.0,
                        k=0)
-    return evolve_perturbation(cfg, project_out_unstable=False, q0=d,
-                               fit_window=DECAY_FIT_WINDOW)
+    return evolve_perturbation(cfg, project_out_unstable=False, q0=d)

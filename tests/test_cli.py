@@ -232,6 +232,19 @@ def test_manifest_contains_resolved_config_and_seed(tmp_path):
     assert "timing_profile-check_s" in text
 
 
+def test_manifest_records_source_tree_version(tmp_path):
+    """The manifest records the version of pyproject.toml also when the
+    package runs from the source tree, with no installed metadata."""
+    import tomllib
+    from pathlib import Path
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    expected = tomllib.loads(pyproject.read_text())["project"]["version"]
+    cfg = parse_config(["appendixB", "--output-dir", str(tmp_path)])
+    cli._write_manifest(cfg, [], [])
+    assert f"version = {expected}\n" in (tmp_path / "manifest.txt").read_text()
+
+
 def test_profile_check_deterministic(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for d in (d1, d2):

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from blowuplab.chebgrid import ChebGrid
+from blowuplab.chebgrid import ChebGrid, exponential_filter
 from blowuplab.evolve import (
+    IF_STEP,
     EvolveConfig,
-    _rhs,
+    _nonlinear,
     _rk4,
     bump,
     evolve_perturbation,
@@ -18,9 +20,10 @@ from blowuplab.evolve import (
     ode_blowup_instability,
     physical_space_crosscheck,
     smallness_functional,
-    stable_dt,
+    step_similarity,
 )
-from blowuplab.linop import StateVector, assemble_Lp, energy_norm, f1_state
+from blowuplab.linop import (StateVector, assemble_Lp, energy_norm, f1_state,
+                             measured_gap, riesz_projectors_for, seminorm_stack)
 
 
 def test_config_validation():
@@ -28,11 +31,6 @@ def test_config_validation():
         EvolveConfig(p=1.5)
     with pytest.raises(ValueError):
         EvolveConfig(p=0.5, tau_max=100.0)
-
-
-def test_stable_dt_scales_inverse_square():
-    r = stable_dt(0.75, 32) / stable_dt(0.75, 64)
-    assert r == pytest.approx(4.0, rel=0.25)
 
 
 def test_zero_data_stays_zero():
@@ -95,14 +93,14 @@ def test_rk4_self_convergence_order():
     cfg = EvolveConfig(p=p, N=N, epsilon=1e-3)
     u0 = initial_perturbation(cfg, grid).flat()
     L = assemble_Lp(p, grid)
-    base = stable_dt(p, N)
+    base = 0.05
 
     def run(dt):
         n = int(round(1.0 / dt))
         dt = 1.0 / n
         u = u0
         for _ in range(n):
-            u = _rk4(lambda v: _rhs(L, v), u, dt)
+            u = _rk4(lambda v: L @ v + _nonlinear(v), u, dt)
         return u
 
     dts = (base / 2.0, base / 4.0, base / 8.0)
@@ -111,6 +109,74 @@ def test_rk4_self_convergence_order():
     e2 = np.linalg.norm(sols[1] - sols[2])
     order = math.log(e1 / e2) / math.log(2.0)
     assert order >= 3.5
+
+
+def _final_state(cfg, q0, grid):
+    for _, q in evolve_states(cfg, q0, grid):
+        pass
+    return q.flat()
+
+
+def _projected_data(cfg, grid):
+    P0, _, P1, _, _ = riesz_projectors_for(cfg.p, grid)
+    u = initial_perturbation(cfg, grid).flat()
+    return StateVector.from_flat(u - (P0 @ u).real - (P1 @ u).real)
+
+
+def test_flow_converged_in_time():
+    """Halving the step moves the tau = 12 state of the projected evolve data
+    by < 1e-4 (relative) and its fitted decay rate by < 1%."""
+    p, N = 0.75, 64
+    grid = ChebGrid.make(N)
+    coarse = EvolveConfig(p=p, N=N)
+    fine = EvolveConfig(p=p, N=N, dt=IF_STEP / 2.0)
+    q0 = _projected_data(coarse, grid)
+    u_coarse = _final_state(coarse, q0, grid)
+    u_fine = _final_state(fine, q0, grid)
+    assert np.linalg.norm(u_coarse - u_fine) < 1e-4 * np.linalg.norm(u_fine)
+    r_coarse = evolve_perturbation(coarse).fitted_rate
+    r_fine = evolve_perturbation(fine).fitted_rate
+    assert abs(r_coarse - r_fine) < 0.01 * abs(r_fine)
+
+
+def test_step_propagates_linear_part_exactly():
+    """At epsilon = 1e-12 the nonlinearity is below roundoff, so one step is
+    the filtered exact linear propagator expm(h L) u."""
+    p, N = 0.75, 64
+    grid = ChebGrid.make(N)
+    cfg = EvolveConfig(p=p, N=N, epsilon=1e-12)
+    q0 = initial_perturbation(cfg, grid)
+    norm0 = np.linalg.norm(seminorm_stack(grid, 0) @ q0.flat())
+    q, norm = step_similarity(q0, p, IF_STEP, grid, norm0)
+    u = expm(IF_STEP * assemble_Lp(p, grid)) @ q0.flat()
+    ref = exponential_filter(u.reshape(2, N + 1)).ravel()
+    assert np.linalg.norm(q.flat() - ref) < 1e-13 * np.linalg.norm(ref)
+    assert norm == pytest.approx(np.linalg.norm(seminorm_stack(grid, 0) @ ref),
+                                 rel=1e-12)
+
+
+def test_step_count_independent_of_p_rounding():
+    grid = ChebGrid.make(48)
+    counts = []
+    for p in (0.75, 0.75 + 1e-10):
+        cfg = EvolveConfig(p=p, N=48, tau_max=2.0, epsilon=1e-4)
+        counts.append(sum(1 for _ in evolve_states(
+            cfg, initial_perturbation(cfg, grid), grid)))
+    assert counts == [round(2.0 / IF_STEP) + 1] * 2
+
+
+def test_decay_check_fails_growing_trajectory():
+    """The evolve decay check passes the projected data and fails the
+    unprojected data, whose unstable component regrows like e^tau."""
+    p, N = 0.75, 64
+    cfg = EvolveConfig(p=p, N=N)
+    target = -0.8 * measured_gap(p, N)
+    projected = evolve_perturbation(cfg)
+    assert projected.decays_at(target)
+    assert projected.r_squared >= 0.98
+    raw = evolve_perturbation(cfg, project_out_unstable=False)
+    assert not raw.decays_at(target)
+    assert raw.r_squared < 0.98
 
 
 def test_trajectory_guard_raises_on_blowup():

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 from blowuplab.chebgrid import ChebGrid
 from blowuplab.linop import (
     StateVector,
+    _mp_cheb,
+    _mp_energy_norm,
+    _random_cheb_state,
     appendixB_dv1,
     appendixB_no_second_jordan_block,
     assemble_Lp,
@@ -24,6 +27,7 @@ from blowuplab.linop import (
     potential,
     riesz_projection,
     riesz_projectors_for,
+    seminorm_stack,
     semigroup_action_check,
     spectrum,
 )
@@ -79,6 +83,23 @@ def test_eigen_triple_states_satisfy_collocation_identities():
 def test_eigen_triple_residuals_certified(p):
     res = eigen_triple_residuals(p)
     assert max(res.values()) < 1e-7
+
+
+def test_certificate_norm_is_the_k0_energy_norm():
+    """The certificate's mpmath norm is the norm of seminorm_stack at k = 0,
+    each term counted once."""
+    import mpmath as mp
+
+    N = 32
+    grid = ChebGrid.make(N)
+    q = _random_cheb_state(np.random.Generator(np.random.Philox(3)), grid, N // 2)
+    with mp.workdps(35):
+        _, D, w = _mp_cheb(N)
+        halves = [np.array([mp.mpf(float(v)) for v in part], dtype=object)
+                  for part in (q[:N + 1], q[N + 1:])]
+        mp_norm = float(_mp_energy_norm(halves, D, w, 0))
+    assert mp_norm == pytest.approx(np.linalg.norm(seminorm_stack(grid, 0) @ q),
+                                    rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
