@@ -351,9 +351,9 @@ def _run_evolve(cfg: RunConfig) -> list:
                          physical_space_crosscheck)
     from .linop import measured_gap
 
+    dt = cfg["dt"] if cfg["dt"] > 0 else None
     ecfg = EvolveConfig(p=cfg["p"], kappa=cfg["kappa"], T=cfg["T"],
-                        x0=cfg["x0"], N=cfg["N"],
-                        dt=cfg["dt"] if cfg["dt"] > 0 else None,
+                        x0=cfg["x0"], N=cfg["N"], dt=dt,
                         tau_max=cfg["tau_max"], epsilon=cfg["epsilon"])
     fit = evolve_perturbation(ecfg)
     tag = cfg["tag"]
@@ -367,7 +367,7 @@ def _run_evolve(cfg: RunConfig) -> list:
                f"r2={fit.r_squared:.4f} window=({a:g}, {b:g})")]
 
     xcfg = EvolveConfig(p=cfg["p"], kappa=cfg["kappa"], T=cfg["T"],
-                        x0=cfg["x0"], N=cfg["N"], epsilon=1e-3,
+                        x0=cfg["x0"], N=cfg["N"], dt=dt, epsilon=1e-3,
                         tau_max=min(cfg["tau_max"], 8.0))
     errs = physical_space_crosscheck(xcfg)
     write_csv(cfg.output_dir / f"crosscheck_{tag}.csv",
@@ -409,7 +409,7 @@ def _run_modulate(cfg: RunConfig) -> list:
         q1=eps * np.polynomial.legendre.legval(grid.y, (0.0, 1.0, 1.0, 0.5)),
         q2=eps * np.polynomial.legendre.legval(grid.y, (0.5, 1.0, 1.0, 0.0)))
     baseline = (cfg["p"], cfg["T"], cfg["kappa"])
-    state = fit_parameters(f, baseline, N=cfg["N"], tol=1e-8)
+    state = fit_parameters(f, baseline, N=cfg["N"])
     write_csv(cfg.output_dir / f"modulation_{cfg['tag']}.csv",
               ["iter", "p", "T", "kappa", "F1", "F2", "F3", "correction_norm"],
               state.history)

@@ -31,7 +31,7 @@ from scipy.linalg import expm
 
 from .chebgrid import ChebGrid, exponential_filter, truncate_modes
 from .linop import (DEFAULT_K, StateVector, assemble_Lp, energy_norm,
-                    riesz_projectors_for, seminorm_stack)
+                    neutral_coordinates, seminorm_stack)
 from .profiles import _FD4_W2, ProfileParams, similarity_profile
 
 TAU_MAX_CAP = 15.0
@@ -41,6 +41,7 @@ DECAY_R2_MIN = 0.98              # least r^2 of a fit that shows decay
 BUMP_WIDTH = 0.8                 # support |y| < BUMP_WIDTH of the initial bump
 CROSSCHECK_HALF_WIDTH = 1.25     # physical domain [x0 - R, x0 + R], R / T
 CROSSCHECK_INTERVALS = 4096      # finite-difference intervals on that domain
+CROSSCHECK_T_SAMPLES = (0.25, 0.5)  # cone sections compared, as t / T
 SMALLNESS_NODES = 400            # Chebyshev order of the smallness quadrature
 INSTABILITY_NODES = 200          # Chebyshev order of the divergence L2 norms
 
@@ -190,8 +191,9 @@ def evolve_perturbation(cfg: EvolveConfig, project_out_unstable: bool = True,
     """Run the similarity evolution and fit the exponential decay rate.
 
     With project_out_unstable the neutral/unstable spectral components are
-    removed at tau = 0 by I - P0 - P1 (Riesz projectors); the remaining flow
-    should decay at the spectral-gap rate.  The default window,
+    removed at tau = 0: u - V Phi u, with (Phi, V) from neutral_coordinates,
+    is (I - P0 - P1) u for the Riesz projectors P0 and P1.  The remaining
+    flow should decay at the spectral-gap rate.  The default window,
     DECAY_FIT_WINDOW, starts after the initial multi-mode transient and ends
     before the unstable remnant (grown like e^tau from roundoff, or from the
     correction floor of modulated data) re-emerges.
@@ -200,10 +202,9 @@ def evolve_perturbation(cfg: EvolveConfig, project_out_unstable: bool = True,
     if q0 is None:
         q0 = initial_perturbation(cfg, grid)
     if project_out_unstable:
-        P0, _, P1, _, _ = riesz_projectors_for(cfg.p, grid)
+        Phi, V = neutral_coordinates(cfg.p, cfg.N)
         u = q0.flat()
-        u = u - (P0 @ u).real - (P1 @ u).real
-        q0 = StateVector.from_flat(u)
+        q0 = StateVector.from_flat(u - V @ (Phi @ u))
     taus, norms, l2s = [], [], []
     for tau, q in evolve_states(cfg, q0, grid):
         taus.append(tau)
@@ -304,7 +305,7 @@ def ode_blowup_instability(p: float, kappa: float = 0.0) -> dict:
 # Physical-space cross-validation
 # ---------------------------------------------------------------------------
 
-def physical_space_crosscheck(cfg: EvolveConfig, t_samples=None) -> dict:
+def physical_space_crosscheck(cfg: EvolveConfig) -> dict:
     """Evolve the same perturbed data in (x, t) and in similarity variables.
 
     The physical solver is a 4th-order finite-difference method-of-lines RK4
@@ -313,17 +314,15 @@ def physical_space_crosscheck(cfg: EvolveConfig, t_samples=None) -> dict:
     speed of propagation the frozen far boundaries cannot influence the light
     cone for t <= 0.5 T.  The singular surface of the unperturbed profile
     (at x - x0 = -q (T-t)/sqrt(1-p)) stays outside the domain for p >= 0.9.
-    Returns max |u_phys - u_sim| over cone sections at the sample times.
+    The similarity flow steps at most cfg.dt (IF_STEP by default), as in
+    evolve_states.  Returns max |u_phys - u_sim| over the cone sections at
+    t = CROSSCHECK_T_SAMPLES * T.
     """
     p, T, x0 = cfg.p, cfg.T, cfg.x0
     g = math.sqrt(1.0 - p)
     if g > 0 and CROSSCHECK_HALF_WIDTH >= 1.0 / g:
         raise ValueError("singular surface enters the physical domain")
-    if t_samples is None:
-        t_samples = (0.25 * T, 0.5 * T)
-    t_samples = sorted(float(t) for t in t_samples)
-    if t_samples[-1] > T * (1.0 - math.exp(-8.0)):
-        raise ValueError("samples beyond the tau = 8 horizon")
+    t_samples = [s * T for s in CROSSCHECK_T_SAMPLES]
 
     # one set of initial data for both solvers, from the truncated expansion
     grid = ChebGrid.make(cfg.N)
@@ -363,8 +362,9 @@ def physical_space_crosscheck(cfg: EvolveConfig, t_samples=None) -> dict:
     q = q0
     norm = float(np.linalg.norm(seminorm_stack(grid, 0) @ q.flat()))
     tau = 0.0
+    h_max = cfg.dt if cfg.dt is not None else IF_STEP
     for tau_t in tau_targets:
-        nst = max(1, int(math.ceil((tau_t - tau) / IF_STEP)))
+        nst = max(1, int(math.ceil((tau_t - tau) / h_max)))
         step = (tau_t - tau) / nst
         for _ in range(nst):
             q, norm = step_similarity(q, p, step, grid, norm)

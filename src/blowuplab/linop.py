@@ -28,6 +28,7 @@ CLUSTER_MATCH_TOL = 0.025   # Jordan-type cluster: move of its mean
 CERT_K = 0                  # seminorm order of the eigen-triple certificate
 CERT_DPS = 35               # its working precision in decimal digits
 APPENDIXB_WINDOW = (1e-6, 1e-4)   # 1 - y range of the boundedness check
+NEUTRAL_COND_LIMIT = 1e10   # largest cond(Wh V) neutral_coordinates accepts
 
 
 @dataclass
@@ -397,49 +398,97 @@ def _gap_cached(p: float, N: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Riesz projections and semigroup checks
+# Riesz projections, neutral-mode coordinates and semigroup checks
+
+def _schur_split(L: np.ndarray, select) -> tuple[np.ndarray, np.ndarray]:
+    """(Z1, Wh) for the eigenvalues z of L with select(z) true, m of them.
+
+    A complex Schur form sorted so that those eigenvalues lead,
+    L = Z [[T11, T12], [0, T22]] Z^H, and the solution R of the Sylvester
+    equation T11 R - R T22 = T12 give the m columns Z1 of Z, an orthonormal
+    basis of the invariant subspace, and Wh = Z1^H + R Z2^H, whose rows span
+    the matching left invariant subspace.  The spectral projector onto the
+    selected eigenvalues is Z1 Wh (Bavely & Stewart 1979, Golub & Van Loan
+    7.6).
+    """
+    T, Z, m = schur(L.astype(complex), output="complex", sort=select)
+    Z1 = Z[:, :m]
+    if m == 0:
+        return Z1, Z1.conj().T
+    R = solve_sylvester(T[:m, :m], -T[m:, m:], T[:m, m:])
+    return Z1, Z1.conj().T + R @ Z[:, m:].conj().T
+
 
 def riesz_projection(L: np.ndarray, center: complex,
                      radius: float) -> tuple[np.ndarray, int]:
     """Spectral projector onto the eigenvalues of L inside |z - center| < radius.
 
-    A complex Schur form sorted so that those m eigenvalues lead,
-    L = Z [[T11, T12], [0, T22]] Z^H, gives P = Z [[I, R], [0, 0]] Z^H, where
-    R solves the Sylvester equation T11 R - R T22 = T12 (the condition for P
-    to commute with L; Bavely & Stewart 1979, Golub & Van Loan 7.6).  This is
-    the Riesz projector, the contour integral of the resolvent over the
-    circle, obtained from one factorisation instead of a resolvent solve per
-    quadrature node.  The rank is counted from the singular values of P.
+    This is the Riesz projector, the contour integral of the resolvent over
+    the circle, obtained from one sorted Schur form (_schur_split) instead of
+    a resolvent solve per quadrature node.  The rank is counted from the
+    singular values of P.
     """
-    T, Z, m = schur(L.astype(complex), output="complex",
-                    sort=lambda z: abs(z - center) < radius)
-    if m == 0:
+    Z1, Wh = _schur_split(L, lambda z: abs(z - center) < radius)
+    if Z1.shape[1] == 0:
         return np.zeros(L.shape, dtype=complex), 0
-    R = solve_sylvester(T[:m, :m], -T[m:, m:], T[:m, m:])
-    Zm = Z[:, :m]
-    P = Zm @ (Zm.conj().T + R @ Z[:, m:].conj().T)
+    P = Z1 @ Wh
     sv = np.linalg.svd(P, compute_uv=False)
     return P, int(np.sum(sv > 1e-6 * sv[0]))
+
+
+def _radius0(omega0: float) -> float:
+    """Radius of the disc about 0 that holds the {g0, f0} cluster."""
+    return omega0 / 2.0 if omega0 >= 0.05 else 0.025
 
 
 def riesz_projectors_for(p: float, grid: ChebGrid, omega0: float | None = None):
     """P0 (about 0, radius omega0/2) and P1 (about 1, radius 1/2)."""
     if omega0 is None:
         omega0 = measured_gap(p, grid.N)
-    radius0 = omega0 / 2.0 if omega0 >= 0.05 else 0.025
     L = assemble_Lp(p, grid)
-    P0, r0 = riesz_projection(L, 0.0, radius0)
+    P0, r0 = riesz_projection(L, 0.0, _radius0(omega0))
     P1, r1 = riesz_projection(L, 1.0, 0.5)
     return P0, r0, P1, r1, L
 
 
-def semigroup_action_check(p: float, grid: ChebGrid, seed: int = 0,
-                           omega0: float | None = None) -> dict:
+@functools.lru_cache(maxsize=16)
+def neutral_coordinates(p: float, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Phi, V): coordinates in the neutral/unstable modes of L_p, read-only.
+
+    V = [g0, f0, f1] holds the closed-form modes as flat states, and
+    Phi = (Wh V)^-1 Wh, with Wh the left factor of one Schur form sorted on
+    both discs of riesz_projectors_for.  Phi d are the coordinates in V of
+    the spectral projection (P0 + P1) d, computed without forming the
+    projectors (norm ~6e5) and without a least-squares fit in V (Stewart
+    1973).  Phi V = I up to rounding; Phi L V = M with M the Jordan block
+    L g0 = f0, L f0 = 0, L f1 = f1.  Raises ValueError unless exactly
+    three eigenvalues lie in the discs, or when Wh V is nearly singular.
+    """
+    grid = ChebGrid.make(N)
+    radius0 = _radius0(measured_gap(p, N))
+    _, Wh = _schur_split(assemble_Lp(p, grid),
+                         lambda z: abs(z) < radius0 or abs(z - 1.0) < 0.5)
+    if Wh.shape[0] != 3:
+        raise ValueError(f"{Wh.shape[0]} eigenvalues near 0 and 1 at p = {p}, "
+                         "expected 3")
+    V = np.column_stack([g0_state(grid, p).flat(), f0_state(grid, p).flat(),
+                         f1_state(grid, p).flat()])
+    WV = Wh @ V
+    cond = np.linalg.cond(WV)
+    if not cond < NEUTRAL_COND_LIMIT:
+        raise ValueError(f"neutral modes nearly degenerate at p = {p} "
+                         f"(cond = {cond:.2e})")
+    Phi = np.linalg.solve(WV, Wh).real
+    Phi.flags.writeable = False
+    V.flags.writeable = False
+    return Phi, V
+
+
+def semigroup_action_check(p: float, grid: ChebGrid, seed: int = 0) -> dict:
     """exp(tau L) against the three structure statements of the linear flow,
     at tau = 0, 0.5, ..., 8; norms in the DEFAULT_K energy norm."""
     tau_samples = np.linspace(0.0, 8.0, 17)
-    if omega0 is None:
-        omega0 = measured_gap(p, grid.N)
+    omega0 = measured_gap(p, grid.N)
     P0, r0, P1, r1, L = riesz_projectors_for(p, grid, omega0)
     Pt = np.eye(len(L)) - P0 - P1
     rng = np.random.Generator(np.random.Philox(seed))

@@ -9,9 +9,10 @@ matching blow-up parameters are adjusted: the initial-data operator
 
 measures the perturbation relative to a *trial* profile, and the correction
 functional (the unstable/neutral spectral content of the full nonlinear
-trajectory) is driven to zero over (p, T, kappa) by a fixed-point
-iteration with a Broyden fallback.  The fixed point certifies that the
-perturbed data lies on the stable manifold of the trial profile.
+trajectory, as coordinates in {g0, f0, f1} from linop.neutral_coordinates)
+is driven to zero over (p, T, kappa) by a fixed-point iteration of the
+affine recombination map.  The fixed point certifies that the perturbed
+data lies on the stable manifold of the trial profile.
 """
 
 from __future__ import annotations
@@ -24,12 +25,10 @@ from scipy.integrate import simpson
 
 from .chebgrid import ChebGrid
 from .evolve import EvolveConfig, evolve_perturbation, evolve_states
-from .linop import (DEFAULT_K, StateVector, assemble_Lp, energy_inner,
-                    energy_norm, f0_state, f1_state, g0_state,
-                    riesz_projectors_for)
+from .linop import DEFAULT_K, StateVector, energy_norm, neutral_coordinates
 from .profiles import similarity_profile, similarity_profile_dy
 
-GRAM_COND_LIMIT = 1e10
+FIT_TOL = 1e-8              # correction norm at which the fit has converged
 FIT_TAU_MAX = 12.0          # horizon of the trajectories the fit evaluates
 FIT_MAX_ITER = 30           # outer iterations of fit_parameters
 INNER_ITERS = 3             # self-consistency passes per outer iteration
@@ -45,27 +44,6 @@ class ModulationState:
     iterations: int
     converged: bool
     history: list = field(default_factory=list, repr=False)
-
-
-@dataclass
-class GramData:
-    Gamma: np.ndarray
-    basis: list = field(default_factory=list, repr=False)
-    _basis_qr: tuple = field(default=None, repr=False)
-
-    def coords_in_span(self, q_flat: np.ndarray) -> np.ndarray:
-        """Coordinates of a state known to lie in span{g0, f0, f1}.
-
-        For elements of the span the coordinates are metric-independent, so
-        a plain least-squares fit in grid values is used.  This avoids the
-        high-derivative pairing, whose roundoff amplification (seminorm
-        weights ~1e12) corrupts the coordinates of small-amplitude states.
-        """
-        if self._basis_qr is None:
-            B = np.column_stack([b.flat() for b in self.basis])
-            self._basis_qr = np.linalg.qr(B)
-        Q, R = self._basis_qr
-        return np.linalg.solve(R, Q.T @ np.real(q_flat))
 
 
 def initial_data_operator(p: float, T: float, kappa: float, baseline: tuple,
@@ -95,45 +73,6 @@ def initial_data_operator(p: float, T: float, kappa: float, baseline: tuple,
     return StateVector(q1=fT1 + f0T1 - fp1, q2=fT2 + f0T2 - fp2)
 
 
-def gram_dual_basis(p: float, grid: ChebGrid) -> GramData:
-    """Gram matrix of {g0, f0, f1} under the DEFAULT_K energy inner product.
-
-    Raises ValueError when its condition number exceeds GRAM_COND_LIMIT,
-    i.e. when the basis is nearly degenerate.
-    """
-    basis = [g0_state(grid, p), f0_state(grid, p), f1_state(grid, p)]
-    Gamma = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            Gamma[i, j] = float(np.real(energy_inner(DEFAULT_K, basis[j],
-                                                     basis[i], grid)))
-    if np.linalg.cond(Gamma) > GRAM_COND_LIMIT:
-        raise ValueError(f"Gram matrix ill-conditioned (cond = "
-                         f"{np.linalg.cond(Gamma):.2e}); basis nearly degenerate")
-    return GramData(Gamma=Gamma, basis=basis)
-
-
-class _Workspace:
-    """Per-(p0-run) discrete operators, rebuilt when p moves materially."""
-
-    def __init__(self, N: int):
-        self.N = N
-        self.grid = ChebGrid.make(N)
-        self._p = None
-
-    def refresh(self, p: float):
-        if self._p is not None and abs(p - self._p) < 1e-13:
-            return
-        self._p = p
-        grid = self.grid
-        self.L = assemble_Lp(p, grid)
-        P0, _, P1, _, _ = riesz_projectors_for(p, grid)
-        self.P0 = P0.real
-        self.P1 = P1.real
-        self.LP0 = self.L @ self.P0
-        self.gram = gram_dual_basis(p, grid)
-
-
 def _nonlinear_integrals(taus: np.ndarray, q2sq: np.ndarray) -> tuple:
     """Simpson integrals of N(q) = (0, q2^2) with weights 1, -tau, e^-tau."""
     I_plain = simpson(q2sq, x=taus, axis=0)
@@ -144,60 +83,59 @@ def _nonlinear_integrals(taus: np.ndarray, q2sq: np.ndarray) -> tuple:
 
 def correction_functional(p: float, T: float, kappa: float, f: StateVector,
                           q_traj: tuple, baseline: tuple,
-                          ws: _Workspace) -> tuple:
-    """(l(g^1), l(g^2), l(g^3)): correction paired with the dual basis.
+                          grid: ChebGrid) -> np.ndarray:
+    """[l_g0, l_f0, l_f1]: coordinates of the correction in {g0, f0, f1}.
 
-    q_traj = (taus, q2_squared_history).  The correction is
-    P_p U(f) + P0 I[N] + L_p P0 I[-tau N] + P1 I[e^-tau N]; its pairings with
-    the dual basis are exactly its coordinates in {g0, f0, f1}.
+    q_traj = (taus, q2_squared_history), or None for the linear part alone.
+    The correction is P_p U(f) + P0 I[N] + L_p P0 I[-tau N] + P1 I[e^-tau N]
+    with the Riesz projectors P0, P1 of riesz_projectors_for.  Its
+    coordinates follow from the map Phi of neutral_coordinates without
+    forming either projector: Phi P0 x = (a_g0, a_f0, 0) and
+    Phi P1 x = (0, 0, a_f1) for a = Phi x, and L_p acts on span{g0, f0} as
+    L g0 = f0, L f0 = 0.  So with a, b, e the coordinates of the three
+    integrals, the correction reads Phi U(f) + (a_g0, a_f0 + b_g0, e_f1).
     """
-    ws.refresh(p)
-    grid = ws.grid
+    Phi, _ = neutral_coordinates(p, grid.N)
     d = initial_data_operator(p, T, kappa, baseline, f, grid).flat()
-    C = (ws.P0 + ws.P1) @ d
+    ell = Phi @ d
     if q_traj is not None:
         taus, q2sq = q_traj
         if q2sq.shape[0] != len(taus):
             raise ValueError("trajectory shape mismatch")
-        I_plain, I_tau, I_exp = _nonlinear_integrals(taus, q2sq)
-        n = grid.N + 1
-        zeros = np.zeros(n)
-        C = (C + ws.P0 @ np.concatenate([zeros, I_plain])
-             + ws.LP0 @ np.concatenate([zeros, I_tau])
-             + ws.P1 @ np.concatenate([zeros, I_exp]))
-    # C lies in span{g0, f0, f1} by construction (ranges of P0 and P1), so
-    # the dual pairings reduce to its coordinates in that basis.
-    return tuple(ws.gram.coords_in_span(C))
+        # N(q) = (0, q2^2) has no q1 half
+        Phi2 = Phi[:, grid.N + 1:]
+        a, b, e = (Phi2 @ I for I in _nonlinear_integrals(taus, q2sq))
+        ell = ell + np.array([a[0], a[1] + b[0], e[2]])
+    return ell
 
 
-def _evolve_traj(p: float, data_flat: np.ndarray, ws: _Workspace):
+def _evolve_traj(p: float, data_flat: np.ndarray, grid: ChebGrid):
     """Nonlinear trajectory of `data` up to FIT_TAU_MAX; returns (taus,
     q2^2 history)."""
-    cfg = EvolveConfig(p=p, N=ws.N, tau_max=FIT_TAU_MAX, epsilon=0.0)
+    cfg = EvolveConfig(p=p, N=grid.N, tau_max=FIT_TAU_MAX, epsilon=0.0)
     q0 = StateVector.from_flat(data_flat)
     taus, q2sq = [], []
-    for tau, q in evolve_states(cfg, q0, ws.grid):
+    for tau, q in evolve_states(cfg, q0, grid):
         taus.append(tau)
         q2sq.append(q.q2 ** 2)
     return np.array(taus), np.array(q2sq)
 
 
 def _corrected_trajectory(p: float, T: float, kappa: float, f: StateVector,
-                          baseline: tuple, ws: _Workspace):
+                          baseline: tuple, grid: ChebGrid):
     """Self-consistent corrected flow: evolve U(f) - C, update C, repeat
     (at most INNER_ITERS times).
 
     Returns (ell, q_traj) at the last inner iterate.
     """
-    ws.refresh(p)
-    d = initial_data_operator(p, T, kappa, baseline, f, ws.grid).flat()
-    ell = correction_functional(p, T, kappa, f, None, baseline, ws)
+    _, V = neutral_coordinates(p, grid.N)
+    d = initial_data_operator(p, T, kappa, baseline, f, grid).flat()
+    ell = correction_functional(p, T, kappa, f, None, baseline, grid)
     traj = None
     for _ in range(INNER_ITERS):
-        C = sum(ell[n] * ws.gram.basis[n].flat() for n in range(3))
-        traj = _evolve_traj(p, d - C, ws)
-        ell_new = correction_functional(p, T, kappa, f, traj, baseline, ws)
-        if max(abs(a - b) for a, b in zip(ell, ell_new)) < 1e-15:
+        traj = _evolve_traj(p, d - V @ ell, grid)
+        ell_new = correction_functional(p, T, kappa, f, traj, baseline, grid)
+        if np.max(np.abs(ell - ell_new)) < 1e-15:
             ell = ell_new
             break
         ell = ell_new
@@ -219,57 +157,36 @@ def _bracket_terms(p: float, T: float, kappa: float, baseline: tuple) -> tuple:
     return b1, b2, b3
 
 
-def fit_parameters(f: StateVector, baseline: tuple, N: int = 64,
-                   tol: float = 1e-12) -> ModulationState:
+def fit_parameters(f: StateVector, baseline: tuple,
+                   N: int = 64) -> ModulationState:
     """Solve l_{p,T,kappa} = 0 for the modulation parameters.
 
     Fixed-point iteration of the affine recombination map, at most
-    FIT_MAX_ITER steps; if progress stalls, a 3-dimensional Broyden (secant)
-    step takes over.  Each iterate evaluates the correction on a
+    FIT_MAX_ITER steps.  Each iterate evaluates the correction on a
     self-consistently corrected trajectory; converged once the DEFAULT_K
-    energy norm of the correction is below tol.
+    energy norm of the correction is below FIT_TOL.
     """
     p0, T0, kappa0 = baseline
-    ws = _Workspace(N)
-    p, T, kappa = p0, T0, kappa0
+    grid = ChebGrid.make(N)
+    p, T, kappa = baseline
     history = []
-    Binv = None            # Broyden approximation of the inverse Jacobian
-    prev_x = prev_ell = None
-    grid = ws.grid
     for it in range(1, FIT_MAX_ITER + 1):
-        ell, _ = _corrected_trajectory(p, T, kappa, f, baseline, ws)
-        basis = ws.gram.basis          # {g0, f0, f1} at the workspace's p
-        C = StateVector.from_flat(sum(ell[n] * basis[n].flat() for n in range(3)))
+        ell, _ = _corrected_trajectory(p, T, kappa, f, baseline, grid)
+        _, V = neutral_coordinates(p, N)
+        C = StateVector.from_flat(V @ ell)
         cnorm = energy_norm(DEFAULT_K, C, grid)
         history.append((it, p, T, kappa, *ell, cnorm))
-        if cnorm < tol:
+        if cnorm < FIT_TOL:
             return ModulationState(p_star=p, T_star=T, kappa_star=kappa,
                                    correction_norm=cnorm, iterations=it,
                                    converged=True, history=history)
-        x = np.array([p, kappa, T])
-        e = np.array(ell)
-        if len(history) >= 3 and prev_ell is not None and \
-                np.linalg.norm(e) > 0.7 * np.linalg.norm(prev_ell):
-            # stalled: Broyden step on l(x) = 0
-            if Binv is None:
-                Binv = np.eye(3)
-            s = x - prev_x
-            ye = e - prev_ell
-            By = Binv @ ye
-            denom = float(s @ By)
-            if abs(denom) > 1e-300:
-                Binv = Binv + np.outer(s - By, s @ Binv) / denom
-            x_new = x - Binv @ e
-            p_new, kappa_new, T_new = x_new
-        else:
-            b1, b2, b3 = _bracket_terms(p, T, kappa, baseline)
-            F1, F2, F3 = ell[0] - b1, ell[1] - b2, ell[2] - b3
-            p_new = p0 + F1
-            kappa_new = kappa0 - p * (T / T0 - 1.0) \
-                + p * (p0 - p) / (2.0 * (1.0 - p)) + F2
-            T_new = T0 * (1.0 + math.sqrt(1.0 - p) * F3)
-        prev_x, prev_ell = x, e
-        p, kappa, T = float(p_new), float(kappa_new), float(T_new)
+        b1, b2, b3 = _bracket_terms(p, T, kappa, baseline)
+        F1, F2, F3 = ell[0] - b1, ell[1] - b2, ell[2] - b3
+        p, kappa, T = (
+            float(p0 + F1),
+            float(kappa0 - p * (T / T0 - 1.0)
+                  + p * (p0 - p) / (2.0 * (1.0 - p)) + F2),
+            float(T0 * (1.0 + math.sqrt(1.0 - p) * F3)))
     return ModulationState(p_star=p, T_star=T, kappa_star=kappa,
                            correction_norm=cnorm, iterations=FIT_MAX_ITER,
                            converged=False, history=history)

@@ -18,6 +18,7 @@ import numpy as np
 
 BISECT_TOL = 1e-12
 BISECT_MAXIT = 200
+CONE_DEPTH = 0.4     # t/T and |y| bound of the sampled interior subcone
 
 
 @dataclass(frozen=True)
@@ -94,21 +95,18 @@ def similarity_profile_dy(p: float, y):
     return -p * g / (1.0 + g * np.asarray(y, dtype=float))
 
 
-def sample_interior_cone_points(params: ProfileParams, n: int, rng,
-                                depth: float = 0.4) -> list:
-    """n random points from a compact subcone: t/T and |y| up to `depth`.
+def sample_interior_cone_points(params: ProfileParams, n: int, rng) -> list:
+    """n random points from a compact subcone: t/T and |y| up to CONE_DEPTH.
 
     The profile is log-singular along the lateral surface where its log
     argument vanishes, so finite-h difference residuals cannot be small
     uniformly on the open cone; bounding t/T and the similarity coordinate
     y keeps the log argument of order one.
     """
-    if not 0.0 < depth < 1.0:
-        raise ValueError("depth must lie in (0, 1)")
     pts = []
     for _ in range(n):
-        t = rng.uniform(0.0, depth * params.T)
-        y = rng.uniform(-depth, depth)
+        t = rng.uniform(0.0, CONE_DEPTH * params.T)
+        y = rng.uniform(-CONE_DEPTH, CONE_DEPTH)
         pts.append(ConePoint(x=params.x0 + y * (params.T - t), t=t))
     return pts
 

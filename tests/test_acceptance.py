@@ -216,7 +216,7 @@ def test_criterion_09_parameter_fitting(capsys):
         f = StateVector(
             q1=eps * np.polynomial.legendre.legval(grid.y, (0.0, 1.0, 1.0, 0.5)),
             q2=eps * np.polynomial.legendre.legval(grid.y, (0.5, 1.0, 1.0, 0.0)))
-        st = fit_parameters(f, baseline, N=64, tol=1e-8)
+        st = fit_parameters(f, baseline, N=64)
         ok &= st.converged and st.iterations <= 30
         ok &= st.correction_norm < 1e-8
         dps.append(abs(st.p_star - baseline[0]))

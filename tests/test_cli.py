@@ -80,7 +80,7 @@ def test_numerical_value_error_exit_code(tmp_path, monkeypatch):
     # a ValueError raised while computing is a numerical failure, not a
     # configuration error
     def ill_conditioned(cfg):
-        raise ValueError("Gram matrix ill-conditioned")
+        raise ValueError("neutral modes nearly degenerate")
 
     monkeypatch.setitem(cli._DISPATCH, "appendixB", ill_conditioned)
     cfg = parse_config(["appendixB", "--output-dir", str(tmp_path)])

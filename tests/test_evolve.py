@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from blowuplab import evolve
 from blowuplab.chebgrid import ChebGrid, exponential_filter
 from blowuplab.evolve import (
     IF_STEP,
@@ -23,7 +24,7 @@ from blowuplab.evolve import (
     step_similarity,
 )
 from blowuplab.linop import (StateVector, assemble_Lp, energy_norm, f1_state,
-                             measured_gap, riesz_projectors_for, seminorm_stack)
+                             measured_gap, neutral_coordinates, seminorm_stack)
 
 
 def test_config_validation():
@@ -118,9 +119,9 @@ def _final_state(cfg, q0, grid):
 
 
 def _projected_data(cfg, grid):
-    P0, _, P1, _, _ = riesz_projectors_for(cfg.p, grid)
+    Phi, V = neutral_coordinates(cfg.p, cfg.N)
     u = initial_perturbation(cfg, grid).flat()
-    return StateVector.from_flat(u - (P0 @ u).real - (P1 @ u).real)
+    return StateVector.from_flat(u - V @ (Phi @ u))
 
 
 def test_flow_converged_in_time():
@@ -220,8 +221,25 @@ def test_instability_norm_grows():
 
 def test_crosscheck_unperturbed_profile():
     cfg = EvolveConfig(p=0.9, N=64, epsilon=0.0)
-    rep = physical_space_crosscheck(cfg, t_samples=(0.25,))
+    rep = physical_space_crosscheck(cfg)
     assert rep["max_discrepancy"] < 1e-8
+
+
+def test_crosscheck_steps_at_config_dt(monkeypatch):
+    """With dt = 0.2 the similarity half of the crosscheck takes the steps
+    of at most 0.2 that evolve_states would: 2 to tau = -log(3/4) and 3 more
+    to tau = log 2 (15 at IF_STEP), and still passes the evolve bound."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return step_similarity(*args, **kwargs)
+
+    monkeypatch.setattr(evolve, "step_similarity", counted)
+    cfg = EvolveConfig(p=0.75, N=64, epsilon=1e-3, dt=0.2)
+    rep = physical_space_crosscheck(cfg)
+    assert len(calls) == 5 and max(calls) <= 0.2
+    assert rep["max_discrepancy"] < 1e-4
 
 
 def test_crosscheck_rejects_singular_domain():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blowuplab import linop
 from blowuplab.chebgrid import ChebGrid
 from blowuplab.linop import (
     StateVector,
@@ -24,6 +25,7 @@ from blowuplab.linop import (
     free_wave_dissipativity_check,
     g0_state,
     measured_gap,
+    neutral_coordinates,
     potential,
     riesz_projection,
     riesz_projectors_for,
@@ -212,10 +214,73 @@ def test_schur_projector_matches_contour_oracle(p, N, rtol):
 
 
 # ---------------------------------------------------------------------------
+# neutral-mode coordinates
+
+# L V = V M on V = [g0, f0, f1]: L g0 = f0, L f0 = 0, L f1 = f1
+_JORDAN_M = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize("N", [48, 64])
+@pytest.mark.parametrize("p", [0.5, 0.75, 0.9])
+def test_neutral_coordinates_match_projector_oracle(p, N):
+    """Phi d are the coordinates in V of (P0 + P1) d, the Riesz projectors'
+    image; Phi V = I; Phi L V = M; Phi annihilates the stable modes."""
+    grid = ChebGrid.make(N)
+    Phi, V = neutral_coordinates(p, N)
+    P0, _, P1, _, L = riesz_projectors_for(p, grid)
+    for seed in range(3):
+        rng = np.random.Generator(np.random.Philox(seed))
+        d = _random_cheb_state(rng, grid, N // 2)
+        ref = np.linalg.lstsq(V, ((P0 + P1) @ d).real, rcond=None)[0]
+        assert np.linalg.norm(Phi @ d - ref) < 1e-5 * np.linalg.norm(ref)
+    assert np.max(np.abs(Phi @ V - np.eye(3))) < 1e-9
+    assert np.max(np.abs(Phi @ L @ V - _JORDAN_M)) < 1e-6
+    lam, X = np.linalg.eig(L)
+    stable = X[:, lam.real < -0.5]
+    stable = stable / np.linalg.norm(stable, axis=0)
+    assert np.max(np.abs(Phi @ stable)) < 1e-6
+
+
+def test_neutral_coordinates_recover_basis_combination():
+    Phi, V = neutral_coordinates(0.75, 64)
+    assert not Phi.flags.writeable and not V.flags.writeable
+    combo = V @ np.array([0.5, -2.0, 3.0])
+    assert np.allclose(Phi @ combo, [0.5, -2.0, 3.0], atol=1e-9)
+    # the columns of V are the closed-form modes
+    assert np.array_equal(V[:, 0], g0_state(GRID, 0.75).flat())
+    assert np.array_equal(V[:, 2], f1_state(GRID, 0.75).flat())
+
+
+def test_neutral_condition_grows_as_p_to_one(monkeypatch):
+    """cond(Wh V) grows as the basis degenerates at p -> 1 (17, 5.1e2 and
+    1.6e4 at p = 0.9, 0.99, 0.999), and a limit below it raises."""
+    conds = []
+    for p in (0.9, 0.99, 0.999):
+        r0 = linop._radius0(measured_gap(p, 64))
+        _, Wh = linop._schur_split(
+            assemble_Lp(p, GRID), lambda z: abs(z) < r0 or abs(z - 1.0) < 0.5)
+        _, V = neutral_coordinates(p, 64)
+        conds.append(np.linalg.cond(Wh @ V))
+    assert conds[0] < conds[1] < conds[2]
+    monkeypatch.setattr(linop, "NEUTRAL_COND_LIMIT", conds[2] / 2.0)
+    neutral_coordinates.cache_clear()
+    with pytest.raises(ValueError, match="nearly degenerate"):
+        neutral_coordinates(0.999, 64)
+
+
+def test_neutral_coordinates_wrong_count_raises(monkeypatch):
+    # a disc about 0 of radius 1.5 also takes in stable eigenvalues
+    monkeypatch.setattr(linop, "measured_gap", lambda p, N: 3.0)
+    neutral_coordinates.cache_clear()
+    with pytest.raises(ValueError, match="expected 3"):
+        neutral_coordinates(0.6, 32)
+
+
+# ---------------------------------------------------------------------------
 # semigroup
 
 def test_semigroup_structure():
-    out = semigroup_action_check(0.75, GRID, omega0=0.5)
+    out = semigroup_action_check(0.75, GRID)
     assert out["err_P1"] < 1e-6
     assert out["err_P0"] < 1e-6
     assert out["stable_slope"] <= -0.9 * out["omega0"]

@@ -1,4 +1,5 @@
-"""Modulation: initial-data operator, dual pairings, fixed-point fitting."""
+"""Modulation: initial-data operator, correction coordinates, fixed-point
+fitting."""
 
 import math
 
@@ -6,13 +7,14 @@ import numpy as np
 import pytest
 
 from blowuplab.chebgrid import ChebGrid
-from blowuplab.linop import StateVector, energy_norm, f0_state, f1_state, g0_state
+from blowuplab.linop import (StateVector, energy_norm, f0_state, f1_state,
+                             g0_state, neutral_coordinates, riesz_projectors_for)
 from blowuplab.modulation import (
     _bracket_terms,
+    _corrected_trajectory,
+    _nonlinear_integrals,
     correction_functional,
-    _Workspace,
     fit_parameters,
-    gram_dual_basis,
     initial_data_operator,
     modulated_decay,
 )
@@ -69,46 +71,42 @@ def test_expansion_remainder_quadratic():
 
 
 # ---------------------------------------------------------------------------
-# Gram dual basis
-
-def test_gram_symmetric_and_duality():
-    gram = gram_dual_basis(0.75, GRID)
-    assert np.max(np.abs(gram.Gamma - gram.Gamma.T)) < 1e-12
-    # exact combinations of the basis give back their coefficients
-    combo = (0.5 * gram.basis[0].flat() - 2.0 * gram.basis[1].flat()
-             + 3.0 * gram.basis[2].flat())
-    coords = gram.coords_in_span(combo)
-    assert np.allclose(coords, [0.5, -2.0, 3.0], atol=1e-9)
-
-
-def test_gram_condition_grows_as_p_to_one():
-    conds = []
-    for p in (0.9, 0.99, 0.999):
-        gram = gram_dual_basis(p, GRID)
-        conds.append(np.linalg.cond(gram.Gamma))
-    assert conds[0] < conds[1] < conds[2]
-
-
-# ---------------------------------------------------------------------------
 # correction functional
 
 def test_correction_zero_for_trivial_data():
-    ws = _Workspace(64)
     zero = StateVector(q1=np.zeros(65), q2=np.zeros(65))
-    ell = correction_functional(0.75, 1.0, 0.0, zero, None, BASELINE, ws)
+    ell = correction_functional(0.75, 1.0, 0.0, zero, None, BASELINE, GRID)
     assert max(abs(x) for x in ell) < 1e-10
 
 
 def test_correction_scales_linearly_in_epsilon():
-    ws = _Workspace(64)
     e1 = correction_functional(0.75, 1.0, 0.0, _legendre_f(1e-5), None,
-                               BASELINE, ws)
+                               BASELINE, GRID)
     e2 = correction_functional(0.75, 1.0, 0.0, _legendre_f(1e-4), None,
-                               BASELINE, ws)
-    # the projector (norm ~6e5) amplifies input roundoff through heavy
-    # cancellation, so linearity holds to ~1e-7 relative, not 1e-15
+                               BASELINE, GRID)
+    # the coordinate map (norm ~5e4) amplifies input roundoff through heavy
+    # cancellation, so linearity holds to well below 1e-5 relative, not 1e-15
     for a, b in zip(e1, e2):
         assert b == pytest.approx(10.0 * a, rel=1e-5)
+
+
+def test_correction_nonlinear_terms_match_projector_formula():
+    """With U(f) = 0 the correction is P0 I[N] + L P0 I[-tau N] + P1 I[e^-tau N];
+    read through Phi and the Jordan block it matches the coordinates in
+    {g0, f0, f1} of that sum built from the Riesz projectors."""
+    zero = StateVector(q1=np.zeros(65), q2=np.zeros(65))
+    taus = np.linspace(0.0, 4.0, 81)
+    shape = np.polynomial.chebyshev.chebval(GRID.y, (1.0, 0.5, -0.3, 0.2))
+    q2sq = 1e-8 * np.exp(-taus)[:, None] * (shape ** 2)[None, :]
+    ell = correction_functional(0.75, 1.0, 0.0, zero, (taus, q2sq), BASELINE,
+                                GRID)
+    P0, _, P1, _, L = riesz_projectors_for(0.75, GRID)
+    lift = [np.concatenate([np.zeros(65), I])
+            for I in _nonlinear_integrals(taus, q2sq)]
+    C = (P0 @ lift[0] + L @ (P0 @ lift[1]) + P1 @ lift[2]).real
+    _, V = neutral_coordinates(0.75, 64)
+    ref = np.linalg.lstsq(V, C, rcond=None)[0]
+    assert np.linalg.norm(ell - ref) < 1e-5 * np.linalg.norm(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +122,7 @@ def test_fit_trivial_data_one_iteration():
 @pytest.mark.slow
 def test_fit_converges_and_is_idempotent():
     f = _legendre_f(1e-4)
-    st = fit_parameters(f, BASELINE, tol=1e-8)
+    st = fit_parameters(f, BASELINE)
     assert st.converged
     assert st.iterations <= 30
     # displacement is O(epsilon)
@@ -133,10 +131,8 @@ def test_fit_converges_and_is_idempotent():
     assert disp < 50 * 1e-4
     # idempotency: at the fitted point (same baseline) the correction is
     # below tolerance, so one more evaluation leaves the parameters fixed
-    ws = _Workspace(64)
-    from blowuplab.modulation import _corrected_trajectory
     ell, _ = _corrected_trajectory(st.p_star, st.T_star, st.kappa_star, f,
-                                   BASELINE, ws)
+                                   BASELINE, GRID)
     b = _bracket_terms(st.p_star, st.T_star, st.kappa_star, BASELINE)
     F = [e - bb for e, bb in zip(ell, b)]
     p_next = BASELINE[0] + F[0]

@@ -137,7 +137,7 @@ def test_reflection_identity():
     """x-reflection about x0 swaps the q = +1 and q = -1 family members."""
     plus = ProfileParams(p=0.6, q=1, kappa=0.2, T=1.5, x0=0.3)
     minus = ProfileParams(p=0.6, q=-1, kappa=0.2, T=1.5, x0=0.3)
-    for pt in sample_interior_cone_points(plus, 100, RNG, depth=0.6):
+    for pt in sample_interior_cone_points(plus, 100, RNG):
         mirrored = ConePoint(x=2 * plus.x0 - pt.x, t=pt.t)
         u1 = eval_profile(plus, pt)[0]
         u2 = eval_profile(minus, mirrored)[0]
