@@ -241,8 +241,8 @@ def _write_manifest(cfg: RunConfig, timings: list, checks: list) -> None:
 # subcommand implementations; each returns a list of (name, ok, detail)
 
 def _run_profile_check(cfg: RunConfig) -> list:
-    from .profiles import (ConePoint, ProfileParams, eval_profile,
-                           pde_residual, sample_interior_cone_points)
+    from .profiles import (ProfileParams, eval_profile, pde_residual,
+                           sample_interior_cone_points)
 
     rng = np.random.Generator(np.random.Philox(cfg["seed"]))
     # order is fitted on the larger steps, where truncation dominates the
@@ -254,12 +254,10 @@ def _run_profile_check(cfg: RunConfig) -> list:
                                x0=cfg["x0"])
 
         def u(x, t, _pr=params):
-            return eval_profile(_pr, ConePoint(x=x, t=t))[0]
+            return eval_profile(_pr, x, t)[0]
 
-        worst = {h: 0.0 for h in hs}
-        for pt in sample_interior_cone_points(params, 500, rng):
-            for h in hs:
-                worst[h] = max(worst[h], pde_residual(u, pt, h))
+        x, t = sample_interior_cone_points(params, 500, rng)
+        worst = {h: float(np.max(pde_residual(u, x, t, h))) for h in hs}
         order = math.log(worst[hs[0]] / worst[hs[2]]) / math.log(hs[0] / hs[2])
         for h in hs:
             rows.append((p, h, worst[h]))

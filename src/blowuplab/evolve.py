@@ -31,8 +31,9 @@ from scipy.linalg import expm
 
 from .chebgrid import ChebGrid, exponential_filter, truncate_modes
 from .linop import (DEFAULT_K, StateVector, assemble_Lp, energy_norm,
-                    neutral_coordinates, seminorm_stack)
-from .profiles import _FD4_W2, ProfileParams, similarity_profile
+                    neutral_coordinates)
+from .profiles import (_FD4_W2, ProfileParams, _log_arg, eval_profile,
+                       similarity_profile)
 
 TAU_MAX_CAP = 15.0
 IF_STEP = 0.05                   # integrating-factor RK4 step in tau
@@ -140,7 +141,7 @@ def step_similarity(state: StateVector, p: float, h: float, grid: ChebGrid,
     u = full_u + (h / 6.0) * (full @ k1 + 2.0 * (half @ (k2 + k3)) + k4)
     q1, q2 = exponential_filter(u.reshape(2, grid.N + 1))
     state = StateVector(q1=q1, q2=q2)
-    norm = float(np.linalg.norm(seminorm_stack(grid, 0) @ state.flat()))
+    norm = energy_norm(0, state, grid)
     if not norm <= 1e3 * max(norm0, 1e-300):      # also catches NaN and inf
         raise RuntimeError(
             f"similarity evolution unstable: energy norm {norm0:.3e} -> "
@@ -173,7 +174,7 @@ def evolve_states(cfg: EvolveConfig, q0: StateVector, grid: ChebGrid):
     nsteps = int(math.ceil(cfg.tau_max / h - 1e-12))
     h = cfg.tau_max / nsteps
     q = q0
-    norm = float(np.linalg.norm(seminorm_stack(grid, 0) @ q.flat()))
+    norm = energy_norm(0, q, grid)
     bound = 1e6 * max(norm, 1e-300)
     yield 0.0, q
     for j in range(nsteps):
@@ -247,19 +248,19 @@ def smallness_functional(p: float, T: float = 1.0, kappa: float = 0.0,
     kappa are closed-form; only the zeroth-order term depends on a, so the
     infimum is attained at the spatial mean.  Vanishes as p -> 1 (g -> 0).
     """
-    g = math.sqrt(1.0 - p)
+    params = ProfileParams(p=p, q=q, kappa=kappa, T=T)
+    g = params.root_1mp
     k = DEFAULT_K
     grid = ChebGrid.make(SMALLNESS_NODES)
     x = grid.y * T                     # quadrature on (-T, T)
     w = grid.w * T
-    denom = T + q * g * x
-    u0 = -p * np.log(denom) + p * math.log(T) + kappa
+    u0, ut0, _ = eval_profile(params, x, 0.0)
+    denom = _log_arg(params, x, 0.0)
     mean = float(np.sum(w * u0)) / (2.0 * T)
     sq_u = float(np.sum(w * (u0 - mean) ** 2))
     for m in range(1, k + 2):
         dm = -p * (-1.0) ** (m - 1) * math.factorial(m - 1) * (q * g) ** m / denom ** m
         sq_u += float(np.sum(w * dm ** 2))
-    ut0 = p / denom
     sq_v = float(np.sum(w * (ut0 - 1.0 / T) ** 2))
     for m in range(1, k + 1):
         dm = p * (-1.0) ** m * math.factorial(m) * (q * g) ** m / denom ** (m + 1)
@@ -360,7 +361,7 @@ def physical_space_crosscheck(cfg: EvolveConfig) -> dict:
     tau_targets = [-math.log1p(-t / T) for t in t_samples]
     sim_sections = []
     q = q0
-    norm = float(np.linalg.norm(seminorm_stack(grid, 0) @ q.flat()))
+    norm = energy_norm(0, q, grid)
     tau = 0.0
     h_max = cfg.dt if cfg.dt is not None else IF_STEP
     for tau_t in tau_targets:
