@@ -12,8 +12,9 @@ Subcommands
     all              everything above with default parameters
 
 Exit codes: 0 pass, 2 config error, 3 numerical failure, 4 acceptance failure.
-Every run writes `manifest.txt` (resolved config, version, timings, seed) to
-the output directory; the env var BLOWUPLAB_OUT overrides `output_dir`.
+Every run writes `manifest.txt` (resolved config, version, environment,
+timings, seed) to the output directory; the env var BLOWUPLAB_OUT overrides
+`output_dir`.
 """
 
 from __future__ import annotations
@@ -223,12 +224,30 @@ def write_csv(path: Path, header: list, rows) -> None:
             w.writerow([_fmt(v) for v in row])
 
 
+def _environment() -> list:
+    """numpy, BLAS, core count and the scipy this run loaded, read without
+    importing anything: scipy only appears if a command pulled it in."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    loaded = sorted(name[6:] for name, mod in list(sys.modules.items())
+                    if name.startswith("scipy.") and name.count(".") == 1
+                    and not name[6:].startswith("_")
+                    and hasattr(mod, "__path__"))
+    lines = [f"numpy_version = {np.__version__}",
+             f"blas = {blas['name']} {blas.get('version', 'unknown')}",
+             f"nproc = {len(os.sched_getaffinity(0))}",
+             f"scipy_modules = {', '.join(loaded) or 'none'}"]
+    if "scipy" in sys.modules:
+        lines.append(f"scipy_version = {sys.modules['scipy'].__version__}")
+    return lines
+
+
 def _write_manifest(cfg: RunConfig, timings: list, checks: list) -> None:
     lines = [f"command = {cfg.command}"]
     for key in sorted(cfg.parameters):
         lines.append(f"{key} = {_fmt(cfg.parameters[key])}")
     lines.append(f"version = {__version__}")
     lines.append("rng = philox")
+    lines += _environment()
     for name, seconds in timings:
         lines.append(f"timing_{name}_s = {seconds:.3f}")
     for name, ok, detail in checks:
@@ -468,10 +487,15 @@ def run(cfg: RunConfig) -> int:
             _write_manifest(cfg, timings, checks)
             print(f"config error in {name}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        except Exception as exc:
+        except (ValueError, RuntimeError, ArithmeticError) as exc:
+            # LinAlgError is a ValueError; anything else (a missing module,
+            # a programming error) is not a numerical result and propagates
             _write_manifest(cfg, timings, checks)
             print(f"numerical failure in {name}: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
+        except Exception:
+            _write_manifest(cfg, timings, checks)
+            raise
         timings.append((name, time.perf_counter() - t0))
     _write_manifest(cfg, timings, checks)
     for name, ok, detail in checks:

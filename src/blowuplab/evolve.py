@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
 
 from .chebgrid import ChebGrid, exponential_filter, truncate_modes
@@ -319,6 +318,8 @@ def physical_space_crosscheck(cfg: EvolveConfig) -> dict:
     evolve_states.  Returns max |u_phys - u_sim| over the cone sections at
     t = CROSSCHECK_T_SAMPLES * T.
     """
+    from scipy.interpolate import CubicSpline
+
     p, T, x0 = cfg.p, cfg.T, cfg.x0
     g = math.sqrt(1.0 - p)
     if g > 0 and CROSSCHECK_HALF_WIDTH >= 1.0 / g:

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.special import expit, loggamma, rgamma
 
 _INT_TOL = 1e-9          # tolerance for detecting integer exponent gaps
@@ -244,6 +243,10 @@ def smooth_candidate_defects(p: float, lam: complex, N: int = DEFAULT_SERIES_N
 def _candidate_defects(p: float, lam: complex, N: int) -> list[float | None]:
     """Connection defect of each analytic-at-1 candidate, None where its
     continuation to the collar fails."""
+    # only the few degenerate lambda of a scan get here; a scan that needs
+    # none never loads scipy.integrate
+    from scipy.integrate import solve_ivp
+
     a, b, c = lorentz_frame_params(p, lam)
     smooth_at_1 = _smooth_solutions_at_one(a, b, c, N)
 

@@ -2,6 +2,10 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +89,19 @@ def test_numerical_value_error_exit_code(tmp_path, monkeypatch):
     monkeypatch.setitem(cli._DISPATCH, "appendixB", ill_conditioned)
     cfg = parse_config(["appendixB", "--output-dir", str(tmp_path)])
     assert run(cfg) == EXIT_NUMERICAL
+    assert (tmp_path / "manifest.txt").exists()
+
+
+def test_non_numerical_error_propagates(tmp_path, monkeypatch):
+    # a missing module is not a numerical result: it propagates instead of
+    # exiting 3, and the manifest is still written
+    def missing_scipy(cfg):
+        raise ImportError("No module named 'scipy.integrate'")
+
+    monkeypatch.setitem(cli._DISPATCH, "appendixB", missing_scipy)
+    cfg = parse_config(["appendixB", "--output-dir", str(tmp_path)])
+    with pytest.raises(ImportError, match="scipy.integrate"):
+        run(cfg)
     assert (tmp_path / "manifest.txt").exists()
 
 
@@ -232,11 +249,29 @@ def test_manifest_contains_resolved_config_and_seed(tmp_path):
     assert "timing_profile-check_s" in text
 
 
+def test_manifest_records_environment(tmp_path):
+    # a fresh process, so that sys.modules holds only what mode-scan loaded
+    src = Path(__file__).resolve().parents[1] / "src"
+    subprocess.run([sys.executable, "-m", "blowuplab.cli", "mode-scan",
+                    "--p", "0.5"],
+                   env={**os.environ, "PYTHONPATH": str(src),
+                        "BLOWUPLAB_OUT": str(tmp_path)},
+                   check=True, capture_output=True)
+    lines = (tmp_path / "manifest.txt").read_text().splitlines()
+    assert all(" = " in line and line.split(" = ", 1)[0].strip()
+               for line in lines)
+    manifest = dict(line.split(" = ", 1) for line in lines)
+    for key in ("numpy_version", "blas", "nproc", "scipy_modules"):
+        assert manifest[key]
+    assert int(manifest["nproc"]) >= 1
+    loaded = manifest["scipy_modules"].split(", ")
+    assert "integrate" not in loaded and "interpolate" not in loaded
+
+
 def test_manifest_records_source_tree_version(tmp_path):
     """The manifest records the version of pyproject.toml also when the
     package runs from the source tree, with no installed metadata."""
     import tomllib
-    from pathlib import Path
 
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     expected = tomllib.loads(pyproject.read_text())["project"]["version"]

@@ -1,0 +1,38 @@
+"""Import diet: scipy.integrate and scipy.interpolate load only where called."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+PROBE = textwrap.dedent("""
+    import importlib, pkgutil, sys
+    import numpy as np
+    import blowuplab
+    for mod in pkgutil.iter_modules(blowuplab.__path__):
+        importlib.import_module(f"blowuplab.{mod.name}")
+    from blowuplab.evolve import ode_blowup_instability
+    from blowuplab.modeanalysis import mode_scan
+    from blowuplab.modulation import _nonlinear_integrals
+
+    scan = mode_scan(0.5)
+    assert scan.n_continuation == 0 and len(scan.points) == 1891
+    ode_blowup_instability(0.99)
+    taus = np.linspace(0.0, 1.0, 5)
+    I_plain, _, _ = _nonlinear_integrals(taus, np.ones((5, 3)))
+    assert np.allclose(I_plain, 1.0)
+    print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy."))))
+""")
+
+
+def test_fresh_process_loads_no_integrate_or_interpolate():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    loaded = out.split()
+    assert any(m.startswith("scipy.special") for m in loaded)
+    for sub in ("scipy.integrate", "scipy.interpolate"):
+        assert not any(m == sub or m.startswith(sub + ".") for m in loaded), sub

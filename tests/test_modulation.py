@@ -10,9 +10,11 @@ from blowuplab.chebgrid import ChebGrid
 from blowuplab.linop import (StateVector, energy_norm, f0_state, f1_state,
                              g0_state, neutral_coordinates, riesz_projectors_for)
 from blowuplab.modulation import (
+    FIT_TAU_MAX,
     _bracket_terms,
     _corrected_trajectory,
     _nonlinear_integrals,
+    _simpson,
     correction_functional,
     fit_parameters,
     initial_data_operator,
@@ -107,6 +109,32 @@ def test_correction_nonlinear_terms_match_projector_formula():
     _, V = neutral_coordinates(0.75, 64)
     ref = np.linalg.lstsq(V, C, rcond=None)[0]
     assert np.linalg.norm(ell - ref) < 1e-5 * np.linalg.norm(ref)
+
+
+def test_simpson_bit_identical_to_scipy():
+    """The numpy Simpson rule reproduces scipy.integrate.simpson exactly, on
+    small samples and on the fit's own tau grid with one column per node."""
+    from scipy.integrate import simpson
+
+    rng = np.random.default_rng(3)
+    for n in (3, 5):
+        x = np.cumsum(rng.uniform(0.1, 1.0, n))
+        for y in (rng.standard_normal(n), rng.standard_normal((n, 4))):
+            assert np.array_equal(_simpson(y, x), simpson(y, x=x, axis=0))
+    # the corrected trajectory of the fit's first iteration
+    _, (taus, q2sq) = _corrected_trajectory(*BASELINE, _legendre_f(1e-4),
+                                            BASELINE, GRID)
+    assert taus.shape == (241,) and q2sq.shape == (241, 65)
+    assert taus[-1] == FIT_TAU_MAX
+    for y in (q2sq, -taus[:, None] * q2sq, np.exp(-taus)[:, None] * q2sq):
+        assert np.array_equal(_simpson(y, taus), simpson(y, x=taus, axis=0))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_simpson_rejects_even_sample_counts(n):
+    x = np.arange(float(n))
+    with pytest.raises(ValueError, match="odd"):
+        _simpson(np.ones((n, 3)), x)
 
 
 # ---------------------------------------------------------------------------
