@@ -242,6 +242,26 @@ def test_crosscheck_steps_at_config_dt(monkeypatch):
     assert rep["max_discrepancy"] < 1e-4
 
 
+def test_crosscheck_interpolant_matches_cubic_spline(monkeypatch):
+    """The 6-point Lagrange read-out of the physical state on the cone
+    section t = 0.5 T agrees with a cubic spline of the same state."""
+    from scipy.interpolate import CubicSpline
+
+    seen = []
+    interpolate = evolve._lagrange6
+
+    def recorded(x, f, xq):
+        out = interpolate(x, f, xq)
+        seen.append((x, f.copy(), xq, out))
+        return out
+
+    monkeypatch.setattr(evolve, "_lagrange6", recorded)
+    physical_space_crosscheck(EvolveConfig(p=0.75, N=64, epsilon=1e-3))
+    assert len(seen) == 2
+    x, f, xq, out = seen[-1]
+    np.testing.assert_allclose(out, CubicSpline(x, f)(xq), rtol=0, atol=1e-10)
+
+
 def test_crosscheck_rejects_singular_domain():
     # at p = 0.1 the singular surface x - x0 = -(T-t)/sqrt(1-p) lies inside
     # the domain half-width 1.25 T

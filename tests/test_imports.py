@@ -1,4 +1,5 @@
-"""Import diet: scipy.integrate and scipy.interpolate load only where called."""
+"""Import diet: scipy.linalg, scipy.integrate and scipy.interpolate load only
+where they are called."""
 
 import os
 import subprocess
@@ -14,6 +15,7 @@ PROBE = textwrap.dedent("""
     import blowuplab
     for mod in pkgutil.iter_modules(blowuplab.__path__):
         importlib.import_module(f"blowuplab.{mod.name}")
+    assert "scipy.linalg" not in sys.modules
     from blowuplab.evolve import ode_blowup_instability
     from blowuplab.modeanalysis import mode_scan
     from blowuplab.modulation import _nonlinear_integrals
@@ -35,4 +37,24 @@ def test_fresh_process_loads_no_integrate_or_interpolate():
     loaded = out.split()
     assert any(m.startswith("scipy.special") for m in loaded)
     for sub in ("scipy.integrate", "scipy.interpolate"):
+        assert not any(m == sub or m.startswith(sub + ".") for m in loaded), sub
+
+
+CLOSED_FORM_PROBE = textwrap.dedent("""
+    import sys
+    from blowuplab.evolve import ode_blowup_instability
+    from blowuplab.linop import appendixB_no_second_jordan_block
+
+    appendixB_no_second_jordan_block()
+    ode_blowup_instability(0.99)
+    print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy."))))
+""")
+
+
+def test_closed_form_checks_load_no_linalg_integrate_or_interpolate():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", CLOSED_FORM_PROBE], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    loaded = out.split()
+    for sub in ("scipy.linalg", "scipy.integrate", "scipy.interpolate"):
         assert not any(m == sub or m.startswith(sub + ".") for m in loaded), sub

@@ -11,9 +11,11 @@ from blowuplab import linop
 from blowuplab.chebgrid import ChebGrid
 from blowuplab.linop import (
     StateVector,
+    _appendixB_ode_solution,
     _mp_cheb,
     _mp_energy_norm,
     _random_cheb_state,
+    _schur_split,
     appendixB_dv1,
     appendixB_no_second_jordan_block,
     assemble_Lp,
@@ -279,11 +281,65 @@ def test_neutral_coordinates_wrong_count_raises(monkeypatch):
 # ---------------------------------------------------------------------------
 # semigroup
 
-def test_semigroup_structure():
-    out = semigroup_action_check(0.75, GRID)
+@pytest.fixture(scope="module")
+def semigroup_out():
+    return semigroup_action_check(0.75, GRID, seed=0)
+
+
+def test_semigroup_structure(semigroup_out):
+    out = semigroup_out
     assert out["err_P1"] < 1e-6
     assert out["err_P0"] < 1e-6
     assert out["stable_slope"] <= -0.9 * out["omega0"]
+
+
+def test_semigroup_stable_norms_decrease(semigroup_out):
+    norms = semigroup_out["stable_norms"][semigroup_out["tau"] >= 1.0]
+    assert np.all(np.diff(norms) < 0)
+
+
+def test_semigroup_stable_norms_match_quarter_step_oracle(semigroup_out):
+    """The stable part (I - P0 - P1) r from the dense Riesz projectors,
+    carried by products of expm(0.25 L) instead of expm(0.5 L)."""
+    from scipy.linalg import expm
+
+    P0, _, P1, _, L = riesz_projectors_for(0.75, GRID)
+    rng = np.random.Generator(np.random.Philox(0))
+    r = _random_cheb_state(rng, GRID, GRID.N // 2)
+    q = r - P0 @ r - P1 @ r
+    E = expm(0.25 * L)
+    S = seminorm_stack(GRID)
+    oracle = []
+    for _ in semigroup_out["tau"]:
+        oracle.append(np.linalg.norm(S @ q))
+        q = E @ (E @ q)
+    np.testing.assert_allclose(semigroup_out["stable_norms"], oracle,
+                               rtol=1e-3)
+
+
+def test_semigroup_lowrank_norms_match_dense(semigroup_out):
+    """err_P1 and err_P0 from the thin-QR 2-norms against dense 2-norms of
+    the n x n residuals (E^j Z - ...) W, on the same propagator."""
+    from scipy.linalg import expm
+
+    L = assemble_Lp(0.75, GRID)
+    Z0, W0 = _schur_split(L, lambda z: abs(z) < semigroup_out["omega0"] / 2)
+    Z1, W1 = _schur_split(L, lambda z: abs(z - 1.0) < 0.5)
+    assert (Z0.shape[1], Z1.shape[1]) == (2, 1)
+    P0, P1 = Z0 @ W0, Z1 @ W1
+    nP0, nP1 = np.linalg.norm(P0, 2), np.linalg.norm(P1, 2)
+    E = expm(0.5 * L)
+    EZ0, EZ1 = Z0, Z1
+    err_P0, err_P1 = [], []
+    for j, tau in enumerate(semigroup_out["tau"]):
+        if j:
+            EZ0, EZ1 = E @ EZ0, E @ EZ1
+        err_P1.append(np.linalg.norm((EZ1 - math.exp(tau) * Z1) @ W1, 2)
+                      / (math.exp(tau) * nP1))
+        err_P0.append(np.linalg.norm((EZ0 - Z0 - tau * L @ Z0) @ W0, 2)
+                      / ((1 + tau) * nP0))
+    assert semigroup_out["err_P1"] == pytest.approx(max(err_P1), rel=1e-10)
+    assert semigroup_out["err_P0"] == pytest.approx(max(err_P0), rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +367,27 @@ def test_appendixB_report():
     assert abs(out["d2_log_slope"] + 0.5) < 0.05
     assert abs(out["jump"] - out["jump_expected"]) < 1e-8
     assert out["ode_crosscheck_err"] < 1e-8
+
+
+APPENDIXB_TARGETS = np.array([0.5, 0.9, -0.5, -0.9])
+
+
+def test_appendixB_rk4_fourth_order():
+    exact = appendixB_dv1(APPENDIXB_TARGETS)
+    e50, e100 = (np.max(np.abs(_appendixB_ode_solution(APPENDIXB_TARGETS, n)
+                               - exact)) for n in (50, 100))
+    assert 12.0 <= e50 / e100 <= 20.0
+
+
+def test_appendixB_rk4_matches_solve_ivp():
+    from scipy.integrate import solve_ivp
+
+    ours = _appendixB_ode_solution(APPENDIXB_TARGETS)
+    v0 = float(appendixB_dv1(0.0))
+    for yt, v in zip(APPENDIXB_TARGETS, ours):
+        sol = solve_ivp(linop._appendixB_ode_rhs, (0.0, yt), [v0],
+                        rtol=1e-11, atol=1e-13)
+        assert abs(sol.y[0, -1] - v) < 1e-10
 
 
 def test_appendixB_dv1_finite_inside():
