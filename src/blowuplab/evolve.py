@@ -30,7 +30,7 @@ import numpy as np
 from .chebgrid import ChebGrid, exponential_filter, truncate_modes
 from .linop import (DEFAULT_K, StateVector, assemble_Lp, energy_norm,
                     neutral_coordinates)
-from .profiles import (_FD4_W2, ProfileParams, _log_arg, eval_profile,
+from .profiles import (_FD4_C2, ProfileParams, _log_arg, eval_profile,
                        similarity_profile)
 
 TAU_MAX_CAP = 15.0
@@ -360,7 +360,7 @@ def physical_space_crosscheck(cfg: EvolveConfig) -> dict:
     prof_q2 = p / (1.0 + g * y0)       # profile value of U_tau + y U_y
     v = (prof_q2 + q2_0) / T           # u_t = (U_tau + y U_y)/(T - t)
 
-    w2 = _FD4_W2 / (h * h)
+    w2 = _FD4_C2 / 12.0 / (h * h)
 
     def dxx(f):
         out = np.zeros_like(f)
@@ -408,5 +408,5 @@ def physical_space_crosscheck(cfg: EvolveConfig) -> dict:
                  + p * (-math.log1p(-ts / T)) + q1_sim)
         report["t"].append(ts)
         report["max_abs_err"].append(float(np.max(np.abs(u_phys - u_sim))))
-    report["max_discrepancy"] = max(report["max_abs_err"])
+    report["max_discrepancy"] = float(np.max(report["max_abs_err"]))
     return report

@@ -195,7 +195,7 @@ def free_wave_dissipativity_check(grid: ChebGrid, trials: int = 200,
         Sq = S @ q
         num = np.real(np.conj(Sq) @ (S @ (Lt @ q)))
         den = np.real(np.conj(Sq) @ Sq)
-        worst = max(worst, num / den)
+        worst = np.maximum(worst, num / den)
     return float(worst)
 
 
@@ -391,74 +391,76 @@ def spectrum(p: float, grid: ChebGrid) -> SpectrumReport:
 
 
 def measured_gap(p: float, N: int = 64) -> float:
-    # memoised through a helper that always receives both arguments
-    # positionally, so measured_gap(p, N) and measured_gap(p=p, N=N) share
-    # one cache entry
-    return _gap_cached(p, N)
+    gap = measured_spectrum(p, N).gap_omega0
+    if not np.isfinite(gap) or gap <= 0:
+        raise RuntimeError("could not measure a spectral gap")
+    return gap
 
 
 @functools.lru_cache(maxsize=16)
-def _gap_cached(p: float, N: int) -> float:
+def measured_spectrum(p: float, N: int) -> SpectrumReport:
+    """spectrum(p, ChebGrid.make(N)), memoised per (p, N), so a command that
+    reports the spectrum and splits it computes it once.  Call it with both
+    arguments positionally: the cache keys keyword calls apart."""
     rep = spectrum(p, ChebGrid.make(N))
-    if not np.isfinite(rep.gap_omega0) or rep.gap_omega0 <= 0:
-        raise RuntimeError("could not measure a spectral gap")
-    return rep.gap_omega0
+    for a in (rep.eigenvalues, rep.residuals, rep.robust):
+        a.flags.writeable = False
+    return rep
 
 
 # ---------------------------------------------------------------------------
 # Riesz projections, neutral-mode coordinates and semigroup checks
 
-def _schur_split(L: np.ndarray, select) -> tuple[np.ndarray, np.ndarray]:
-    """(Z1, Wh) for the eigenvalues z of L with select(z) true, m of them.
+@functools.lru_cache(maxsize=16)
+def spectral_split(p: float, N: int) -> tuple[np.ndarray, ...]:
+    """(Z0, W0, Z1, W1): the spectral split of L_p into the Jordan pair
+    {g0, f0} at 0, P0 = Z0 W0, and the mode f1 at 1, P1 = Z1 W1; read-only.
 
-    A complex Schur form sorted so that those eigenvalues lead,
-    L = Z [[T11, T12], [0, T22]] Z^H, and the solution R of the Sylvester
-    equation T11 R - R T22 = T12 give the m columns Z1 of Z, an orthonormal
-    basis of the invariant subspace, and Wh = Z1^H + R Z2^H, whose rows span
-    the matching left invariant subspace.  The spectral projector onto the
-    selected eigenvalues is Z1 Wh (Bavely & Stewart 1979, Golub & Van Loan
-    7.6).
+    The two discs, about 0 with radius omega0/2 (omega0 the measured gap)
+    and about 1 with radius 1/2, are defined only here.  One complex Schur
+    form L = Z [[T11, T12], [0, T22]] Z^H is sorted on their union; a 3 x 3
+    Schur form of T11 sorted on the disc about 0 puts the cluster first, so
+    Z0 is its leading Schur vectors and only the simple mode at 1 needs an
+    eigenvector.  T11 R - R T22 = T12 gives the left factor
+    Wh = Z3^H + R Z2^H, and the 2 x 1 solve T11[:2, :2] r - r T11[2, 2] =
+    T11[:2, 2] splits it: W0 = Wh[:2] + r Wh[2], Z1 = Z3 [-r; 1] / nu with
+    nu its norm, W1 = nu Wh[2] (Bavely & Stewart 1979, Golub & Van Loan
+    7.6).  Z0 and Z1 have orthonormal columns.  Raises ValueError unless
+    the discs hold 2 and 1 eigenvalues.
     """
     from scipy.linalg import schur, solve_sylvester
 
-    T, Z, m = schur(L.astype(complex), output="complex", sort=select)
-    Z1 = Z[:, :m]
-    if m == 0:
-        return Z1, Z1.conj().T
-    R = solve_sylvester(T[:m, :m], -T[m:, m:], T[:m, m:])
-    return Z1, Z1.conj().T + R @ Z[:, m:].conj().T
+    L = assemble_Lp(p, ChebGrid.make(N))
+    radius0 = max(measured_gap(p, N) / 2.0, 0.025)
+    T, Z, m = schur(L.astype(complex), output="complex",
+                    sort=lambda z: abs(z) < radius0 or abs(z - 1.0) < 0.5)
+    T11, Q, m0 = schur(T[:3, :3], output="complex",
+                       sort=lambda z: abs(z) < radius0)
+    if (m, m0) != (3, 2):
+        raise ValueError(f"{m} eigenvalues near 0 and 1 at p = {p}, {m0} of "
+                         "the leading 3 near 0; expected 3 and 2")
+    Z3 = Z[:, :3] @ Q
+    R = solve_sylvester(T11, -T[3:, 3:], Q.conj().T @ T[:3, 3:])
+    Wh = Z3.conj().T + R @ Z[:, 3:].conj().T
+    r = solve_sylvester(T11[:2, :2], -T11[2:, 2:], T11[:2, 2:])
+    x1 = np.vstack([-r, [[1.0]]])
+    nu = np.linalg.norm(x1)
+    factors = (Z3[:, :2], Wh[:2] + r @ Wh[2:], Z3 @ x1 / nu, nu * Wh[2:])
+    for a in factors:
+        a.flags.writeable = False
+    return factors
 
 
-def riesz_projection(L: np.ndarray, center: complex,
-                     radius: float) -> tuple[np.ndarray, int]:
-    """Spectral projector onto the eigenvalues of L inside |z - center| < radius.
-
-    This is the Riesz projector, the contour integral of the resolvent over
-    the circle, obtained from one sorted Schur form (_schur_split) instead of
-    a resolvent solve per quadrature node.  The rank is counted from the
-    singular values of P.
-    """
-    Z1, Wh = _schur_split(L, lambda z: abs(z - center) < radius)
-    if Z1.shape[1] == 0:
-        return np.zeros(L.shape, dtype=complex), 0
-    P = Z1 @ Wh
-    sv = np.linalg.svd(P, compute_uv=False)
-    return P, int(np.sum(sv > 1e-6 * sv[0]))
-
-
-def _radius0(omega0: float) -> float:
-    """Radius of the disc about 0 that holds the {g0, f0} cluster."""
-    return omega0 / 2.0 if omega0 >= 0.05 else 0.025
-
-
-def riesz_projectors_for(p: float, grid: ChebGrid, omega0: float | None = None):
-    """P0 (about 0, radius omega0/2) and P1 (about 1, radius 1/2)."""
-    if omega0 is None:
-        omega0 = measured_gap(p, grid.N)
-    L = assemble_Lp(p, grid)
-    P0, r0 = riesz_projection(L, 0.0, _radius0(omega0))
-    P1, r1 = riesz_projection(L, 1.0, 0.5)
-    return P0, r0, P1, r1, L
+def riesz_projectors_for(p: float, grid: ChebGrid):
+    """(P0, rank P0, P1, rank P1, L_p): the Riesz projectors of
+    spectral_split, formed densely; ranks are counted from singular values."""
+    Z0, W0, Z1, W1 = spectral_split(p, grid.N)
+    out = []
+    for Zk, Wk in ((Z0, W0), (Z1, W1)):
+        P = Zk @ Wk
+        sv = np.linalg.svd(P, compute_uv=False)
+        out += [P, int(np.sum(sv > 1e-6 * sv[0]))]
+    return (*out, assemble_Lp(p, grid))
 
 
 @functools.lru_cache(maxsize=16)
@@ -466,21 +468,17 @@ def neutral_coordinates(p: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     """(Phi, V): coordinates in the neutral/unstable modes of L_p, read-only.
 
     V = [g0, f0, f1] holds the closed-form modes as flat states, and
-    Phi = (Wh V)^-1 Wh, with Wh the left factor of one Schur form sorted on
-    both discs of riesz_projectors_for.  Phi d are the coordinates in V of
-    the spectral projection (P0 + P1) d, computed without forming the
-    projectors (norm ~6e5) and without a least-squares fit in V (Stewart
-    1973).  Phi V = I up to rounding; Phi L V = M with M the Jordan block
-    L g0 = f0, L f0 = 0, L f1 = f1.  Raises ValueError unless exactly
-    three eigenvalues lie in the discs, or when Wh V is nearly singular.
+    Phi = (Wh V)^-1 Wh, with Wh = [W0; W1] the left factors of
+    spectral_split.  Phi d are the coordinates in V of the spectral
+    projection (P0 + P1) d, computed without forming the projectors (norm
+    ~6e5) and without a least-squares fit in V (Stewart 1973).  Phi V = I up
+    to rounding; Phi L V = M with M the Jordan block L g0 = f0, L f0 = 0,
+    L f1 = f1.  Raises ValueError when the split fails or Wh V is nearly
+    singular.
     """
     grid = ChebGrid.make(N)
-    radius0 = _radius0(measured_gap(p, N))
-    _, Wh = _schur_split(assemble_Lp(p, grid),
-                         lambda z: abs(z) < radius0 or abs(z - 1.0) < 0.5)
-    if Wh.shape[0] != 3:
-        raise ValueError(f"{Wh.shape[0]} eigenvalues near 0 and 1 at p = {p}, "
-                         "expected 3")
+    _, W0, _, W1 = spectral_split(p, N)
+    Wh = np.vstack([W0, W1])
     V = np.column_stack([g0_state(grid, p).flat(), f0_state(grid, p).flat(),
                          f1_state(grid, p).flat()])
     WV = Wh @ V
@@ -499,7 +497,7 @@ def semigroup_action_check(p: float, grid: ChebGrid, seed: int = 0) -> dict:
     at tau = 0, 0.5, ..., 8; norms in the DEFAULT_K energy norm.
 
     The projectors stay factored, P0 = Z0 W0 and P1 = Z1 W1 from
-    _schur_split.  One E = expm(dtau L), dtau the step of the tau grid,
+    spectral_split.  One E = expm(dtau L), dtau the step of the tau grid,
     advances the block [Z0, Z1, qs] from each tau to the next; products of
     one short-step propagator do not show the rounding regrowth of
     scaling-and-squaring expm(tau L) of the non-normal L_p at large tau
@@ -512,11 +510,7 @@ def semigroup_action_check(p: float, grid: ChebGrid, seed: int = 0) -> dict:
     tau_samples = np.linspace(0.0, 8.0, 17)
     omega0 = measured_gap(p, grid.N)
     L = assemble_Lp(p, grid)
-    Z0, W0 = _schur_split(L, lambda z: abs(z) < _radius0(omega0))
-    Z1, W1 = _schur_split(L, lambda z: abs(z - 1.0) < 0.5)
-    m0, m1 = Z0.shape[1], Z1.shape[1]
-    if m0 == 0 or m1 == 0:
-        raise ValueError(f"no eigenvalue near 0 or near 1 at p = {p}")
+    Z0, W0, Z1, W1 = spectral_split(p, grid.N)
     Rh0 = np.linalg.qr(W0.conj().T, mode="r").conj().T
     Rh1 = np.linalg.qr(W1.conj().T, mode="r").conj().T
     nP0 = np.linalg.norm(Rh0, 2)
@@ -533,7 +527,7 @@ def semigroup_action_check(p: float, grid: ChebGrid, seed: int = 0) -> dict:
     for i, tau in enumerate(tau_samples):
         if i:
             block = E @ block
-        EZ0, EZ1, Eqs = block[:, :m0], block[:, m0:m0 + m1], block[:, -1]
+        EZ0, EZ1, Eqs = block[:, :2], block[:, 2:3], block[:, 3]
         errs_P1.append(np.linalg.norm((EZ1 - math.exp(tau) * Z1) @ Rh1, 2)
                        / (math.exp(tau) * nP1))
         errs_P0.append(np.linalg.norm((EZ0 - Z0 - tau * LZ0) @ Rh0, 2)

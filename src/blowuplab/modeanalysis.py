@@ -228,7 +228,7 @@ def connection_defect(p: float, lam: complex, N: int = DEFAULT_SERIES_N
     defects = [d for d in _candidate_defects(p, lam, N) if d is not None]
     if not defects:
         raise RuntimeError(f"continuation failed for p={p}, lam={lam}")
-    return min(defects)
+    return float(np.min(defects))
 
 
 def smooth_candidate_defects(p: float, lam: complex, N: int = DEFAULT_SERIES_N

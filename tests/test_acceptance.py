@@ -156,7 +156,7 @@ def test_criterion_06_riesz_projector_structure(capsys):
 
     t0 = time.perf_counter()
     grid = ChebGrid.make(64)
-    P0, r0, P1, r1, _ = riesz_projectors_for(0.75, grid, omega0=0.5)
+    P0, r0, P1, r1, _ = riesz_projectors_for(0.75, grid)
     e0 = np.linalg.norm(P0 @ P0 - P0) / np.linalg.norm(P0)
     e1 = np.linalg.norm(P1 @ P1 - P1) / np.linalg.norm(P1)
     cross = np.linalg.norm(P0 @ P1)

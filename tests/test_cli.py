@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from blowuplab import cli, modeanalysis, modulation
+from blowuplab import cli, evolve, linop, modeanalysis, modulation
 from blowuplab.cli import (
     EXIT_ACCEPTANCE,
     EXIT_CONFIG,
@@ -289,6 +289,35 @@ def test_profile_check_deterministic(tmp_path):
     csv1 = (d1 / "profile_residuals.csv").read_bytes()
     csv2 = (d2 / "profile_residuals.csv").read_bytes()
     assert csv1 == csv2
+
+
+def test_profile_check_seed_186_passes(tmp_path):
+    """In float64 seed 186 read res(h = 1e-3) = 1.006e-9 at p = 0.75, the
+    eps/h^2 roundoff floor of the stencil, against the 1e-9 gate."""
+    cfg = parse_config(["profile-check", "--output-dir", str(tmp_path),
+                        "--seed", "186"])
+    assert run(cfg) == EXIT_PASS
+
+
+# A NaN behind a finite first value fails each check below; Python's max
+# drops it (max(0.5, nan) is 0.5).
+
+def test_spectrum_nan_eigen_triple_residual_fails(tmp_path, monkeypatch):
+    monkeypatch.setattr(linop, "eigen_triple_residuals", lambda p, N: {
+        "res_f0": 1e-9, "res_f1": math.nan, "res_g0": 1e-9, "res_L2g0": 1e-9})
+    cfg = parse_config(["spectrum", "--N", "32", "--output-dir",
+                        str(tmp_path)])
+    checks = {name: ok for name, ok, _ in cli._run_spectrum(cfg)}
+    assert checks["gap"] and checks["ranks"] and not checks["eigen_triples"]
+
+
+def test_instability_nan_slope_fails(tmp_path, monkeypatch):
+    monkeypatch.setattr(evolve, "ode_blowup_instability", lambda p, kappa: {
+        "slopes": {0.0: 0.5, 1.0: math.nan}, "expected_slope": 0.5,
+        "smallness": 0.5})
+    cfg = parse_config(["instability-p1", "--output-dir", str(tmp_path)])
+    checks = {name: ok for name, ok, _ in cli._run_instability_p1(cfg)}
+    assert checks["smallness"] and not checks["divergence_slopes"]
 
 
 def test_every_csv_has_header(tmp_path):

@@ -225,6 +225,22 @@ def test_crosscheck_unperturbed_profile():
     assert rep["max_discrepancy"] < 1e-8
 
 
+def test_crosscheck_nan_error_propagates(monkeypatch):
+    """A NaN error at the second time sample reaches max_discrepancy;
+    Python's max drops it after the finite first one."""
+    reads = []
+    lagrange6 = evolve._lagrange6
+
+    def nan_at_second(x, f, xq):
+        reads.append(xq)
+        out = lagrange6(x, f, xq)
+        return out * math.nan if len(reads) == 2 else out
+
+    monkeypatch.setattr(evolve, "_lagrange6", nan_at_second)
+    rep = physical_space_crosscheck(EvolveConfig(p=0.9, N=64, epsilon=0.0))
+    assert len(reads) == 2 and np.isnan(rep["max_discrepancy"])
+
+
 def test_crosscheck_steps_at_config_dt(monkeypatch):
     """With dt = 0.2 the similarity half of the crosscheck takes the steps
     of at most 0.2 that evolve_states would: 2 to tau = -log(3/4) and 3 more

@@ -15,7 +15,6 @@ from blowuplab.linop import (
     _mp_cheb,
     _mp_energy_norm,
     _random_cheb_state,
-    _schur_split,
     appendixB_dv1,
     appendixB_no_second_jordan_block,
     assemble_Lp,
@@ -29,10 +28,10 @@ from blowuplab.linop import (
     measured_gap,
     neutral_coordinates,
     potential,
-    riesz_projection,
     riesz_projectors_for,
     seminorm_stack,
     semigroup_action_check,
+    spectral_split,
     spectrum,
 )
 
@@ -150,7 +149,7 @@ def test_spectrum_no_robust_unstable_modes():
 
 @pytest.fixture(scope="module")
 def projectors():
-    return riesz_projectors_for(0.75, GRID, omega0=0.5)
+    return riesz_projectors_for(0.75, GRID)
 
 
 def test_projector_ranks(projectors):
@@ -184,14 +183,6 @@ def test_projector_ranges(projectors):
     assert np.linalg.norm((P1 @ v).real - v) / np.linalg.norm(v) < 1e-6
 
 
-def test_riesz_projection_empty_contour():
-    # a disc enclosing no spectrum gives the zero projector
-    L = assemble_Lp(0.75, ChebGrid.make(32))
-    P, rank = riesz_projection(L, 0.5 + 0.0j, 0.2)
-    assert rank == 0
-    assert np.linalg.norm(P) < 1e-8
-
-
 def _contour_projector(L, center, radius, nodes=64):
     """(2 pi i)^-1 contour integral of the resolvent (z - L)^-1 over the
     circle, by the trapezoidal rule with complex128 solves."""
@@ -209,10 +200,56 @@ def _contour_projector(L, center, radius, nodes=64):
 @pytest.mark.parametrize("p", [0.5, 0.75])
 def test_schur_projector_matches_contour_oracle(p, N, rtol):
     L = assemble_Lp(p, ChebGrid.make(N))
-    for center, radius in ((0.0, 0.25), (1.0, 0.5)):
-        P, _ = riesz_projection(L, center, radius)
+    Z0, W0, Z1, W1 = spectral_split(p, N)
+    for P, center, radius in ((Z0 @ W0, 0.0, 0.25), (Z1 @ W1, 1.0, 0.5)):
         C = _contour_projector(L, center, radius)
         assert np.linalg.norm(P - C) / np.linalg.norm(C) < rtol
+
+
+def test_split_mode_at_one_matches_contour_oracle():
+    """P1 = Z1 W1 reads 4.0e-9 from the contour projector at p = 0.5,
+    N = 64, 250 times below the N = 64 tolerance of the test above."""
+    Z0, W0, Z1, W1 = spectral_split(0.5, 64)
+    C = _contour_projector(assemble_Lp(0.5, GRID), 1.0, 0.5)
+    assert np.linalg.norm(Z1 @ W1 - C) / np.linalg.norm(C) < 1e-7
+
+
+def test_spectral_split_factors():
+    """Read-only factors; Z0 an orthonormal basis of the cluster at 0 and
+    Z1 the unit eigenvector at 1; W = [W0; W1] a left inverse of [Z0, Z1]."""
+    Z0, W0, Z1, W1 = spectral_split(0.75, 64)
+    assert (Z0.shape[1], Z1.shape[1]) == (2, 1)
+    assert not any(a.flags.writeable for a in (Z0, W0, Z1, W1))
+    Z = np.column_stack([Z0, Z1])
+    assert np.max(np.abs(Z0.conj().T @ Z0 - np.eye(2))) < 1e-12
+    assert abs(np.linalg.norm(Z1) - 1.0) < 1e-12
+    L = assemble_Lp(0.75, GRID)
+    assert np.max(np.abs(np.linalg.eigvals(Z0.conj().T @ L @ Z0))) < 0.01
+    assert np.linalg.norm(L @ Z1 - Z1) < 1e-6 * np.linalg.norm(L @ Z1)
+    W = np.vstack([W0, W1])
+    assert np.max(np.abs(W @ Z - np.eye(3))) < 1e-9
+
+
+def test_one_schur_form_per_p_N(monkeypatch):
+    """The projectors, the neutral coordinates and the semigroup check at
+    one fresh (p, N) share one n x n Schur form."""
+    import scipy.linalg
+
+    shapes = []
+    schur = scipy.linalg.schur
+
+    def counting_schur(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return schur(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+    p, N = 0.65, 40
+    grid = ChebGrid.make(N)
+    riesz_projectors_for(p, grid)
+    neutral_coordinates(p, N)
+    semigroup_action_check(p, grid, seed=0)
+    n = 2 * (N + 1)
+    assert shapes.count((n, n)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +295,9 @@ def test_neutral_condition_grows_as_p_to_one(monkeypatch):
     1.6e4 at p = 0.9, 0.99, 0.999), and a limit below it raises."""
     conds = []
     for p in (0.9, 0.99, 0.999):
-        r0 = linop._radius0(measured_gap(p, 64))
-        _, Wh = linop._schur_split(
-            assemble_Lp(p, GRID), lambda z: abs(z) < r0 or abs(z - 1.0) < 0.5)
+        _, W0, _, W1 = spectral_split(p, 64)
         _, V = neutral_coordinates(p, 64)
-        conds.append(np.linalg.cond(Wh @ V))
+        conds.append(np.linalg.cond(np.vstack([W0, W1]) @ V))
     assert conds[0] < conds[1] < conds[2]
     monkeypatch.setattr(linop, "NEUTRAL_COND_LIMIT", conds[2] / 2.0)
     neutral_coordinates.cache_clear()
@@ -274,6 +309,7 @@ def test_neutral_coordinates_wrong_count_raises(monkeypatch):
     # a disc about 0 of radius 1.5 also takes in stable eigenvalues
     monkeypatch.setattr(linop, "measured_gap", lambda p, N: 3.0)
     neutral_coordinates.cache_clear()
+    spectral_split.cache_clear()
     with pytest.raises(ValueError, match="expected 3"):
         neutral_coordinates(0.6, 32)
 
@@ -323,8 +359,7 @@ def test_semigroup_lowrank_norms_match_dense(semigroup_out):
     from scipy.linalg import expm
 
     L = assemble_Lp(0.75, GRID)
-    Z0, W0 = _schur_split(L, lambda z: abs(z) < semigroup_out["omega0"] / 2)
-    Z1, W1 = _schur_split(L, lambda z: abs(z - 1.0) < 0.5)
+    Z0, W0, Z1, W1 = spectral_split(0.75, 64)
     assert (Z0.shape[1], Z1.shape[1]) == (2, 1)
     P0, P1 = Z0 @ W0, Z1 @ W1
     nP0, nP1 = np.linalg.norm(P0, 2), np.linalg.norm(P1, 2)
@@ -348,6 +383,20 @@ def test_semigroup_lowrank_norms_match_dense(semigroup_out):
 def test_dissipativity_bound():
     worst = free_wave_dissipativity_check(GRID, trials=200, seed=0)
     assert worst <= -0.5 + 1e-3
+
+
+def test_dissipativity_nan_quotient_propagates(monkeypatch):
+    """A NaN quotient at the second trial is the result; Python's max
+    drops it after the finite first one."""
+    draws = []
+
+    def nan_at_second(rng, grid, degree):
+        draws.append(degree)
+        q = _random_cheb_state(rng, grid, degree)
+        return q * math.nan if len(draws) == 2 else q
+
+    monkeypatch.setattr(linop, "_random_cheb_state", nan_at_second)
+    assert np.isnan(free_wave_dissipativity_check(GRID, trials=3, seed=0))
 
 
 @settings(max_examples=10, deadline=None)

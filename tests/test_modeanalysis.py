@@ -258,3 +258,13 @@ def test_mode_scan_continues_where_closed_form_degenerates(p, lams):
     assert scan.n_continuation == len(lams) and scan.failures == []
     for lam, defect in scan.points[:-1]:
         assert defect == connection_defect(p, lam)
+
+
+def test_connection_defect_nan_candidate_propagates(monkeypatch):
+    """A NaN candidate defect is the minimum; Python's min keeps the finite
+    first one."""
+    from blowuplab import modeanalysis
+
+    monkeypatch.setattr(modeanalysis, "_candidate_defects",
+                        lambda p, lam, N: [0.1, math.nan])
+    assert math.isnan(connection_defect(0.75, 0.5))

@@ -128,18 +128,19 @@ def test_pde_residual_fourth_order():
 def test_profile_check_gate_holds_over_seeds():
     """The points `blowuplab profile-check --seed s` draws at its defaults
     (T = 1, kappa = 0, x0 = 0) pass the res(h = 1e-3) < 1e-9 gate for
-    s = 0..59.  The residual sits at the FD roundoff floor (~eps/h^2), a
-    few percent under the gate."""
-    worst = 0.0
-    for seed in range(60):
+    s = 0..299.  In float64 the residual sat at the FD roundoff floor
+    (~eps/h^2) and seed 186 read 1.006e-9 at p = 0.75; in long double the
+    worst reads 2.8e-11."""
+    worst = []
+    for seed in range(300):
         rng = np.random.Generator(np.random.Philox(seed))
         for p in (0.25, 0.5, 0.75, 1.0):
             params = ProfileParams(p=p)
             x, t = sample_interior_cone_points(params, 500, rng)
             res = pde_residual(lambda x, t: eval_profile(params, x, t)[0],
                                x, t, 1e-3)
-            worst = max(worst, float(np.max(res)))
-    assert worst < 1e-9
+            worst.append(np.max(res))
+    assert np.max(worst) < 1e-9
 
 
 def test_reflection_identity():
