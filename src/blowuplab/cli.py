@@ -232,9 +232,11 @@ def _environment() -> list:
                     if name.startswith("scipy.") and name.count(".") == 1
                     and not name[6:].startswith("_")
                     and hasattr(mod, "__path__"))
+    nproc = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count())   # no sched_getaffinity on macOS, Windows
     lines = [f"numpy_version = {np.__version__}",
              f"blas = {blas['name']} {blas.get('version', 'unknown')}",
-             f"nproc = {len(os.sched_getaffinity(0))}",
+             f"nproc = {nproc}",
              f"scipy_modules = {', '.join(loaded) or 'none'}"]
     if "scipy" in sys.modules:
         lines.append(f"scipy_version = {sys.modules['scipy'].__version__}")
@@ -317,12 +319,11 @@ def _run_mode_scan(cfg: RunConfig) -> list:
 
 def _run_spectrum(cfg: RunConfig) -> list:
     from .chebgrid import ChebGrid
-    from .linop import (eigen_triple_residuals, measured_spectrum,
-                        riesz_projectors_for)
+    from .linop import eigen_triple_residuals, riesz_projectors_for, spectrum
 
     p, N = cfg["p"], cfg["N"]
     grid = ChebGrid.make(N)
-    rep = measured_spectrum(p, N)
+    rep = spectrum(p, grid)
     rows = [(z.real, z.imag, r, int(fl))
             for z, r, fl in zip(rep.eigenvalues, rep.residuals, rep.robust)]
     write_csv(cfg.output_dir / f"spectrum_p{p:g}_N{N}.csv",

@@ -29,6 +29,8 @@ CERT_DPS = 35               # its working precision in decimal digits
 APPENDIXB_WINDOW = (1e-6, 1e-4)   # 1 - y range of the boundedness check
 APPENDIXB_RK4_STEPS = 1000        # RK4 steps of the dv1 ODE cross-check
 NEUTRAL_COND_LIMIT = 1e10   # largest cond(Wh V) neutral_coordinates accepts
+SPLIT_RADIUS0 = 0.25        # spectral_split: radius of the disc about 0
+SPLIT_RADIUS1 = 0.5         # spectral_split: radius of the disc about 1
 
 
 @dataclass
@@ -391,21 +393,11 @@ def spectrum(p: float, grid: ChebGrid) -> SpectrumReport:
 
 
 def measured_gap(p: float, N: int = 64) -> float:
-    gap = measured_spectrum(p, N).gap_omega0
+    """spectrum(p, N-grid).gap_omega0; RuntimeError unless finite and > 0."""
+    gap = spectrum(p, ChebGrid.make(N)).gap_omega0
     if not np.isfinite(gap) or gap <= 0:
         raise RuntimeError("could not measure a spectral gap")
     return gap
-
-
-@functools.lru_cache(maxsize=16)
-def measured_spectrum(p: float, N: int) -> SpectrumReport:
-    """spectrum(p, ChebGrid.make(N)), memoised per (p, N), so a command that
-    reports the spectrum and splits it computes it once.  Call it with both
-    arguments positionally: the cache keys keyword calls apart."""
-    rep = spectrum(p, ChebGrid.make(N))
-    for a in (rep.eigenvalues, rep.residuals, rep.robust):
-        a.flags.writeable = False
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -416,26 +408,27 @@ def spectral_split(p: float, N: int) -> tuple[np.ndarray, ...]:
     """(Z0, W0, Z1, W1): the spectral split of L_p into the Jordan pair
     {g0, f0} at 0, P0 = Z0 W0, and the mode f1 at 1, P1 = Z1 W1; read-only.
 
-    The two discs, about 0 with radius omega0/2 (omega0 the measured gap)
-    and about 1 with radius 1/2, are defined only here.  One complex Schur
-    form L = Z [[T11, T12], [0, T22]] Z^H is sorted on their union; a 3 x 3
-    Schur form of T11 sorted on the disc about 0 puts the cluster first, so
-    Z0 is its leading Schur vectors and only the simple mode at 1 needs an
-    eigenvector.  T11 R - R T22 = T12 gives the left factor
-    Wh = Z3^H + R Z2^H, and the 2 x 1 solve T11[:2, :2] r - r T11[2, 2] =
-    T11[:2, 2] splits it: W0 = Wh[:2] + r Wh[2], Z1 = Z3 [-r; 1] / nu with
-    nu its norm, W1 = nu Wh[2] (Bavely & Stewart 1979, Golub & Van Loan
-    7.6).  Z0 and Z1 have orthonormal columns.  Raises ValueError unless
-    the discs hold 2 and 1 eigenvalues.
+    The two discs, about 0 with radius SPLIT_RADIUS0 and about 1 with
+    radius SPLIT_RADIUS1, are fixed constants, so the split reads L_p alone.
+    One complex Schur form L = Z [[T11, T12], [0, T22]] Z^H is sorted on
+    their union; a 3 x 3 Schur form of T11 sorted on the disc about 0 puts
+    the cluster first, so Z0 is its leading Schur vectors and only the
+    simple mode at 1 needs an eigenvector.  T11 R - R T22 = T12 gives the
+    left factor Wh = Z3^H + R Z2^H, and the 2 x 1 solve T11[:2, :2] r -
+    r T11[2, 2] = T11[:2, 2] splits it: W0 = Wh[:2] + r Wh[2], Z1 = Z3
+    [-r; 1] / nu with nu its norm, W1 = nu Wh[2] (Bavely & Stewart 1979,
+    Golub & Van Loan 7.6).  Z0 and Z1 have orthonormal columns.  Raises
+    ValueError unless the discs hold 2 and 1 eigenvalues, which is what
+    guards the constant radii.
     """
     from scipy.linalg import schur, solve_sylvester
 
     L = assemble_Lp(p, ChebGrid.make(N))
-    radius0 = max(measured_gap(p, N) / 2.0, 0.025)
     T, Z, m = schur(L.astype(complex), output="complex",
-                    sort=lambda z: abs(z) < radius0 or abs(z - 1.0) < 0.5)
+                    sort=lambda z: (abs(z) < SPLIT_RADIUS0
+                                    or abs(z - 1.0) < SPLIT_RADIUS1))
     T11, Q, m0 = schur(T[:3, :3], output="complex",
-                       sort=lambda z: abs(z) < radius0)
+                       sort=lambda z: abs(z) < SPLIT_RADIUS0)
     if (m, m0) != (3, 2):
         raise ValueError(f"{m} eigenvalues near 0 and 1 at p = {p}, {m0} of "
                          "the leading 3 near 0; expected 3 and 2")
@@ -463,9 +456,8 @@ def riesz_projectors_for(p: float, grid: ChebGrid):
     return (*out, assemble_Lp(p, grid))
 
 
-@functools.lru_cache(maxsize=16)
 def neutral_coordinates(p: float, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Phi, V): coordinates in the neutral/unstable modes of L_p, read-only.
+    """(Phi, V): coordinates in the neutral/unstable modes of L_p.
 
     V = [g0, f0, f1] holds the closed-form modes as flat states, and
     Phi = (Wh V)^-1 Wh, with Wh = [W0; W1] the left factors of
@@ -486,10 +478,7 @@ def neutral_coordinates(p: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     if not cond < NEUTRAL_COND_LIMIT:
         raise ValueError(f"neutral modes nearly degenerate at p = {p} "
                          f"(cond = {cond:.2e})")
-    Phi = np.linalg.solve(WV, Wh).real
-    Phi.flags.writeable = False
-    V.flags.writeable = False
-    return Phi, V
+    return np.linalg.solve(WV, Wh).real, V
 
 
 def semigroup_action_check(p: float, grid: ChebGrid, seed: int = 0) -> dict:

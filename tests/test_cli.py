@@ -268,6 +268,16 @@ def test_manifest_records_environment(tmp_path):
     assert "integrate" not in loaded and "interpolate" not in loaded
 
 
+def test_manifest_nproc_without_sched_getaffinity(tmp_path, monkeypatch):
+    """Where os has no sched_getaffinity (macOS, Windows) the run still
+    passes and the manifest records os.cpu_count()."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    cfg = parse_config(["appendixB", "--output-dir", str(tmp_path)])
+    assert run(cfg) == EXIT_PASS
+    lines = (tmp_path / "manifest.txt").read_text().splitlines()
+    assert f"nproc = {os.cpu_count()}" in lines
+
+
 def test_manifest_records_source_tree_version(tmp_path):
     """The manifest records the version of pyproject.toml also when the
     package runs from the source tree, with no installed metadata."""

@@ -119,22 +119,9 @@ def test_gap_in_range_and_resolution_robust():
     gaps = [measured_gap(0.75, N) for N in (48, 64, 96)]
     for g in gaps:
         assert 0.0 < g <= 0.5
+        # the split's disc about 0 lies within half the gap
+        assert linop.SPLIT_RADIUS0 <= g / 2
     assert max(gaps) - min(gaps) <= 0.1 * max(gaps)
-
-
-def test_measured_gap_memoised(monkeypatch):
-    from blowuplab import linop
-
-    calls = []
-
-    def counting_spectrum(*args, **kwargs):
-        calls.append(args)
-        return spectrum(*args, **kwargs)
-
-    monkeypatch.setattr(linop, "spectrum", counting_spectrum)
-    # a (p, N) no other test measures, so the cache starts cold
-    gaps = {measured_gap(0.6, 40), measured_gap(p=0.6, N=40)}
-    assert len(calls) == 1 and len(gaps) == 1
 
 
 def test_spectrum_no_robust_unstable_modes():
@@ -282,7 +269,6 @@ def test_neutral_coordinates_match_projector_oracle(p, N):
 
 def test_neutral_coordinates_recover_basis_combination():
     Phi, V = neutral_coordinates(0.75, 64)
-    assert not Phi.flags.writeable and not V.flags.writeable
     combo = V @ np.array([0.5, -2.0, 3.0])
     assert np.allclose(Phi @ combo, [0.5, -2.0, 3.0], atol=1e-9)
     # the columns of V are the closed-form modes
@@ -300,18 +286,39 @@ def test_neutral_condition_grows_as_p_to_one(monkeypatch):
         conds.append(np.linalg.cond(np.vstack([W0, W1]) @ V))
     assert conds[0] < conds[1] < conds[2]
     monkeypatch.setattr(linop, "NEUTRAL_COND_LIMIT", conds[2] / 2.0)
-    neutral_coordinates.cache_clear()
     with pytest.raises(ValueError, match="nearly degenerate"):
         neutral_coordinates(0.999, 64)
 
 
 def test_neutral_coordinates_wrong_count_raises(monkeypatch):
     # a disc about 0 of radius 1.5 also takes in stable eigenvalues
-    monkeypatch.setattr(linop, "measured_gap", lambda p, N: 3.0)
-    neutral_coordinates.cache_clear()
+    monkeypatch.setattr(linop, "SPLIT_RADIUS0", 1.5)
     spectral_split.cache_clear()
     with pytest.raises(ValueError, match="expected 3"):
         neutral_coordinates(0.6, 32)
+
+
+def test_split_reads_L_alone(monkeypatch):
+    """The split measures no spectrum: projectors and coordinates at a
+    fresh (p, N) build with spectrum() unreachable."""
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("spectral_split measured the spectrum")
+
+    monkeypatch.setattr(linop, "spectrum", no_spectrum)
+    p, N = 0.55, 36
+    _, r0, _, r1, _ = riesz_projectors_for(p, ChebGrid.make(N))
+    Phi, V = neutral_coordinates(p, N)
+    assert (r0, r1) == (2, 1)
+    assert np.max(np.abs(Phi @ V - np.eye(3))) < 1e-9
+
+
+def test_neutral_coordinates_where_gap_unmeasured():
+    """At p = 0.69, N = 96 the two-resolution gap is not measurable, yet
+    the split holds: Phi V = I to 1e-9."""
+    with pytest.raises(RuntimeError, match="could not measure"):
+        measured_gap(0.69, 96)
+    Phi, V = neutral_coordinates(0.69, 96)
+    assert np.max(np.abs(Phi @ V - np.eye(3))) < 1e-9
 
 
 # ---------------------------------------------------------------------------
