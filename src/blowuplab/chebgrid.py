@@ -19,8 +19,6 @@ TRUNCATE_FRACTION = 2.0 / 3.0  # share of the modes truncate_modes keeps
 
 def cheb_diff(N: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes cos(pi*n/N) and the (N+1)x(N+1) differentiation matrix."""
-    if N == 0:
-        return np.array([1.0]), np.zeros((1, 1))
     n = np.arange(N + 1)
     x = np.cos(np.pi * n / N)
     c = np.hstack([2.0, np.ones(N - 1), 2.0]) * (-1.0) ** n
@@ -33,8 +31,6 @@ def cheb_diff(N: int) -> tuple[np.ndarray, np.ndarray]:
 
 def clenshaw_curtis_weights(N: int) -> np.ndarray:
     """Quadrature weights on [-1, 1] for the cos(pi*n/N) nodes."""
-    if N == 0:
-        return np.array([2.0])
     w = np.zeros(N + 1)
     theta = np.pi * np.arange(1, N) / N
     v = np.ones(N - 1)
@@ -63,7 +59,7 @@ class ChebGrid:
 
     @property
     def D2(self) -> np.ndarray:
-        return _grid_d2(self.N)
+        return _deriv_pow(self.N, 2)
 
     def deriv_pow(self, k: int) -> np.ndarray:
         """k-th power of the differentiation matrix (cached)."""
@@ -99,24 +95,18 @@ def _make_grid(N: int) -> ChebGrid:
 
 
 @lru_cache(maxsize=None)
-def _grid_d2(N: int) -> np.ndarray:
-    g = _make_grid(N)
-    return g.D @ g.D
-
-
-@lru_cache(maxsize=None)
 def _deriv_pow(N: int, k: int) -> np.ndarray:
     g = _make_grid(N)
     if k == 0:
         return np.eye(N + 1)
+    if k == 1:      # D itself: the cache holds no identity or copy of D
+        return g.D
     return g.D @ _deriv_pow(N, k - 1)
 
 
 def cheb_coeffs(vals: np.ndarray) -> np.ndarray:
     """Chebyshev expansion coefficients from nodal values (DCT-I)."""
     N = len(vals) - 1
-    if N == 0:
-        return vals.copy()
     ext = np.concatenate([vals, vals[-2:0:-1]])
     c = np.fft.fft(ext).real if np.isrealobj(vals) else np.fft.fft(ext)
     c = c[: N + 1] / N
@@ -129,8 +119,7 @@ def cheb_vals(coeffs: np.ndarray) -> np.ndarray:
     """Nodal values from Chebyshev coefficients (inverse of cheb_coeffs)."""
     N = len(coeffs) - 1
     n = np.arange(N + 1)
-    theta = np.pi * np.outer(n, n) / N if N > 0 else np.zeros((1, 1))
-    return np.cos(theta) @ coeffs
+    return np.cos(np.pi * np.outer(n, n) / N) @ coeffs
 
 
 def exponential_filter(vals: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -365,7 +365,7 @@ def _run_semigroup_check(cfg: RunConfig) -> list:
 
 
 def _run_evolve(cfg: RunConfig) -> list:
-    from .evolve import (EvolveConfig, evolve_perturbation,
+    from .evolve import (DECAY_FIT_WINDOW, EvolveConfig, evolve_perturbation,
                          physical_space_crosscheck)
     from .linop import measured_gap
 
@@ -379,15 +379,12 @@ def _run_evolve(cfg: RunConfig) -> list:
               ["tau", "norm_k", "norm_L2"],
               zip(fit.taus, fit.norms, fit.l2_norms))
     omega0 = measured_gap(cfg["p"], cfg["N"])
-    a, b = fit.fit_window
+    a, b = DECAY_FIT_WINDOW
     checks = [("decay_rate", fit.decays_at(-0.8 * omega0),
                f"rate={fit.fitted_rate:.3f} target<={-0.8 * omega0:.3f} "
                f"r2={fit.r_squared:.4f} window=({a:g}, {b:g})")]
 
-    xcfg = EvolveConfig(p=cfg["p"], kappa=cfg["kappa"], T=cfg["T"],
-                        x0=cfg["x0"], N=cfg["N"], dt=dt, epsilon=1e-3,
-                        tau_max=min(cfg["tau_max"], 8.0))
-    errs = physical_space_crosscheck(xcfg)
+    errs = physical_space_crosscheck(replace(ecfg, epsilon=1e-3))
     write_csv(cfg.output_dir / f"crosscheck_{tag}.csv",
               ["t", "max_abs_err"], zip(errs["t"], errs["max_abs_err"]))
     worst = errs["max_discrepancy"]

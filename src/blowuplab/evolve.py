@@ -70,13 +70,8 @@ class DecayFit:
     taus: np.ndarray
     norms: np.ndarray
     fitted_rate: float
-    fit_window: tuple
     r_squared: float
     l2_norms: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.fit_window[0] < 1.0:
-            raise ValueError("fit window must skip the initial transient")
 
     def decays_at(self, rate: float) -> bool:
         """True when the fit is exponential (r^2 >= DECAY_R2_MIN) and
@@ -187,14 +182,13 @@ def evolve_states(cfg: EvolveConfig, q0: StateVector, grid: ChebGrid):
 
 
 def evolve_perturbation(cfg: EvolveConfig, project_out_unstable: bool = True,
-                        q0: StateVector | None = None,
-                        fit_window: tuple = DECAY_FIT_WINDOW) -> DecayFit:
+                        q0: StateVector | None = None) -> DecayFit:
     """Run the similarity evolution and fit the exponential decay rate.
 
     With project_out_unstable the neutral/unstable spectral components are
     removed at tau = 0: u - V Phi u, with (Phi, V) from neutral_coordinates,
     is (I - P0 - P1) u for the Riesz projectors P0 and P1.  The remaining
-    flow should decay at the spectral-gap rate.  The default window,
+    flow should decay at the spectral-gap rate.  The fit window,
     DECAY_FIT_WINDOW, starts after the initial multi-mode transient and ends
     before the unstable remnant (grown like e^tau from roundoff, or from the
     correction floor of modulated data) re-emerges.
@@ -213,9 +207,9 @@ def evolve_perturbation(cfg: EvolveConfig, project_out_unstable: bool = True,
         l2s.append(math.sqrt(grid.integrate(q.q1 ** 2) + grid.integrate(q.q2 ** 2)))
     taus = np.array(taus)
     norms = np.array(norms)
-    rate, r2 = fit_log_slope(taus, norms, fit_window)
-    return DecayFit(taus=taus, norms=norms, fitted_rate=rate,
-                    fit_window=fit_window, r_squared=r2, l2_norms=np.array(l2s))
+    rate, r2 = fit_log_slope(taus, norms, DECAY_FIT_WINDOW)
+    return DecayFit(taus=taus, norms=norms, fitted_rate=rate, r_squared=r2,
+                    l2_norms=np.array(l2s))
 
 
 def fit_log_slope(taus: np.ndarray, norms: np.ndarray,
@@ -238,32 +232,30 @@ def fit_log_slope(taus: np.ndarray, norms: np.ndarray,
 # ODE blow-up family: instability of the spatially homogeneous solution
 # ---------------------------------------------------------------------------
 
-def smallness_functional(p: float, T: float = 1.0, kappa: float = 0.0,
-                         q: int = 1) -> float:
-    """inf_a ( ||u(0,.) - a||_{H^{k+1}(-T,T)} + ||u_t(0,.) - 1/T||_{H^k} ),
-    k = DEFAULT_K.
+def smallness_functional(p: float, kappa: float = 0.0) -> float:
+    """inf_a ( ||u(0,.) - a||_{H^{k+1}(-1,1)} + ||u_t(0,.) - 1||_{H^k} ),
+    k = DEFAULT_K, for the blow-up family at T = 1, q = 1.
 
     Distance at t = 0 between the blow-up-family data and constant (ODE)
-    data.  Spatial derivatives of u(0, x) = -p log(T + q g x) + p log T +
-    kappa are closed-form; only the zeroth-order term depends on a, so the
-    infimum is attained at the spatial mean.  Vanishes as p -> 1 (g -> 0).
+    data.  Spatial derivatives of u(0, x) = -p log(1 + g x) + kappa are
+    closed-form; only the zeroth-order term depends on a, so the infimum is
+    attained at the spatial mean.  Vanishes as p -> 1 (g -> 0).
     """
-    params = ProfileParams(p=p, q=q, kappa=kappa, T=T)
+    params = ProfileParams(p=p, kappa=kappa)
     g = params.root_1mp
     k = DEFAULT_K
     grid = ChebGrid.make(SMALLNESS_NODES)
-    x = grid.y * T                     # quadrature on (-T, T)
-    w = grid.w * T
+    x, w = grid.y, grid.w
     u0, ut0, _ = eval_profile(params, x, 0.0)
     denom = _log_arg(params, x, 0.0)
-    mean = float(np.sum(w * u0)) / (2.0 * T)
+    mean = float(np.sum(w * u0)) / 2.0
     sq_u = float(np.sum(w * (u0 - mean) ** 2))
     for m in range(1, k + 2):
-        dm = -p * (-1.0) ** (m - 1) * math.factorial(m - 1) * (q * g) ** m / denom ** m
+        dm = -p * (-1.0) ** (m - 1) * math.factorial(m - 1) * g ** m / denom ** m
         sq_u += float(np.sum(w * dm ** 2))
-    sq_v = float(np.sum(w * (ut0 - 1.0 / T) ** 2))
+    sq_v = float(np.sum(w * (ut0 - 1.0) ** 2))
     for m in range(1, k + 1):
-        dm = p * (-1.0) ** m * math.factorial(m) * (q * g) ** m / denom ** (m + 1)
+        dm = p * (-1.0) ** m * math.factorial(m) * g ** m / denom ** (m + 1)
         sq_v += float(np.sum(w * dm ** 2))
     return math.sqrt(sq_u) + math.sqrt(sq_v)
 

@@ -24,8 +24,7 @@ from .chebgrid import ChebGrid
 DEFAULT_K = 4
 MATCH_TOL = 1e-5            # simple eigenvalue: relative move from N to 2N
 CLUSTER_MATCH_TOL = 0.025   # Jordan-type cluster: move of its mean
-CERT_K = 0                  # seminorm order of the eigen-triple certificate
-CERT_DPS = 35               # its working precision in decimal digits
+CERT_DPS = 35               # eigen-triple certificate: decimal digits
 APPENDIXB_WINDOW = (1e-6, 1e-4)   # 1 - y range of the boundedness check
 APPENDIXB_RK4_STEPS = 1000        # RK4 steps of the dv1 ODE cross-check
 NEUTRAL_COND_LIMIT = 1e10   # largest cond(Wh V) neutral_coordinates accepts
@@ -62,7 +61,8 @@ def potential(p: float, y: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # energy geometry
 
-def seminorm_stack(grid: ChebGrid, k: int = DEFAULT_K) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def seminorm_stack(N: int, k: int = DEFAULT_K) -> np.ndarray:
     """Tall matrix S with <q,r>_k = (S r)^H (S q) on flattened states.
 
     Rows: sqrt(w) d^{k+1} and sqrt(w) d and the y=-1 trace on q1;
@@ -71,11 +71,6 @@ def seminorm_stack(grid: ChebGrid, k: int = DEFAULT_K) -> np.ndarray:
     entries of the high-derivative blocks.  Built once per (N, k) and
     returned read-only.
     """
-    return _stack_cached(grid.N, k)
-
-
-@functools.lru_cache(maxsize=None)
-def _stack_cached(N: int, k: int) -> np.ndarray:
     if k < 0:
         raise ValueError("k must be >= 0")
     if k + 1 >= N / 2:
@@ -104,13 +99,8 @@ def _stack_cached(N: int, k: int) -> np.ndarray:
     return S
 
 
-def energy_inner(k: int, q: StateVector, r: StateVector, grid: ChebGrid) -> complex:
-    S = _stack_cached(grid.N, k)
-    return complex(np.conj(S @ r.flat()) @ (S @ q.flat()))
-
-
 def energy_norm(k: int, q: StateVector, grid: ChebGrid) -> float:
-    S = _stack_cached(grid.N, k)
+    S = seminorm_stack(grid.N, k)
     return float(np.linalg.norm(S @ q.flat()))
 
 
@@ -128,7 +118,15 @@ def f1_state(grid: ChebGrid, p: float) -> StateVector:
     return StateVector(-p * g / d, -p * g / d**2)
 
 
+def _require_g0(p: float) -> None:
+    if not p < 1.0:
+        raise ValueError(f"g0 exists only for p < 1 (at p = 1 the Jordan "
+                         f"block at 0 splits), got p = {p:g}")
+
+
 def g0_state(grid: ChebGrid, p: float) -> StateVector:
+    """Generalised eigenvector, L_p g0 = f0; ValueError unless p < 1."""
+    _require_g0(p)
     g = math.sqrt(1.0 - p)
     y = grid.y
     d = 1.0 + y * g
@@ -190,7 +188,7 @@ def free_wave_dissipativity_check(grid: ChebGrid, trials: int = 200,
     each half a Chebyshev series of degree N/2."""
     rng = np.random.Generator(np.random.Philox(seed))
     Lt = assemble_free_modified(grid)
-    S = _stack_cached(grid.N, DEFAULT_K)
+    S = seminorm_stack(grid.N)
     worst = -np.inf
     for _ in range(trials):
         q = _random_cheb_state(rng, grid, grid.N // 2)
@@ -248,28 +246,23 @@ def _mp_matvec(D: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.array([mp.fdot(row, q) for row in D], dtype=object)
 
 
-def _mp_energy_norm(q: tuple, D: np.ndarray, w: np.ndarray, k: int):
-    """The order-k energy norm of seminorm_stack, in mpmath: the order-(k+1)
-    and order-k terms join the fixed ones only for k >= 1, as there."""
+def _mp_energy_norm(q: tuple, D: np.ndarray, w: np.ndarray):
+    """The order-0 energy norm of seminorm_stack, in mpmath."""
     import mpmath as mp
 
     q1, q2 = q
     dq1 = _mp_matvec(D, q1)
-    val = w @ (dq1 * dq1) + q1[-1] ** 2 + w @ (q2 * q2)
-    if k >= 1:
-        d1, d2 = dq1, q2
-        for _ in range(k):
-            d1, d2 = _mp_matvec(D, d1), _mp_matvec(D, d2)
-        val += w @ (d1 * d1) + w @ (d2 * d2)
-    return mp.sqrt(val)
+    return mp.sqrt(w @ (dq1 * dq1) + q1[-1] ** 2 + w @ (q2 * q2))
 
 
 def eigen_triple_residuals(p: float, N: int = 64) -> dict:
-    """Relative residuals of the four identities in the order-CERT_K norm;
+    """Relative residuals of the four identities in the order-0 energy norm;
     that low order keeps the collocation tail of the slowly-resolved states
-    at small p from swamping the 1e-7 certification level."""
+    at small p from swamping the 1e-7 certification level.  ValueError
+    unless p < 1, where g0 exists."""
     import mpmath as mp
 
+    _require_g0(p)
     with mp.workdps(CERT_DPS):
         y, D, w = _mp_cheb(N)
         pm = mp.mpf(p)
@@ -284,7 +277,7 @@ def eigen_triple_residuals(p: float, N: int = 64) -> dict:
                     _mp_matvec(D, dq1) - y * _mp_matvec(D, q2) + (U - 1) * q2)
 
         def norm(q):
-            return _mp_energy_norm(q, D, w, CERT_K)
+            return _mp_energy_norm(q, D, w)
 
         zero = np.array([mp.mpf(0)] * (N + 1), dtype=object)
         f0 = (zero + 1, zero.copy())
@@ -311,22 +304,16 @@ def eigen_triple_residuals(p: float, N: int = 64) -> dict:
 
 @dataclass
 class SpectrumReport:
-    p: float
-    resolution: int
     eigenvalues: np.ndarray = field(repr=False)
     residuals: np.ndarray = field(repr=False)
     robust: np.ndarray = field(repr=False)
     gap_omega0: float = float("nan")
     gap_raw: float = float("nan")
 
-    @property
-    def robust_eigenvalues(self) -> np.ndarray:
-        return self.eigenvalues[self.robust]
-
 
 def _eig_with_residuals(L: np.ndarray, grid: ChebGrid):
     lam, V = np.linalg.eig(L)
-    S = _stack_cached(grid.N, DEFAULT_K)
+    S = seminorm_stack(grid.N)
     R = S @ (L @ V - V * lam[None, :])
     Vn = S @ V
     res = np.linalg.norm(R, axis=0) / np.maximum(np.linalg.norm(Vn, axis=0), 1e-300)
@@ -385,7 +372,7 @@ def spectrum(p: float, grid: ChebGrid) -> SpectrumReport:
     else:
         gap_raw = float("nan")
     report = SpectrumReport(
-        p=p, resolution=grid.N, eigenvalues=lam, residuals=res, robust=robust,
+        eigenvalues=lam, residuals=res, robust=robust,
         gap_raw=gap_raw,
         gap_omega0=min(gap_raw, 0.5) if np.isfinite(gap_raw) else float("nan"),
     )
@@ -446,13 +433,13 @@ def spectral_split(p: float, N: int) -> tuple[np.ndarray, ...]:
 
 def riesz_projectors_for(p: float, grid: ChebGrid):
     """(P0, rank P0, P1, rank P1, L_p): the Riesz projectors of
-    spectral_split, formed densely; ranks are counted from singular values."""
+    spectral_split, formed densely.  Z has orthonormal columns, so P = Z W
+    has the singular values of W, and ranks are counted from those."""
     Z0, W0, Z1, W1 = spectral_split(p, grid.N)
     out = []
     for Zk, Wk in ((Z0, W0), (Z1, W1)):
-        P = Zk @ Wk
-        sv = np.linalg.svd(P, compute_uv=False)
-        out += [P, int(np.sum(sv > 1e-6 * sv[0]))]
+        sv = np.linalg.svd(Wk, compute_uv=False)
+        out += [Zk @ Wk, int(np.sum(sv > 1e-6 * sv[0]))]
     return (*out, assemble_Lp(p, grid))
 
 
@@ -509,7 +496,7 @@ def semigroup_action_check(p: float, grid: ChebGrid, seed: int = 0) -> dict:
     r = _random_cheb_state(rng, grid, grid.N // 2)
     qs = r - Z0 @ (W0 @ r) - Z1 @ (W1 @ r)
     E = expm((tau_samples[1] - tau_samples[0]) * L)
-    S = _stack_cached(grid.N, DEFAULT_K)
+    S = seminorm_stack(grid.N)
 
     block = np.column_stack([Z0, Z1, qs])
     errs_P1, errs_P0, norms = [], [], []
@@ -554,12 +541,12 @@ def appendixB_dv1(y, c: float = _C_STAR):
     return t1 + t2
 
 
-def appendixB_u1(y, c1: float = 0.0, c2: float = 0.0):
-    """General lambda=1 solution (c2 = 0 forced by L^2 near y=1)."""
+def appendixB_u1(y):
+    """The lambda=1 solution with c1 = c2 = 0: L^2 near y=1 forces c2 = 0,
+    and the continuous c1/(y+2) leaves the jump across y = -1/2 unchanged."""
     y = np.asarray(y, dtype=float)
     arc = np.arctan(math.sqrt(3.0) * np.sqrt(1.0 - y * y) / (2.0 * y + 1.0))
-    out = (3.0 * np.log(y + 2.0) / (4.0 * (y + 2.0)) + c1 / (y + 2.0)
-           + c2 * np.sqrt(1.0 + y) / (np.sqrt(1.0 - y) * (y + 2.0))
+    out = (3.0 * np.log(y + 2.0) / (4.0 * (y + 2.0))
            + 3.0 * math.sqrt(3.0) * np.sqrt(y + 1.0)
            / (4.0 * np.sqrt(1.0 - y) * (y + 2.0)) * arc)
     return out

@@ -98,29 +98,27 @@ def _nonlinear_integrals(taus: np.ndarray, q2sq: np.ndarray) -> tuple:
     return I_plain, I_tau, I_exp
 
 
-def correction_functional(p: float, T: float, kappa: float, f: StateVector,
-                          q_traj: tuple, baseline: tuple,
-                          grid: ChebGrid) -> np.ndarray:
+def correction_functional(Phi: np.ndarray, d: np.ndarray,
+                          q_traj: tuple | None = None) -> np.ndarray:
     """[l_g0, l_f0, l_f1]: coordinates of the correction in {g0, f0, f1}.
 
+    Phi is the map of neutral_coordinates at the trial p and d = U(f) the
+    flat data of initial_data_operator, both built once per parameter point;
     q_traj = (taus, q2_squared_history), or None for the linear part alone.
     The correction is P_p U(f) + P0 I[N] + L_p P0 I[-tau N] + P1 I[e^-tau N]
     with the Riesz projectors P0, P1 of riesz_projectors_for.  Its
-    coordinates follow from the map Phi of neutral_coordinates without
-    forming either projector: Phi P0 x = (a_g0, a_f0, 0) and
-    Phi P1 x = (0, 0, a_f1) for a = Phi x, and L_p acts on span{g0, f0} as
-    L g0 = f0, L f0 = 0.  So with a, b, e the coordinates of the three
-    integrals, the correction reads Phi U(f) + (a_g0, a_f0 + b_g0, e_f1).
+    coordinates follow from Phi without forming either projector:
+    Phi P0 x = (a_g0, a_f0, 0) and Phi P1 x = (0, 0, a_f1) for a = Phi x,
+    and L_p acts on span{g0, f0} as L g0 = f0, L f0 = 0.  So with a, b, e the coordinates of the three
+    integrals, the correction reads Phi d + (a_g0, a_f0 + b_g0, e_f1).
     """
-    Phi, _ = neutral_coordinates(p, grid.N)
-    d = initial_data_operator(p, T, kappa, baseline, f, grid).flat()
     ell = Phi @ d
     if q_traj is not None:
         taus, q2sq = q_traj
         if q2sq.shape[0] != len(taus):
             raise ValueError("trajectory shape mismatch")
         # N(q) = (0, q2^2) has no q1 half
-        Phi2 = Phi[:, grid.N + 1:]
+        Phi2 = Phi[:, len(d) // 2:]
         a, b, e = (Phi2 @ I for I in _nonlinear_integrals(taus, q2sq))
         ell = ell + np.array([a[0], a[1] + b[0], e[2]])
     return ell
@@ -143,20 +141,22 @@ def _corrected_trajectory(p: float, T: float, kappa: float, f: StateVector,
     """Self-consistent corrected flow: evolve U(f) - C, update C, repeat
     (at most INNER_ITERS times).
 
-    Returns (ell, q_traj) at the last inner iterate.
+    Builds (Phi, V) and the data d = U_{p,T,kappa}(f) once for the
+    parameter point and reuses them in every inner iterate.  Returns
+    (ell, V, q_traj) at the last inner iterate; C = V ell.
     """
-    _, V = neutral_coordinates(p, grid.N)
+    Phi, V = neutral_coordinates(p, grid.N)
     d = initial_data_operator(p, T, kappa, baseline, f, grid).flat()
-    ell = correction_functional(p, T, kappa, f, None, baseline, grid)
+    ell = correction_functional(Phi, d)
     traj = None
     for _ in range(INNER_ITERS):
         traj = _evolve_traj(p, d - V @ ell, grid)
-        ell_new = correction_functional(p, T, kappa, f, traj, baseline, grid)
+        ell_new = correction_functional(Phi, d, traj)
         if np.max(np.abs(ell - ell_new)) < 1e-15:
             ell = ell_new
             break
         ell = ell_new
-    return ell, traj
+    return ell, V, traj
 
 
 def _bracket_terms(p: float, T: float, kappa: float, baseline: tuple) -> tuple:
@@ -188,8 +188,7 @@ def fit_parameters(f: StateVector, baseline: tuple,
     p, T, kappa = baseline
     history = []
     for it in range(1, FIT_MAX_ITER + 1):
-        ell, _ = _corrected_trajectory(p, T, kappa, f, baseline, grid)
-        _, V = neutral_coordinates(p, N)
+        ell, V, _ = _corrected_trajectory(p, T, kappa, f, baseline, grid)
         C = StateVector.from_flat(V @ ell)
         cnorm = energy_norm(DEFAULT_K, C, grid)
         history.append((it, p, T, kappa, *ell, cnorm))

@@ -337,3 +337,12 @@ def test_every_csv_has_header(tmp_path):
         with open(path, newline="") as fh:
             header = next(csv.reader(fh))
         assert header and not any(ch.isdigit() for ch in header[0])
+
+
+@pytest.mark.parametrize("command", ["spectrum", "evolve"])
+def test_p_one_numerical_failure_names_p(tmp_path, capsys, command):
+    # g0 exists only for p < 1, so both commands fail with a cause that
+    # names p = 1 rather than a bare division by zero
+    code = main([command, "--p", "1", "--output-dir", str(tmp_path)])
+    assert code == EXIT_NUMERICAL
+    assert "p = 1" in capsys.readouterr().err

@@ -19,7 +19,6 @@ from blowuplab.linop import (
     appendixB_no_second_jordan_block,
     assemble_Lp,
     eigen_triple_residuals,
-    energy_inner,
     energy_norm,
     f0_state,
     f1_state,
@@ -59,14 +58,6 @@ def test_energy_norm_positive_and_scaling():
     assert n2 == pytest.approx(2.0 * n1, rel=1e-12)
 
 
-def test_energy_inner_symmetric_on_real_states():
-    q = StateVector(q1=GRID.y ** 3, q2=np.exp(GRID.y))
-    r = StateVector(q1=np.cos(GRID.y), q2=GRID.y)
-    a = energy_inner(4, q, r, GRID)
-    b = energy_inner(4, r, q, GRID)
-    assert complex(a) == pytest.approx(complex(b), rel=1e-10)
-
-
 # ---------------------------------------------------------------------------
 # eigen-triples
 
@@ -100,8 +91,8 @@ def test_certificate_norm_is_the_k0_energy_norm():
         _, D, w = _mp_cheb(N)
         halves = [np.array([mp.mpf(float(v)) for v in part], dtype=object)
                   for part in (q[:N + 1], q[N + 1:])]
-        mp_norm = float(_mp_energy_norm(halves, D, w, 0))
-    assert mp_norm == pytest.approx(np.linalg.norm(seminorm_stack(grid, 0) @ q),
+        mp_norm = float(_mp_energy_norm(halves, D, w))
+    assert mp_norm == pytest.approx(np.linalg.norm(seminorm_stack(N, 0) @ q),
                                     rel=1e-12)
 
 
@@ -110,7 +101,7 @@ def test_certificate_norm_is_the_k0_energy_norm():
 
 def test_spectrum_contains_symmetry_modes():
     rep = spectrum(0.75, GRID)
-    rob = rep.robust_eigenvalues
+    rob = rep.eigenvalues[rep.robust]
     assert np.min(np.abs(rob - 1.0)) < 1e-6
     assert np.min(np.abs(rob)) < 0.03          # Jordan pair splits at roundoff
 
@@ -126,7 +117,7 @@ def test_gap_in_range_and_resolution_robust():
 
 def test_spectrum_no_robust_unstable_modes():
     rep = spectrum(0.5, GRID)
-    rob = rep.robust_eigenvalues
+    rob = rep.eigenvalues[rep.robust]
     away = rob[(np.abs(rob) > 0.05) & (np.abs(rob - 1.0) > 0.05)]
     assert np.all(away.real < 0)
 
@@ -140,8 +131,15 @@ def projectors():
 
 
 def test_projector_ranks(projectors):
-    _, r0, _, r1, _ = projectors
+    P0, r0, P1, r1, _ = projectors
     assert (r0, r1) == (2, 1)
+    # the ranks are counted from W: P = Z W with orthonormal Z shares its
+    # singular values
+    _, W0, _, W1 = spectral_split(0.75, GRID.N)
+    for P, W in ((P0, W0), (P1, W1)):
+        sw = np.linalg.svd(W, compute_uv=False)
+        sp = np.linalg.svd(P, compute_uv=False)[:len(sw)]
+        assert np.allclose(sw, sp, rtol=1e-12, atol=0.0)
 
 
 def test_projector_idempotency(projectors):
@@ -351,7 +349,7 @@ def test_semigroup_stable_norms_match_quarter_step_oracle(semigroup_out):
     r = _random_cheb_state(rng, GRID, GRID.N // 2)
     q = r - P0 @ r - P1 @ r
     E = expm(0.25 * L)
-    S = seminorm_stack(GRID)
+    S = seminorm_stack(GRID.N)
     oracle = []
     for _ in semigroup_out["tau"]:
         oracle.append(np.linalg.norm(S @ q))

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from blowuplab import modulation
 from blowuplab.chebgrid import ChebGrid
 from blowuplab.linop import (StateVector, energy_norm, f0_state, f1_state,
                              g0_state, neutral_coordinates, riesz_projectors_for)
@@ -23,6 +24,12 @@ from blowuplab.modulation import (
 
 GRID = ChebGrid.make(64)
 BASELINE = (0.75, 1.0, 0.0)
+
+
+def _coordinates_and_data(f):
+    """(Phi, d) of correction_functional at the baseline point."""
+    Phi, _ = neutral_coordinates(BASELINE[0], GRID.N)
+    return Phi, initial_data_operator(*BASELINE, BASELINE, f, GRID).flat()
 
 
 def _legendre_f(eps):
@@ -77,15 +84,13 @@ def test_expansion_remainder_quadratic():
 
 def test_correction_zero_for_trivial_data():
     zero = StateVector(q1=np.zeros(65), q2=np.zeros(65))
-    ell = correction_functional(0.75, 1.0, 0.0, zero, None, BASELINE, GRID)
+    ell = correction_functional(*_coordinates_and_data(zero))
     assert max(abs(x) for x in ell) < 1e-10
 
 
 def test_correction_scales_linearly_in_epsilon():
-    e1 = correction_functional(0.75, 1.0, 0.0, _legendre_f(1e-5), None,
-                               BASELINE, GRID)
-    e2 = correction_functional(0.75, 1.0, 0.0, _legendre_f(1e-4), None,
-                               BASELINE, GRID)
+    e1 = correction_functional(*_coordinates_and_data(_legendre_f(1e-5)))
+    e2 = correction_functional(*_coordinates_and_data(_legendre_f(1e-4)))
     # the coordinate map (norm ~5e4) amplifies input roundoff through heavy
     # cancellation, so linearity holds to well below 1e-5 relative, not 1e-15
     for a, b in zip(e1, e2):
@@ -100,8 +105,7 @@ def test_correction_nonlinear_terms_match_projector_formula():
     taus = np.linspace(0.0, 4.0, 81)
     shape = np.polynomial.chebyshev.chebval(GRID.y, (1.0, 0.5, -0.3, 0.2))
     q2sq = 1e-8 * np.exp(-taus)[:, None] * (shape ** 2)[None, :]
-    ell = correction_functional(0.75, 1.0, 0.0, zero, (taus, q2sq), BASELINE,
-                                GRID)
+    ell = correction_functional(*_coordinates_and_data(zero), (taus, q2sq))
     P0, _, P1, _, L = riesz_projectors_for(0.75, GRID)
     lift = [np.concatenate([np.zeros(65), I])
             for I in _nonlinear_integrals(taus, q2sq)]
@@ -122,8 +126,8 @@ def test_simpson_bit_identical_to_scipy():
         for y in (rng.standard_normal(n), rng.standard_normal((n, 4))):
             assert np.array_equal(_simpson(y, x), simpson(y, x=x, axis=0))
     # the corrected trajectory of the fit's first iteration
-    _, (taus, q2sq) = _corrected_trajectory(*BASELINE, _legendre_f(1e-4),
-                                            BASELINE, GRID)
+    _, _, (taus, q2sq) = _corrected_trajectory(*BASELINE, _legendre_f(1e-4),
+                                               BASELINE, GRID)
     assert taus.shape == (241,) and q2sq.shape == (241, 65)
     assert taus[-1] == FIT_TAU_MAX
     for y in (q2sq, -taus[:, None] * q2sq, np.exp(-taus)[:, None] * q2sq):
@@ -147,6 +151,21 @@ def test_fit_trivial_data_one_iteration():
     assert (st.p_star, st.T_star, st.kappa_star) == BASELINE
 
 
+def test_fit_evaluates_each_point_once(monkeypatch):
+    """One parameter point builds the coordinate map and the data once,
+    however many inner iterates reuse them."""
+    calls = {"neutral_coordinates": 0, "initial_data_operator": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(modulation, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(modulation, name, counted)
+    zero = StateVector(q1=np.zeros(65), q2=np.zeros(65))
+    st = fit_parameters(zero, BASELINE)
+    assert st.iterations == 1
+    assert calls == {"neutral_coordinates": 1, "initial_data_operator": 1}
+
+
 @pytest.mark.slow
 def test_fit_converges_and_is_idempotent():
     f = _legendre_f(1e-4)
@@ -159,8 +178,8 @@ def test_fit_converges_and_is_idempotent():
     assert disp < 50 * 1e-4
     # idempotency: at the fitted point (same baseline) the correction is
     # below tolerance, so one more evaluation leaves the parameters fixed
-    ell, _ = _corrected_trajectory(st.p_star, st.T_star, st.kappa_star, f,
-                                   BASELINE, GRID)
+    ell, _, _ = _corrected_trajectory(st.p_star, st.T_star, st.kappa_star, f,
+                                      BASELINE, GRID)
     b = _bracket_terms(st.p_star, st.T_star, st.kappa_star, BASELINE)
     F = [e - bb for e, bb in zip(ell, b)]
     p_next = BASELINE[0] + F[0]
