@@ -322,6 +322,8 @@ def _run_spectrum(cfg: RunConfig) -> list:
     from .linop import eigen_triple_residuals, riesz_projectors_for, spectrum
 
     p, N = cfg["p"], cfg["N"]
+    # first: it rejects p = 1 before any eigenvalues are taken or written
+    res = eigen_triple_residuals(p, N=N)
     grid = ChebGrid.make(N)
     rep = spectrum(p, grid)
     rows = [(z.real, z.imag, r, int(fl))
@@ -330,7 +332,6 @@ def _run_spectrum(cfg: RunConfig) -> list:
               ["re", "im", "residual", "robust_flag"], rows)
 
     P0, r0, P1, r1, _ = riesz_projectors_for(p, grid)
-    res = eigen_triple_residuals(p, N=N)
     report = [f"p = {_fmt(p)}", f"N = {N}",
               f"gap_omega0 = {_fmt(rep.gap_omega0)}",
               f"gap_raw = {_fmt(rep.gap_raw)}",
@@ -426,7 +427,7 @@ def _run_modulate(cfg: RunConfig) -> list:
     baseline = (cfg["p"], cfg["T"], cfg["kappa"])
     state = fit_parameters(f, baseline, N=cfg["N"])
     write_csv(cfg.output_dir / f"modulation_{cfg['tag']}.csv",
-              ["iter", "p", "T", "kappa", "F1", "F2", "F3", "correction_norm"],
+              ["iter", "p", "T", "kappa", "l_g0", "l_f0", "l_f1", "correction_norm"],
               state.history)
     checks = [("modulation_converged", state.converged,
                f"iters={state.iterations} cnorm={state.correction_norm:.2e}")]

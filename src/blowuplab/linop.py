@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chebgrid import ChebGrid
+from .profiles import similarity_profile_q2
 
 DEFAULT_K = 4
 MATCH_TOL = 1e-5            # simple eigenvalue: relative move from N to 2N
@@ -55,7 +56,7 @@ class StateVector:
 
 
 def potential(p: float, y: np.ndarray) -> np.ndarray:
-    return 2.0 * p / (1.0 + y * math.sqrt(1.0 - p))
+    return 2.0 * similarity_profile_q2(p, y)
 
 
 # ---------------------------------------------------------------------------
@@ -138,19 +139,22 @@ def g0_state(grid: ChebGrid, p: float) -> StateVector:
 # ---------------------------------------------------------------------------
 # operator assembly
 
-def assemble_Lp(p: float, grid: ChebGrid) -> np.ndarray:
-    if not (0.0 < p <= 1.0):
-        raise ValueError("p must lie in (0,1]")
+def _assemble(grid: ChebGrid, U: np.ndarray) -> np.ndarray:
+    """Collocation matrix of q -> (-y q1' + q2, q1'' - y q2' + (U - 1) q2)."""
     n = grid.N + 1
-    y = grid.y
-    D, D2 = grid.D, grid.D2
-    YD = y[:, None] * D
+    YD = grid.y[:, None] * grid.D
     L = np.zeros((2 * n, 2 * n))
     L[:n, :n] = -YD
     L[:n, n:] = np.eye(n)
-    L[n:, :n] = D2
-    L[n:, n:] = -YD + np.diag(potential(p, y) - 1.0)
+    L[n:, :n] = grid.D2
+    L[n:, n:] = -YD + np.diag(U - 1.0)
     return L
+
+
+def assemble_Lp(p: float, grid: ChebGrid) -> np.ndarray:
+    if not (0.0 < p <= 1.0):
+        raise ValueError("p must lie in (0,1]")
+    return _assemble(grid, potential(p, grid.y))
 
 
 def assemble_free_modified(grid: ChebGrid) -> np.ndarray:
@@ -159,16 +163,8 @@ def assemble_free_modified(grid: ChebGrid) -> np.ndarray:
     Ltilde q = (-y q1' + q2 - q1(-1), q1'' - y q2' - q2); dissipative up to
     -1/2 in the k-energy inner product.
     """
-    n = grid.N + 1
-    y = grid.y
-    D, D2 = grid.D, grid.D2
-    YD = y[:, None] * D
-    L = np.zeros((2 * n, 2 * n))
-    L[:n, :n] = -YD
-    L[:n, grid.N] -= 1.0  # subtract q1 at y = -1 (last node) from every row
-    L[:n, n:] = np.eye(n)
-    L[n:, :n] = D2
-    L[n:, n:] = -YD - np.eye(n)
+    L = _assemble(grid, np.zeros_like(grid.y))
+    L[:grid.N + 1, grid.N] -= 1.0  # q1 at y = -1, the last node
     return L
 
 

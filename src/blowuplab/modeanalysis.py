@@ -222,27 +222,16 @@ def connection_defect(p: float, lam: complex, N: int = DEFAULT_SERIES_N
     least-squares fits it against the two local branches at 0 (both
     normalised to leading coefficient 1), and returns
     |B| / (|A| + |B|) where B multiplies the non-smooth branch.  Several
-    analytic candidates at z=1 (degenerate case): the minimum over those
-    whose continuation succeeds is reported.
+    analytic candidates at z=1 (degenerate case): the minimum of their
+    defects is reported.  RuntimeError if any continuation fails.
     """
-    defects = [d for d in _candidate_defects(p, lam, N) if d is not None]
-    if not defects:
-        raise RuntimeError(f"continuation failed for p={p}, lam={lam}")
-    return float(np.min(defects))
+    return float(np.min(smooth_candidate_defects(p, lam, N)))
 
 
 def smooth_candidate_defects(p: float, lam: complex, N: int = DEFAULT_SERIES_N
                              ) -> list[float]:
-    """Defect of every analytic-at-1 candidate separately (degenerate cases)."""
-    defects = _candidate_defects(p, lam, N)
-    if None in defects:
-        raise RuntimeError(f"continuation failed for p={p}, lam={lam}")
-    return defects
-
-
-def _candidate_defects(p: float, lam: complex, N: int) -> list[float | None]:
-    """Connection defect of each analytic-at-1 candidate, None where its
-    continuation to the collar fails."""
+    """Defect of every analytic-at-1 candidate separately (degenerate cases);
+    RuntimeError if the continuation of any candidate fails."""
     # only the few degenerate lambda of a scan get here; a scan that needs
     # none never loads scipy.integrate
     from scipy.integrate import solve_ivp
@@ -286,8 +275,7 @@ def _candidate_defects(p: float, lam: complex, N: int) -> list[float | None]:
         sol = solve_ivp(rhs, (1.0 - delta, delta), [v0 / scale, -d0 / scale],
                         t_eval=zs, method="DOP853", rtol=CONT_RTOL, atol=1e-14)
         if not sol.success:
-            defects.append(None)
-            continue
+            raise RuntimeError(f"continuation failed for p={p}, lam={lam}")
         rvec = np.concatenate([sol.y[0], delta * sol.y[1]])
         ab_fit, *_ = np.linalg.lstsq(M, rvec, rcond=None)
         denom = abs(ab_fit[0]) + abs(ab_fit[1])

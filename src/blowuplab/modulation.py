@@ -10,9 +10,9 @@ matching blow-up parameters are adjusted: the initial-data operator
 measures the perturbation relative to a *trial* profile, and the correction
 functional (the unstable/neutral spectral content of the full nonlinear
 trajectory, as coordinates in {g0, f0, f1} from linop.neutral_coordinates)
-is driven to zero over (p, T, kappa) by a fixed-point iteration of the
-affine recombination map.  The fixed point certifies that the perturbed
-data lies on the stable manifold of the trial profile.
+is driven to zero over (p, T, kappa) by a fixed-point iteration that adds
+the coordinates to the parameters.  The fixed point certifies that the
+perturbed data lies on the stable manifold of the trial profile.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .chebgrid import ChebGrid
 from .evolve import EvolveConfig, evolve_perturbation, evolve_states
 from .linop import DEFAULT_K, StateVector, energy_norm, neutral_coordinates
-from .profiles import similarity_profile, similarity_profile_dy
+from .profiles import similarity_profile, similarity_profile_q2
 
 FIT_TOL = 1e-8              # correction norm at which the fit has converged
 FIT_TAU_MAX = 12.0          # horizon of the trajectories the fit evaluates
@@ -66,9 +66,9 @@ def initial_data_operator(p: float, T: float, kappa: float, baseline: tuple,
     fT2 = T * grid.interpolate(f.q2, T * y)
     yr = ratio * y
     f0T1 = similarity_profile(p0, yr, kappa0)
-    f0T2 = ratio * p0 + ratio ** 2 * y * similarity_profile_dy(p0, yr)
+    f0T2 = ratio * similarity_profile_q2(p0, yr)
     fp1 = similarity_profile(p, y, kappa)
-    fp2 = p + y * similarity_profile_dy(p, y)
+    fp2 = similarity_profile_q2(p, y)
     return StateVector(q1=fT1 + f0T1 - fp1, q2=fT2 + f0T2 - fp2)
 
 
@@ -159,31 +159,17 @@ def _corrected_trajectory(p: float, T: float, kappa: float, f: StateVector,
     return ell, V, traj
 
 
-def _bracket_terms(p: float, T: float, kappa: float, baseline: tuple) -> tuple:
-    """Linear-in-displacement coordinates of P_p(f0^T - f_{p,kappa}).
-
-    From the Taylor expansion of the initial data operator:
-    coordinate of g0 is (p0 - p), of f0 is (kappa0 - kappa) - p(T/T0 - 1)
-    + p(p0-p)/(2(1-p)), of f1 is -(T/T0 - 1)/sqrt(1-p).
-    """
-    p0, T0, kappa0 = baseline
-    t = T / T0 - 1.0
-    b1 = p0 - p
-    b2 = (kappa0 - kappa) - p * t + p * (p0 - p) / (2.0 * (1.0 - p))
-    b3 = -t / math.sqrt(1.0 - p)
-    return b1, b2, b3
-
-
 def fit_parameters(f: StateVector, baseline: tuple,
                    N: int = 64) -> ModulationState:
     """Solve l_{p,T,kappa} = 0 for the modulation parameters.
 
-    Fixed-point iteration of the affine recombination map, at most
-    FIT_MAX_ITER steps.  Each iterate evaluates the correction on a
-    self-consistently corrected trajectory; converged once the DEFAULT_K
-    energy norm of the correction is below FIT_TOL.
+    At most FIT_MAX_ITER steps of p += l_g0, kappa += l_f0,
+    T += T0 sqrt(1-p) l_f1 (to first order, each unit step lowers its
+    coordinate by one), each evaluating the correction on a self-consistently
+    corrected trajectory; converged once its DEFAULT_K energy norm is below
+    FIT_TOL.
     """
-    p0, T0, kappa0 = baseline
+    T0 = baseline[1]
     grid = ChebGrid.make(N)
     p, T, kappa = baseline
     history = []
@@ -196,13 +182,9 @@ def fit_parameters(f: StateVector, baseline: tuple,
             return ModulationState(p_star=p, T_star=T, kappa_star=kappa,
                                    correction_norm=cnorm, iterations=it,
                                    converged=True, history=history)
-        b1, b2, b3 = _bracket_terms(p, T, kappa, baseline)
-        F1, F2, F3 = ell[0] - b1, ell[1] - b2, ell[2] - b3
-        p, kappa, T = (
-            float(p0 + F1),
-            float(kappa0 - p * (T / T0 - 1.0)
-                  + p * (p0 - p) / (2.0 * (1.0 - p)) + F2),
-            float(T0 * (1.0 + math.sqrt(1.0 - p) * F3)))
+        p, T, kappa = (float(p + ell[0]),
+                       float(T + T0 * math.sqrt(1.0 - p) * ell[2]),
+                       float(kappa + ell[1]))
     return ModulationState(p_star=p, T_star=T, kappa_star=kappa,
                            correction_norm=cnorm, iterations=FIT_MAX_ITER,
                            converged=False, history=history)

@@ -73,9 +73,11 @@ def similarity_profile(p: float, y, kappa: float = 0.0):
     return -p * np.log1p(g * np.asarray(y, dtype=float)) + kappa
 
 
-def similarity_profile_dy(p: float, y):
+def similarity_profile_q2(p: float, y):
+    """Its velocity U_tau + y U_y = p / (1 + y sqrt(1-p)), the q2 half of
+    the profile state."""
     g = math.sqrt(1.0 - p)
-    return -p * g / (1.0 + g * np.asarray(y, dtype=float))
+    return p / (1.0 + g * np.asarray(y, dtype=float))
 
 
 def sample_interior_cone_points(params: ProfileParams, n: int, rng):

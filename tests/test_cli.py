@@ -219,7 +219,7 @@ def test_modulation_csv_matches_reference_writer(tmp_path, monkeypatch):
     cfg = parse_config(["modulate", "--output-dir", str(tmp_path / "run")])
     assert run(cfg) == EXIT_ACCEPTANCE          # not converged
     _reference_csv(tmp_path / "ref.csv",
-                   ["iter", "p", "T", "kappa", "F1", "F2", "F3",
+                   ["iter", "p", "T", "kappa", "l_g0", "l_f0", "l_f1",
                     "correction_norm"], history)
     assert ((tmp_path / "run" / "modulation_modulate.csv").read_bytes()
             == (tmp_path / "ref.csv").read_bytes())
@@ -346,3 +346,5 @@ def test_p_one_numerical_failure_names_p(tmp_path, capsys, command):
     code = main([command, "--p", "1", "--output-dir", str(tmp_path)])
     assert code == EXIT_NUMERICAL
     assert "p = 1" in capsys.readouterr().err
+    # rejected before any eigenvalues are taken, so no spectrum is written
+    assert not list(tmp_path.glob("spectrum_*.csv"))

@@ -227,19 +227,21 @@ def test_crosscheck_unperturbed_profile():
 
 
 def test_crosscheck_nan_error_propagates(monkeypatch):
-    """A NaN error at the second time sample reaches max_discrepancy;
+    """A NaN error at the second cone section reaches max_discrepancy;
     Python's max drops it after the finite first one."""
     reads = []
-    lagrange6 = evolve._lagrange6
+    interpolate = ChebGrid.interpolate
 
-    def nan_at_second(x, f, xq):
-        reads.append(xq)
-        out = lagrange6(x, f, xq)
-        return out * math.nan if len(reads) == 2 else out
+    def nan_at_second_section(grid, vals, yq):
+        reads.append(yq)
+        out = interpolate(grid, vals, yq)
+        # reads 1 and 2 take the data at t = 0, then one per cone section
+        return out * math.nan if len(reads) == 4 else out
 
-    monkeypatch.setattr(evolve, "_lagrange6", nan_at_second)
+    monkeypatch.setattr(ChebGrid, "interpolate", nan_at_second_section)
     rep = physical_space_crosscheck(EvolveConfig(p=0.9, N=64, epsilon=0.0))
-    assert len(reads) == 2 and np.isnan(rep["max_discrepancy"])
+    assert len(reads) == 4 and np.isnan(rep["max_discrepancy"])
+    assert np.isfinite(rep["max_abs_err"][0])
 
 
 def test_crosscheck_steps_at_config_dt(monkeypatch):
@@ -257,26 +259,6 @@ def test_crosscheck_steps_at_config_dt(monkeypatch):
     rep = physical_space_crosscheck(cfg)
     assert len(calls) == 5 and max(calls) <= 0.2
     assert rep["max_discrepancy"] < 1e-4
-
-
-def test_crosscheck_interpolant_matches_cubic_spline(monkeypatch):
-    """The 6-point Lagrange read-out of the physical state on the cone
-    section t = 0.5 T agrees with a cubic spline of the same state."""
-    from scipy.interpolate import CubicSpline
-
-    seen = []
-    interpolate = evolve._lagrange6
-
-    def recorded(x, f, xq):
-        out = interpolate(x, f, xq)
-        seen.append((x, f.copy(), xq, out))
-        return out
-
-    monkeypatch.setattr(evolve, "_lagrange6", recorded)
-    physical_space_crosscheck(EvolveConfig(p=0.75, N=64, epsilon=1e-3))
-    assert len(seen) == 2
-    x, f, xq, out = seen[-1]
-    np.testing.assert_allclose(out, CubicSpline(x, f)(xq), rtol=0, atol=1e-10)
 
 
 def test_crosscheck_rejects_singular_domain():

@@ -265,6 +265,40 @@ def test_connection_defect_nan_candidate_propagates(monkeypatch):
     first one."""
     from blowuplab import modeanalysis
 
-    monkeypatch.setattr(modeanalysis, "_candidate_defects",
+    monkeypatch.setattr(modeanalysis, "smooth_candidate_defects",
                         lambda p, lam, N: [0.1, math.nan])
     assert math.isnan(connection_defect(0.75, 0.5))
+
+
+def test_failed_candidate_continuation_is_a_scan_failure(monkeypatch):
+    """When one of two continued candidates fails, connection_defect raises
+    instead of reporting the other, and mode_scan records a failure with a
+    NaN defect.  Two candidates arise at p = 1, lambda = 0, -1, -2, ...,
+    where both branches at z = 0 are analytic too and nothing is continued;
+    so the single candidate at (0.75, 0.5) is offered twice and the second
+    solve_ivp call of each evaluation reports failure."""
+    import scipy.integrate
+
+    from blowuplab import modeanalysis
+
+    smooth_at_one = modeanalysis._smooth_solutions_at_one
+    monkeypatch.setattr(modeanalysis, "_smooth_solutions_at_one",
+                        lambda *args: 2 * smooth_at_one(*args))
+    solve_ivp = scipy.integrate.solve_ivp
+    calls = []
+
+    def second_fails(*args, **kwargs):
+        calls.append(args)
+        sol = solve_ivp(*args, **kwargs)
+        if len(calls) % 2 == 0:
+            sol.success = False
+        return sol
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", second_fails)
+    with pytest.raises(RuntimeError, match="continuation failed"):
+        connection_defect(0.75, 0.5)
+    assert len(calls) == 2
+    scan = mode_scan(0.75, [0.5])
+    assert scan.continued == [True] and len(calls) == 4
+    assert [lam for lam, _ in scan.failures] == [0.5]
+    assert math.isnan(scan.points[0][1])

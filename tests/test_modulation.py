@@ -12,7 +12,6 @@ from blowuplab.linop import (StateVector, energy_norm, f0_state, f1_state,
                              g0_state, neutral_coordinates, riesz_projectors_for)
 from blowuplab.modulation import (
     FIT_TAU_MAX,
-    _bracket_terms,
     _corrected_trajectory,
     _nonlinear_integrals,
     _simpson,
@@ -63,7 +62,11 @@ def test_initial_data_linear_in_f():
 
 
 def test_expansion_remainder_quadratic():
-    """U(0) - [bracket-coefficient combination] shrinks at order >= 1.9."""
+    """U(0) minus its first-order expansion in {g0, f0, f1} shrinks at order
+    >= 1.9.  The coefficients are the ones fit_parameters' update assumes:
+    with t = T/T0 - 1, g0 carries p0 - p, f0 carries (kappa0 - kappa) - p t
+    + p(p0 - p)/(2(1-p)) and f1 carries -t/sqrt(1-p), so the coordinates
+    move by -1 per unit of p, kappa and T/(T0 sqrt(1-p))."""
     zero = StateVector(q1=np.zeros(65), q2=np.zeros(65))
     p0, T0, k0 = BASELINE
     basis = [g0_state(GRID, 0.75), f0_state(GRID, 0.75), f1_state(GRID, 0.75)]
@@ -72,7 +75,10 @@ def test_expansion_remainder_quadratic():
     for s in steps:
         p, T, kappa = p0 + 0.7 * s, T0 * (1.0 + 0.4 * s), k0 + 0.3 * s
         d = initial_data_operator(p, T, kappa, BASELINE, zero, GRID).flat()
-        b = _bracket_terms(p, T, kappa, BASELINE)
+        t = T / T0 - 1.0
+        b = (p0 - p,
+             (k0 - kappa) - p * t + p * (p0 - p) / (2.0 * (1.0 - p)),
+             -t / math.sqrt(1.0 - p))
         lin = sum(b[n] * basis[n].flat() for n in range(3))
         norms.append(np.linalg.norm(d - lin))
     order = math.log(norms[0] / norms[1]) / math.log(steps[0] / steps[1])
@@ -180,10 +186,8 @@ def test_fit_converges_and_is_idempotent():
     # below tolerance, so one more evaluation leaves the parameters fixed
     ell, _, _ = _corrected_trajectory(st.p_star, st.T_star, st.kappa_star, f,
                                       BASELINE, GRID)
-    b = _bracket_terms(st.p_star, st.T_star, st.kappa_star, BASELINE)
-    F = [e - bb for e, bb in zip(ell, b)]
-    p_next = BASELINE[0] + F[0]
-    T_next = BASELINE[1] * (1.0 + math.sqrt(1.0 - st.p_star) * F[2])
+    p_next = st.p_star + ell[0]
+    T_next = st.T_star + BASELINE[1] * math.sqrt(1.0 - st.p_star) * ell[2]
     assert abs(p_next - st.p_star) < 1e-7
     assert abs(T_next - st.T_star) < 1e-7
     # post-fit unprojected decay
