@@ -16,7 +16,9 @@ the solution smooth at z = 1 along the non-smooth local branch at z = 0.
 continues the locally-smooth solution from z = 1 to a collar near z = 0 and
 fits it against the Frobenius branches there: it is the fallback where the
 formula degenerates (integer c or c - a - b) and the oracle the closed form
-is tested against.
+is tested against.  The formula needs only log|Gamma|, which is summed here
+in numpy (recurrence, reflection and the Stirling series), so a scan loads
+scipy only when a point has to be continued.
 """
 
 from __future__ import annotations
@@ -26,12 +28,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, loggamma, rgamma
 
 _INT_TOL = 1e-9          # tolerance for detecting integer exponent gaps
 DEFAULT_SERIES_N = 40    # Frobenius truncation order
 COLLAR_DELTA = 1e-2      # collar [delta, 2*delta] for the branch fit
 CONT_RTOL = 1e-11        # continuation tolerance
+# B_2k / (2k (2k-1)), k = 1..8: the Stirling series of log Gamma (DLMF 5.11.1)
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
+             -691 / 360360, 1 / 156, -3617 / 122400)
+# Re z from which the series is summed: its first omitted term is below
+# 8e-16 there, and a larger shift only adds rounding to the recurrence
+_STIRLING_FROM = 7.0
 
 
 def lorentz_frame_params(p: float, lam):
@@ -291,12 +298,42 @@ def default_lambda_grid(re_min: float = 0.0, re_max: float = 3.0,
     return grid
 
 
+def _log_abs_gamma(z: np.ndarray) -> np.ndarray:
+    """log|Gamma(z)| for complex z off the poles of Gamma: reflection
+    (DLMF 5.5.3) for Re z < 1/2, the recurrence (5.5.1) up to
+    Re z >= _STIRLING_FROM, then the Stirling series (5.11.1)."""
+    left = z.real < 0.5
+    w = np.where(left, 1.0 - z, z)
+    n = np.maximum(np.ceil(_STIRLING_FROM - w.real), 0.0)
+    shift = np.ones(w.shape)                # |w (w+1) ... (w+n-1)|
+    for j in range(int(_STIRLING_FROM)):    # Re w > 1/2, so n <= 7
+        shift *= np.where(j < n, np.abs(w + j), 1.0)
+    w = w + n
+    inv_w2 = 1.0 / (w * w)
+    series = np.zeros_like(w)
+    for coeff in reversed(_STIRLING):
+        series = series * inv_w2 + coeff
+    log_gamma = (((w - 0.5) * np.log(w)).real - w.real
+                 + 0.5 * math.log(2.0 * math.pi) + (series / w).real
+                 - np.log(shift))
+    # |sin(pi z)|^2 = e^{2 pi t} ((1 - q)^2 + 4 q sin^2(pi r)) / 4 with
+    # t = |Im z|, q = e^{-2 pi t} and r = Re z - round(Re z): it cannot
+    # overflow, and next to a pole r and t are exact
+    zl = np.where(left, z, 0.5)
+    r = zl.real - np.round(zl.real)
+    t = np.abs(zl.imag)
+    log_sin = (math.pi * t - math.log(2.0)
+               + 0.5 * np.log(np.expm1(-2.0 * math.pi * t) ** 2
+                              + 4.0 * np.exp(-2.0 * math.pi * t)
+                              * np.sin(math.pi * r) ** 2))
+    return np.where(left, math.log(math.pi) - log_sin - log_gamma, log_gamma)
+
+
 def _log_abs_rgamma(x: np.ndarray) -> np.ndarray:
-    """log|1/Gamma(x)| through loggamma, so no argument can overflow; exactly
-    -inf at the poles x = 0, -1, -2, ... of Gamma, where rgamma is exactly 0
-    (for Re x > 0 rgamma only underflows, so it is not asked there)."""
-    pole = (x.real <= 0.0) & (rgamma(x) == 0.0)
-    return np.where(pole, -np.inf, -loggamma(np.where(pole, 1.0, x)).real)
+    """log|1/Gamma(x)|, exactly -inf at the poles x = 0, -1, -2, ... of
+    Gamma, which are told by arithmetic on x."""
+    pole = (x.imag == 0.0) & (x.real <= 0.0) & (x.real == np.floor(x.real))
+    return np.where(pole, -np.inf, -_log_abs_gamma(np.where(pole, 1.0, x)))
 
 
 def _near_integer(x: np.ndarray) -> np.ndarray:
@@ -311,19 +348,22 @@ def _gauss_defects(p: float, lam: np.ndarray) -> np.ndarray:
     A F(a, b; c; z) + B z^{1-c} F(a-c+1, b-c+1; 2-c; z) with
     A ~ Gamma(1-c) / (Gamma(a-c+1) Gamma(b-c+1)) and
     B ~ Gamma(c-1) / (Gamma(a) Gamma(b)) (common factor Gamma(a+b-c+1)), so
-    the defect |B| / (|A| + |B|) is expit(log|B| - log|A|).  Here
+    the defect |B| / (|A| + |B|) is 1 / (1 + exp(log|A| - log|B|)).  Here
     a - c + 1 = 1 + g and b - c + 1 = g exactly, with g = sqrt(1-p).
     Degenerate: c or c - a - b an integer, where a local exponent gap is
     an integer and log branches can appear.
     """
     a, b, c = lorentz_frame_params(p, lam)
     g = np.complex128(math.sqrt(1.0 - p))
-    with np.errstate(invalid="ignore"):      # inf - inf: NaN, continued
+    # inf - inf: NaN, continued.  A pole of Gamma in B's denominator makes
+    # log_B = -inf and the defect exactly 0, one in A's exactly 1; a finite
+    # log_A - log_B above ~709 overflows exp to inf, a defect of 0.
+    with np.errstate(invalid="ignore", over="ignore"):
         log_A = (_log_abs_rgamma(1.0 + g) + _log_abs_rgamma(g)
                  - _log_abs_rgamma(1.0 - c))
         log_B = (_log_abs_rgamma(a) + _log_abs_rgamma(b)
                  - _log_abs_rgamma(c - 1.0))
-        defects = expit(log_B - log_A)
+        defects = 1.0 / (1.0 + np.exp(log_A - log_B))
     defects[_near_integer(c) | _near_integer(c - a - b)] = math.nan
     return defects
 

@@ -1,16 +1,22 @@
 """Eigenequation analysis: Frobenius series, connection defects, mode scan."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import hyp2f1
+from scipy.special import expit, gammaln, hyp2f1, loggamma, rgamma
 
 from blowuplab.modeanalysis import (
+    _gauss_defects,
+    _log_abs_gamma,
+    _log_abs_rgamma,
+    _near_integer,
     _smooth_solutions_at_one,
     connection_defect,
+    default_lambda_grid,
     frobenius_coeffs,
     fundamental_system,
     hypergeom_taylor_data,
@@ -224,6 +230,101 @@ def test_p1_negative_integer_ladder():
     assert connection_defect(1.0, -1.0) < 1e-6
     assert connection_defect(1.0, -0.5) > 1e-3
     assert connection_defect(1.0, 0.5) > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# log|Gamma| in numpy, and the connection formula built on it, against scipy
+
+SCAN_P = (0.25, 0.5, 0.75, 0.9, 0.99, 1.0)
+
+
+def _is_gamma_pole(z):
+    return (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))
+
+
+def _assert_log_abs_gamma_matches(z, ref):
+    err = np.abs(_log_abs_gamma(z) - ref)
+    assert np.all(err <= 1e-14 * np.maximum(1.0, np.abs(ref))), z[err.argmax()]
+
+
+@pytest.mark.parametrize("p", SCAN_P)
+def test_log_abs_gamma_matches_scipy_on_scan_arguments(p):
+    # every argument the connection formula forms on the default grid
+    a, b, c = lorentz_frame_params(p, default_lambda_grid())
+    g = np.complex128(math.sqrt(1.0 - p))
+    z = np.concatenate([a, b, c - 1.0, 1.0 - c, [g, 1.0 + g]])
+    z = z[~_is_gamma_pole(z)]
+    _assert_log_abs_gamma_matches(z, loggamma(z).real)
+
+
+def test_log_abs_gamma_matches_scipy_on_reflection_side():
+    re, im = np.meshgrid(np.linspace(-4.0, 0.49, 91), np.linspace(-4.0, 4.0, 81))
+    z = (re + 1j * im).ravel()
+    z = z[~_is_gamma_pole(z)]
+    _assert_log_abs_gamma_matches(z, loggamma(z).real)
+    # far from the real axis, where sin(pi z) would overflow
+    z = np.array([-3.3 + 400j, 0.2 - 1000j, -0.5 + 250j, 2.5 - 300j])
+    _assert_log_abs_gamma_matches(z, loggamma(z).real)
+
+
+def test_log_abs_gamma_next_to_poles():
+    poles = -np.arange(0.0, 11.0)
+    for off in (1e-8j, 1e-8 + 1e-8j, -1e-8 - 1e-8j):
+        z = poles + off
+        _assert_log_abs_gamma_matches(z, loggamma(z).real)
+    # on the real axis scipy's complex loggamma is NaN: gammaln is log|Gamma|
+    for off in (1e-8, -1e-8):
+        z = poles + off
+        _assert_log_abs_gamma_matches(z.astype(complex), gammaln(z))
+
+
+def test_log_abs_rgamma_is_minus_inf_at_poles():
+    poles = np.array([0.0, -0.0, -1.0, -2.0, -3.0, -17.0], dtype=complex)
+    assert np.all(_log_abs_rgamma(poles) == -np.inf)
+    near = poles + 1e-8j
+    assert np.all(np.isfinite(_log_abs_rgamma(near)))
+
+
+def _scipy_gauss_defects(p, lam):
+    """The connection formula as it read with scipy.special: expit of the
+    log ratio, Gamma's poles found where rgamma is exactly 0."""
+    a, b, c = lorentz_frame_params(p, lam)
+    g = np.complex128(math.sqrt(1.0 - p))
+
+    def log_abs_rgamma(x):
+        pole = (x.real <= 0.0) & (rgamma(x) == 0.0)
+        return np.where(pole, -np.inf, -loggamma(np.where(pole, 1.0, x)).real)
+
+    with np.errstate(invalid="ignore"):
+        log_A = (log_abs_rgamma(1.0 + g) + log_abs_rgamma(g)
+                 - log_abs_rgamma(1.0 - c))
+        log_B = (log_abs_rgamma(a) + log_abs_rgamma(b)
+                 - log_abs_rgamma(c - 1.0))
+        defects = expit(log_B - log_A)
+    defects[_near_integer(c) | _near_integer(c - a - b)] = math.nan
+    return defects
+
+
+@pytest.mark.parametrize("p", SCAN_P)
+def test_gauss_defects_match_scipy_formula(p):
+    lams = default_lambda_grid()
+    ours, ref = _gauss_defects(p, lams), _scipy_gauss_defects(p, lams)
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(ours), nan)
+    assert np.max(np.abs(ours[~nan] - ref[~nan]), initial=0.0) <= 1e-14
+
+
+@pytest.mark.parametrize("p", SCAN_P)
+def test_mode_scan_raises_no_floating_point_warnings(p):
+    """Every inf - inf, overflow and pole of the scan is handled on purpose,
+    so none of them reaches numpy's warnings."""
+    far = np.array([0.3 + 300j, 2.7 - 300j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scan = mode_scan(p)
+        far_scan = mode_scan(p, far)
+    assert len(scan.points) == 1891 and scan.failures == []
+    assert all(np.isfinite(d) for _, d in far_scan.points)
 
 
 # ---------------------------------------------------------------------------
