@@ -29,7 +29,15 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread unless the user chose otherwise; this must precede the
+# first numpy import.  The dense kernels are small (130 x 130 matvecs in
+# every RK4 step, 258 x 258 at most for a factorisation), and there a second
+# OpenBLAS thread spins while it waits: on 2 vCPUs one similarity step took
+# 124 us with two threads and 87 us with one, and `modulate` used twice the
+# CPU time for a slower wall time.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 from . import __version__
 
@@ -225,8 +233,9 @@ def write_csv(path: Path, header: list, rows) -> None:
 
 
 def _environment() -> list:
-    """numpy, BLAS, core count and the scipy this run loaded, read without
-    importing anything: scipy only appears if a command pulled it in."""
+    """numpy, BLAS and its thread setting, core count and the scipy this run
+    loaded, read without importing anything: scipy only appears if a command
+    pulled it in."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     loaded = sorted(name[6:] for name, mod in list(sys.modules.items())
                     if name.startswith("scipy.") and name.count(".") == 1
@@ -234,9 +243,11 @@ def _environment() -> list:
                     and hasattr(mod, "__path__"))
     nproc = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count())   # no sched_getaffinity on macOS, Windows
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
     lines = [f"numpy_version = {np.__version__}",
              f"blas = {blas['name']} {blas.get('version', 'unknown')}",
              f"nproc = {nproc}",
+             f"openblas_num_threads = {threads}",
              f"scipy_modules = {', '.join(loaded) or 'none'}"]
     if "scipy" in sys.modules:
         lines.append(f"scipy_version = {sys.modules['scipy'].__version__}")

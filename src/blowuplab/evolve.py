@@ -305,8 +305,11 @@ def physical_space_crosscheck(cfg: EvolveConfig) -> dict:
     scheme for u_tt - u_xx = u_t^2 on [x0 - R, x0 + R], R = 1.25 T
     (CROSSCHECK_HALF_WIDTH), with CROSSCHECK_INTERVALS intervals; by finite
     speed of propagation the frozen far boundaries cannot influence the light
-    cone for t <= 0.5 T.  The singular surface of the unperturbed profile
-    (at x - x0 = -q (T-t)/sqrt(1-p)) stays outside the domain for p >= 0.9.
+    cone for t <= 0.5 T.  The guard below checks the singular surface of
+    the unperturbed profile, x - x0 = -(T-t)/sqrt(1-p), at t = 0 only
+    (R < T/sqrt(1-p)).  The finite-difference solution equals the exact one,
+    singular surface included, on |x - x0| < R - t, so it meets the surface
+    before t = 0.5 T once p < 5/9.
     The similarity flow runs evolve_states from one cone section to the
     next, in steps of at most cfg.dt (IF_STEP by default).  Returns the
     max |u_phys - u_sim| over the physical nodes inside the cone sections

@@ -261,9 +261,12 @@ def test_manifest_records_environment(tmp_path):
     assert all(" = " in line and line.split(" = ", 1)[0].strip()
                for line in lines)
     manifest = dict(line.split(" = ", 1) for line in lines)
-    for key in ("numpy_version", "blas", "nproc", "scipy_modules"):
+    for key in ("numpy_version", "blas", "nproc", "openblas_num_threads",
+                "scipy_modules"):
         assert manifest[key]
     assert int(manifest["nproc"]) >= 1
+    assert (manifest["openblas_num_threads"]
+            == os.environ.get("OPENBLAS_NUM_THREADS", "1"))
     # the scan at p = 0.5 continues no point, so it needs no scipy at all
     assert manifest["scipy_modules"] == "none"
     assert "scipy_version" not in manifest

@@ -1,11 +1,14 @@
-"""Import diet: scipy.linalg, scipy.integrate and scipy.interpolate load only
-where they are called, and importing the package loads no scipy at all."""
+"""Import side effects: scipy.linalg, scipy.integrate and scipy.interpolate
+load only where they are called, importing the package loads no scipy at
+all, and importing the CLI leaves BLAS on one thread."""
 
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -59,3 +62,33 @@ def test_closed_form_checks_load_no_linalg_integrate_or_interpolate():
     loaded = out.split()
     for sub in ("scipy.linalg", "scipy.integrate", "scipy.interpolate"):
         assert not any(m == sub or m.startswith(sub + ".") for m in loaded), sub
+
+
+THREADS_PROBE = textwrap.dedent("""
+    import os
+    import blowuplab.cli, scipy.linalg
+    print(len(os.listdir("/proc/self/task")),
+          os.environ.get("OPENBLAS_NUM_THREADS", "unset"))
+""")
+
+
+def _threads_after_cli_import(preset):
+    """(OS threads, OPENBLAS_NUM_THREADS) of a fresh process that imports
+    the CLI and then scipy.linalg, with the variable preset or unset."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    out = subprocess.run([sys.executable, "-c", THREADS_PROBE], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    threads, setting = out.split()
+    return int(threads), setting
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="no /proc/self/task to count threads")
+def test_cli_import_runs_blas_on_one_thread():
+    """Importing the CLI before numpy and scipy starts no BLAS thread: the
+    process keeps one OS thread.  A preset OPENBLAS_NUM_THREADS is kept."""
+    assert _threads_after_cli_import(None) == (1, "1")
+    assert _threads_after_cli_import("2")[1] == "2"

@@ -310,13 +310,19 @@ def test_split_reads_L_alone(monkeypatch):
     assert np.max(np.abs(Phi @ V - np.eye(3))) < 1e-9
 
 
-def test_neutral_coordinates_where_gap_unmeasured():
-    """At p = 0.69, N = 96 the two-resolution gap is not measurable, yet
-    the split holds: Phi V = I to 1e-9."""
-    with pytest.raises(RuntimeError, match="could not measure"):
-        measured_gap(0.69, 96)
-    Phi, V = neutral_coordinates(0.69, 96)
-    assert np.max(np.abs(Phi @ V - np.eye(3))) < 1e-9
+def test_neutral_coordinates_where_gap_unmeasured(monkeypatch):
+    """The split never consults the gap: with `spectrum` raising, the
+    neutral coordinates at N = 96 still give Phi V = I to 1e-9.  Near these
+    p the two-resolution gap is not measurable, at a p that moves with the
+    BLAS rounding."""
+    def no_spectrum(*args, **kwargs):
+        raise RuntimeError("spectral_split consulted the spectrum")
+
+    spectral_split.cache_clear()
+    monkeypatch.setattr(linop, "spectrum", no_spectrum)
+    for p in (0.69, 0.72):
+        Phi, V = neutral_coordinates(p, 96)
+        assert np.max(np.abs(Phi @ V - np.eye(3))) < 1e-9
 
 
 # ---------------------------------------------------------------------------
