@@ -316,7 +316,7 @@ def test_neutral_coordinates_where_gap_unmeasured(monkeypatch):
     p the two-resolution gap is not measurable, at a p that moves with the
     BLAS rounding."""
     def no_spectrum(*args, **kwargs):
-        raise RuntimeError("spectral_split consulted the spectrum")
+        raise AssertionError("spectral_split measured the spectrum")
 
     spectral_split.cache_clear()
     monkeypatch.setattr(linop, "spectrum", no_spectrum)
