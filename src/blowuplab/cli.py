@@ -30,11 +30,14 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 # One BLAS thread unless the user chose otherwise; this must precede the
-# first numpy import.  The dense kernels are small (130 x 130 matvecs in
-# every RK4 step, 258 x 258 at most for a factorisation), and there a second
-# OpenBLAS thread spins while it waits: on 2 vCPUs one similarity step took
-# 124 us with two threads and 87 us with one, and `modulate` used twice the
-# CPU time for a slower wall time.
+# first numpy import.  A second OpenBLAS thread spins while it waits.  On
+# 2 vCPUs, at the default N = 64 (130 x 130 matvecs in every RK4 step,
+# 258 x 258 eigensolves), one similarity step took 124 us with two threads
+# and 87 us with one, and `modulate` used twice the CPU time for a slower
+# wall time.  At larger N it pays less: `spectrum`, a 2(2N+1) square
+# eigensolve, took 0.97, 1.06 and 1.01 times its two-thread wall time at
+# N = 128, 256 and 384, on a fifth to a third less CPU.  Larger N was not
+# measured.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
@@ -233,7 +236,8 @@ def write_csv(path: Path, header: list, rows) -> None:
 
 
 def _environment() -> list:
-    """numpy, BLAS and its thread setting, core count and the scipy this run
+    """numpy, BLAS and the OPENBLAS_NUM_THREADS setting (the environment
+    value, not a measured thread count), core count and the scipy this run
     loaded, read without importing anything: scipy only appears if a command
     pulled it in."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -243,11 +247,10 @@ def _environment() -> list:
                     and hasattr(mod, "__path__"))
     nproc = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count())   # no sched_getaffinity on macOS, Windows
-    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
     lines = [f"numpy_version = {np.__version__}",
              f"blas = {blas['name']} {blas.get('version', 'unknown')}",
              f"nproc = {nproc}",
-             f"openblas_num_threads = {threads}",
+             f"openblas_num_threads = {os.environ['OPENBLAS_NUM_THREADS']}",
              f"scipy_modules = {', '.join(loaded) or 'none'}"]
     if "scipy" in sys.modules:
         lines.append(f"scipy_version = {sys.modules['scipy'].__version__}")

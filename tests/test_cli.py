@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from blowuplab import cli, evolve, linop, modeanalysis, modulation
@@ -90,6 +91,19 @@ def test_numerical_value_error_exit_code(tmp_path, monkeypatch):
     cfg = parse_config(["appendixB", "--output-dir", str(tmp_path)])
     assert run(cfg) == EXIT_NUMERICAL
     assert (tmp_path / "manifest.txt").exists()
+
+
+def test_unmeasured_gap_exit_code(tmp_path, capsys, monkeypatch):
+    # a gap the spectrum cannot measure stops semigroup-check with exit 3
+    def no_gap(p, grid):
+        return linop.SpectrumReport(eigenvalues=np.zeros(0),
+                                    residuals=np.zeros(0),
+                                    robust=np.zeros(0, bool))
+
+    monkeypatch.setattr(linop, "spectrum", no_gap)
+    code = main(["semigroup-check", "--output-dir", str(tmp_path)])
+    assert code == EXIT_NUMERICAL
+    assert "could not measure a spectral gap" in capsys.readouterr().err
 
 
 def test_non_numerical_error_propagates(tmp_path, monkeypatch):
@@ -250,13 +264,15 @@ def test_manifest_contains_resolved_config_and_seed(tmp_path):
 
 
 def test_manifest_records_environment(tmp_path):
-    # a fresh process, so that sys.modules holds only what mode-scan loaded
+    # a fresh process, so that sys.modules holds only what mode-scan loaded;
+    # OPENBLAS_NUM_THREADS unset, so the manifest shows the CLI's default
     src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src),
+           "BLOWUPLAB_OUT": str(tmp_path)}
+    env.pop("OPENBLAS_NUM_THREADS", None)
     subprocess.run([sys.executable, "-m", "blowuplab.cli", "mode-scan",
                     "--p", "0.5"],
-                   env={**os.environ, "PYTHONPATH": str(src),
-                        "BLOWUPLAB_OUT": str(tmp_path)},
-                   check=True, capture_output=True)
+                   env=env, check=True, capture_output=True)
     lines = (tmp_path / "manifest.txt").read_text().splitlines()
     assert all(" = " in line and line.split(" = ", 1)[0].strip()
                for line in lines)
@@ -265,8 +281,7 @@ def test_manifest_records_environment(tmp_path):
                 "scipy_modules"):
         assert manifest[key]
     assert int(manifest["nproc"]) >= 1
-    assert (manifest["openblas_num_threads"]
-            == os.environ.get("OPENBLAS_NUM_THREADS", "1"))
+    assert manifest["openblas_num_threads"] == "1"
     # the scan at p = 0.5 continues no point, so it needs no scipy at all
     assert manifest["scipy_modules"] == "none"
     assert "scipy_version" not in manifest

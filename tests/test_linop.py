@@ -325,6 +325,20 @@ def test_neutral_coordinates_where_gap_unmeasured(monkeypatch):
         assert np.max(np.abs(Phi @ V - np.eye(3))) < 1e-9
 
 
+@pytest.mark.parametrize("gap", [float("nan"), 0.0, -0.3])
+def test_measured_gap_raises_when_unmeasured(monkeypatch, gap):
+    """A gap that is not finite and positive is a RuntimeError, whatever
+    the spectrum it came from."""
+    def report(p, grid):
+        return linop.SpectrumReport(eigenvalues=np.zeros(0),
+                                    residuals=np.zeros(0),
+                                    robust=np.zeros(0, bool), gap_omega0=gap)
+
+    monkeypatch.setattr(linop, "spectrum", report)
+    with pytest.raises(RuntimeError, match="could not measure"):
+        measured_gap(0.75, 48)
+
+
 # ---------------------------------------------------------------------------
 # semigroup
 
