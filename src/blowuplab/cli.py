@@ -127,24 +127,16 @@ class RunConfig:
         return self.parameters[key]
 
 
-def _coerce(key: str, raw) -> object:
+def _coerce(key: str, raw: str) -> object:
     if key not in _SCHEMA:
         raise ConfigError(f"unknown key {key!r}; known keys: "
                           f"{', '.join(sorted(_SCHEMA))}")
     typ, _, validate = _SCHEMA[key]
-    if isinstance(raw, str):
-        try:
-            val = typ(raw)
-        except ValueError:
-            raise ConfigError(
-                f"key {key!r}: cannot parse {raw!r} as {typ.__name__}") from None
-    else:
-        if typ is float and isinstance(raw, int):
-            raw = float(raw)
-        if not isinstance(raw, typ):
-            raise ConfigError(f"key {key!r}: expected {typ.__name__}, "
-                              f"got {type(raw).__name__}")
-        val = raw
+    try:
+        val = typ(raw)
+    except ValueError:
+        raise ConfigError(
+            f"key {key!r}: cannot parse {raw!r} as {typ.__name__}") from None
     if validate is not None:
         validate(val)
     return val

@@ -275,10 +275,8 @@ def ode_blowup_instability(p: float, kappa: float = 0.0) -> dict:
     slopes = {}
     norms = {}
     for a in a_grid:
-        d = np.empty_like(tau_grid)
-        for i, tau in enumerate(tau_grid):
-            f = (p - 1.0) * tau + prof - a
-            d[i] = math.sqrt(grid.integrate(f ** 2))
+        f = (p - 1.0) * tau_grid[None, :] + (prof - a)[:, None]
+        d = np.sqrt(grid.integrate(f ** 2))
         late = tau_grid >= 0.5 * tau_grid[-1]
         A = np.vstack([tau_grid[late], np.ones(late.sum())]).T
         coef, *_ = np.linalg.lstsq(A, d[late], rcond=None)

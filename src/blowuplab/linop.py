@@ -479,6 +479,8 @@ def semigroup_action_check(p: float, grid: ChebGrid, seed: int = 0) -> dict:
     """
     from scipy.linalg import expm
 
+    from .evolve import fit_log_slope     # evolve imports this module
+
     tau_samples = np.linspace(0.0, 8.0, 17)
     omega0 = measured_gap(p, grid.N)
     L = assemble_Lp(p, grid)
@@ -506,9 +508,7 @@ def semigroup_action_check(p: float, grid: ChebGrid, seed: int = 0) -> dict:
                        / ((1 + tau) * nP0))
         norms.append(np.linalg.norm(S @ Eqs))
     norms = np.asarray(norms)
-    mask = (tau_samples >= 1.0) & (norms > 1e-300)
-    A = np.vstack([tau_samples[mask], np.ones(mask.sum())]).T
-    slope, _ = np.linalg.lstsq(A, np.log(norms[mask]), rcond=None)[0]
+    slope, _ = fit_log_slope(tau_samples, norms, (1.0, tau_samples[-1]))
     return {
         "err_P1": float(np.max(errs_P1)),
         "err_P0": float(np.max(errs_P0)),

@@ -13,12 +13,12 @@ the solution smooth at z = 1 along the non-smooth local branch at z = 0.
 
 `mode_scan` takes it in closed form from the Gauss connection formula
 (DLMF 15.10.21), vectorised over the whole lambda grid.  `connection_defect`
-continues the locally-smooth solution from z = 1 to a collar near z = 0 and
-fits it against the Frobenius branches there: it is the fallback where the
-formula degenerates (integer c or c - a - b) and the oracle the closed form
-is tested against.  The formula needs only log|Gamma|, which is summed here
-in numpy (recurrence, reflection and the Stirling series), so a scan loads
-scipy only when a point has to be continued.
+matches the Frobenius series of the locally-smooth solution at z = 1
+against the two Frobenius branches at z = 0, by value and slope at
+z = 1/2: it is the fallback where the formula degenerates (integer c or
+c - a - b) and the oracle the closed form is tested against.  The formula
+needs only log|Gamma|, which is summed here in numpy (recurrence,
+reflection and the Stirling series), so a scan loads no scipy at any p.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ import numpy as np
 
 _INT_TOL = 1e-9          # tolerance for detecting integer exponent gaps
 DEFAULT_SERIES_N = 40    # Frobenius truncation order
-COLLAR_DELTA = 1e-2      # collar [delta, 2*delta] for the branch fit
-CONT_RTOL = 1e-11        # continuation tolerance
 # B_2k / (2k (2k-1)), k = 1..8: the Stirling series of log Gamma (DLMF 5.11.1)
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
              -691 / 360360, 1 / 156, -3617 / 122400)
@@ -224,25 +222,22 @@ def connection_defect(p: float, lam: complex, N: int = DEFAULT_SERIES_N
                       ) -> float:
     """Singular-branch content at z=0 of the solution smooth at z=1.
 
-    Continues each analytic-at-1 local solution (relative tolerance
-    CONT_RTOL) to the collar [delta, 2*delta], delta = COLLAR_DELTA,
-    least-squares fits it against the two local branches at 0 (both
-    normalised to leading coefficient 1), and returns
-    |B| / (|A| + |B|) where B multiplies the non-smooth branch.  Several
-    analytic candidates at z=1 (degenerate case): the minimum of their
-    defects is reported.  RuntimeError if any continuation fails.
+    Matches each analytic-at-1 local solution against the two local
+    branches at 0 (both normalised to leading coefficient 1) by value and
+    slope at z = 1/2, and returns |B| / (|A| + |B|) where B multiplies the
+    non-smooth branch.  Several analytic candidates at z=1 (degenerate
+    case): the minimum of their defects is reported.  RuntimeError if any
+    match is not finite.
     """
     return float(np.min(smooth_candidate_defects(p, lam, N)))
 
 
 def smooth_candidate_defects(p: float, lam: complex, N: int = DEFAULT_SERIES_N
                              ) -> list[float]:
-    """Defect of every analytic-at-1 candidate separately (degenerate cases);
-    RuntimeError if the continuation of any candidate fails."""
-    # only the few degenerate lambda of a scan get here; a scan that needs
-    # none never loads scipy.integrate
-    from scipy.integrate import solve_ivp
-
+    """Defect of every analytic-at-1 candidate separately (degenerate cases),
+    each from one 2 x 2 solve of the Frobenius series at z = 0 against the
+    candidate's series at z = 1; RuntimeError naming p and lam if the
+    match of any candidate is not finite."""
     a, b, c = lorentz_frame_params(p, lam)
     smooth_at_1 = _smooth_solutions_at_one(a, b, c, N)
 
@@ -260,33 +255,17 @@ def smooth_candidate_defects(p: float, lam: complex, N: int = DEFAULT_SERIES_N
         # no analytic branch at 0 at all: nothing smooth can come through
         return [1.0] * len(smooth_at_1)
 
-    delta = COLLAR_DELTA
-    zs = np.linspace(2.0 * delta, delta, 9)
-    M = np.zeros((2 * len(zs), 2), dtype=complex)
-    for j, z in enumerate(zs):
-        v1, d1 = smooth_b.eval(z)
-        v2, d2 = sing_b.eval(z)
-        M[j] = (v1, v2)
-        M[len(zs) + j] = (delta * d1, delta * d2)
-
-    def rhs(z, u):
-        phi, dphi = u
-        ddphi = (-(c - (a + b + 1.0) * z) * dphi + a * b * phi) / (z * (1.0 - z))
-        return [dphi, ddphi]
-
+    # the series about z = 0 and about z = 1 both have radius 1, so z = 1/2
+    # is where both converge fastest
+    M = np.array([smooth_b.eval(0.5), sing_b.eval(0.5)]).T
     defects = []
     for cand in smooth_at_1:
-        v0, d0 = cand.eval(delta)        # w = delta, i.e. z = 1 - delta
-        scale = max(abs(v0), abs(d0), 1e-30)
-        # d/dz = -d/dw
-        sol = solve_ivp(rhs, (1.0 - delta, delta), [v0 / scale, -d0 / scale],
-                        t_eval=zs, method="DOP853", rtol=CONT_RTOL, atol=1e-14)
-        if not sol.success:
-            raise RuntimeError(f"continuation failed for p={p}, lam={lam}")
-        rvec = np.concatenate([sol.y[0], delta * sol.y[1]])
-        ab_fit, *_ = np.linalg.lstsq(M, rvec, rcond=None)
-        denom = abs(ab_fit[0]) + abs(ab_fit[1])
-        defects.append(abs(ab_fit[1]) / denom if denom > 0 else 1.0)
+        v, dv = cand.eval(0.5)           # w = 1 - z = 1/2; d/dz = -d/dw
+        A, B = np.linalg.solve(M, [v, -dv])
+        if not (cmath.isfinite(A) and cmath.isfinite(B)):
+            raise RuntimeError(f"connection match not finite for p={p}, "
+                               f"lam={lam}")
+        defects.append(abs(B) / (abs(A) + abs(B)))
     return defects
 
 
@@ -375,7 +354,7 @@ class ModeScan:
     points: (lam, defect) in grid order, NaN where no defect could be had.
     continued: per point, whether the closed form could not take it and it
     was handed to `connection_defect`; the rest are closed form.
-    failures: (lam, message) of every continuation that raised.
+    failures: (lam, message) of every `connection_defect` call that raised.
     """
     points: list[tuple[complex, float]]
     continued: list[bool]

@@ -1,6 +1,6 @@
-"""Import side effects: scipy.linalg, scipy.integrate and scipy.interpolate
-load only where they are called, importing the package loads no scipy at
-all, and importing the CLI leaves BLAS on one thread."""
+"""Import side effects: scipy.linalg and scipy.interpolate load only where
+they are called, importing the package or running a mode scan at any p
+loads no scipy at all, and importing the CLI leaves BLAS on one thread."""
 
 import os
 import subprocess
@@ -23,8 +23,10 @@ PROBE = textwrap.dedent("""
     from blowuplab.modeanalysis import mode_scan
     from blowuplab.modulation import _nonlinear_integrals
 
-    scan = mode_scan(0.5)
-    assert scan.n_continuation == 0 and len(scan.points) == 1891
+    for p, n_continued in ((0.5, 0), (0.75, 3), (1.0, 4)):
+        scan = mode_scan(p)
+        assert scan.n_continuation == n_continued and len(scan.points) == 1891
+        assert scan.failures == []
     ode_blowup_instability(0.99)
     taus = np.linspace(0.0, 1.0, 5)
     I_plain, _, _ = _nonlinear_integrals(taus, np.ones((5, 3)))
@@ -35,9 +37,9 @@ PROBE = textwrap.dedent("""
 
 
 def test_fresh_process_loads_no_integrate_or_interpolate():
-    """Importing every module and running a mode scan with no continued
-    point, the closed-form instability check and the Simpson integrals
-    loads no scipy module at all."""
+    """Importing every module, running mode scans with and without
+    degenerate points (p = 0.5, 0.75, 1), the closed-form instability check
+    and the Simpson integrals loads no scipy module at all."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", PROBE], env=env, check=True,
                          capture_output=True, text=True).stdout

@@ -1,5 +1,6 @@
 """Eigenequation analysis: Frobenius series, connection defects, mode scan."""
 
+import dataclasses
 import math
 import warnings
 
@@ -328,7 +329,7 @@ def test_mode_scan_raises_no_floating_point_warnings(p):
 
 
 # ---------------------------------------------------------------------------
-# mode scan: Gauss connection formula against the ODE continuation
+# mode scan: Gauss connection formula against the matched series
 
 @pytest.mark.parametrize("p,n,re_min", [(0.25, 60, 0.0), (0.5, 60, 0.0),
                                         (0.75, 60, 0.0), (1.0, 40, -0.75)])
@@ -372,34 +373,87 @@ def test_connection_defect_nan_candidate_propagates(monkeypatch):
 
 
 def test_failed_candidate_continuation_is_a_scan_failure(monkeypatch):
-    """When one of two continued candidates fails, connection_defect raises
-    instead of reporting the other, and mode_scan records a failure with a
-    NaN defect.  Two candidates arise at p = 1, lambda = 0, -1, -2, ...,
-    where both branches at z = 0 are analytic too and nothing is continued;
-    so the single candidate at (0.75, 0.5) is offered twice and the second
-    solve_ivp call of each evaluation reports failure."""
-    import scipy.integrate
-
+    """When one of two candidates gives no finite match, connection_defect
+    raises instead of reporting the other, and mode_scan records a failure
+    with a NaN defect.  Two candidates arise at p = 1, lambda = 0, -1, -2,
+    ..., where both branches at z = 0 are analytic too and nothing is
+    matched; so the single candidate at (0.75, 0.5) is offered twice, the
+    second copy with NaN coefficients."""
     from blowuplab import modeanalysis
 
     smooth_at_one = modeanalysis._smooth_solutions_at_one
-    monkeypatch.setattr(modeanalysis, "_smooth_solutions_at_one",
-                        lambda *args: 2 * smooth_at_one(*args))
-    solve_ivp = scipy.integrate.solve_ivp
-    calls = []
 
-    def second_fails(*args, **kwargs):
-        calls.append(args)
-        sol = solve_ivp(*args, **kwargs)
-        if len(calls) % 2 == 0:
-            sol.success = False
-        return sol
+    def with_nan_copy(*args):
+        (cand,) = smooth_at_one(*args)
+        return [cand, dataclasses.replace(cand, coeffs=cand.coeffs * math.nan)]
 
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", second_fails)
-    with pytest.raises(RuntimeError, match="continuation failed"):
+    assert connection_defect(0.75, 0.5) == pytest.approx(0.69, abs=5e-3)
+    monkeypatch.setattr(modeanalysis, "_smooth_solutions_at_one", with_nan_copy)
+    with pytest.raises(RuntimeError, match=r"p=0\.75, lam=0\.5"):
         connection_defect(0.75, 0.5)
-    assert len(calls) == 2
     scan = mode_scan(0.75, [0.5])
-    assert scan.continued == [True] and len(calls) == 4
+    assert scan.continued == [True]
     assert [lam for lam, _ in scan.failures] == [0.5]
     assert math.isnan(scan.points[0][1])
+
+
+# ---------------------------------------------------------------------------
+# the matched series at the degenerate points, against ODE continuation
+
+def _continuation_defects(p, lam, N=40):
+    """Connection defect of every analytic-at-1 candidate by ODE
+    continuation: DOP853 (rtol 1e-11, atol 1e-14) from z = 0.99 to the
+    collar [0.01, 0.02], then a least-squares fit there against the two
+    local branches at z = 0."""
+    from scipy.integrate import solve_ivp
+
+    a, b, c = lorentz_frame_params(p, lam)
+    smooth_at_1 = _smooth_solutions_at_one(a, b, c, N)
+    psi1, psi2 = fundamental_system(*hypergeom_taylor_data(a, b, c, N), N)
+    assert psi1.smooth != psi2.smooth
+    smooth_b, sing_b = (psi1, psi2) if psi1.smooth else (psi2, psi1)
+
+    delta = 1e-2
+    zs = np.linspace(2.0 * delta, delta, 9)
+    M = np.zeros((2 * len(zs), 2), dtype=complex)
+    for j, z in enumerate(zs):
+        v1, d1 = smooth_b.eval(z)
+        v2, d2 = sing_b.eval(z)
+        M[j] = (v1, v2)
+        M[len(zs) + j] = (delta * d1, delta * d2)
+
+    def rhs(z, u):
+        phi, dphi = u
+        ddphi = (-(c - (a + b + 1.0) * z) * dphi + a * b * phi) / (z * (1.0 - z))
+        return [dphi, ddphi]
+
+    defects = []
+    for cand in smooth_at_1:
+        v0, d0 = cand.eval(delta)        # w = delta, i.e. z = 1 - delta
+        scale = max(abs(v0), abs(d0), 1e-30)
+        # d/dz = -d/dw
+        sol = solve_ivp(rhs, (1.0 - delta, delta), [v0 / scale, -d0 / scale],
+                        t_eval=zs, method="DOP853", rtol=1e-11, atol=1e-14)
+        assert sol.success
+        rvec = np.concatenate([sol.y[0], delta * sol.y[1]])
+        ab_fit, *_ = np.linalg.lstsq(M, rvec, rcond=None)
+        defects.append(abs(ab_fit[1]) / (abs(ab_fit[0]) + abs(ab_fit[1])))
+    return defects
+
+
+DEGENERATE = [(0.75, 0.5), (0.75, 1.5), (0.75, 2.5),
+              (1.0, 1.0), (1.0, 2.0), (1.0, 3.0)]
+
+
+@pytest.mark.parametrize("p,lam", DEGENERATE)
+def test_matched_series_matches_continuation_at_degenerate_points(p, lam):
+    # an integer c or c - a - b: the closed form cannot check these points
+    assert mode_scan(p, [lam]).continued == [True]
+    ours, ref = smooth_candidate_defects(p, lam), _continuation_defects(p, lam)
+    assert ours == pytest.approx(ref, abs=1e-7)
+
+
+@pytest.mark.parametrize("p,lam", DEGENERATE)
+def test_matched_series_stable_under_series_doubling(p, lam):
+    assert (smooth_candidate_defects(p, lam, 40)
+            == pytest.approx(smooth_candidate_defects(p, lam, 80), abs=1e-9))
