@@ -3,8 +3,9 @@
 
 Writes one mode_scan.csv per value of p under out/mode_scans/p{p}/.
 Columns: re_lambda, im_lambda, defect, continued (1 where the Gauss
-connection formula degenerates and the ODE continuation gave the defect,
-0 where the closed form did).  Plot |defect| on the grid to see the two
+connection formula degenerates and Frobenius series from the two-term
+recurrence, matched at z = 1/2, gave the defect; 0 where the closed form
+did).  Plot |defect| on the grid to see the two
 smooth modes at lambda = 0 and 1 stand out by ten orders of magnitude.
 """
 

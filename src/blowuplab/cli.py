@@ -96,7 +96,7 @@ _SCHEMA = {
     "dt": (float, 0.0, _check_nonneg("dt")),       # 0 = automatic
     "tau_max": (float, 12.0, _check_tau_max),
     "epsilon": (float, 1e-4, _check_nonneg("epsilon")),
-    "seed": (int, 0, None),
+    "seed": (int, 0, _check_nonneg("seed")),
     "lambda_re_min": (float, 0.0, None),
     "lambda_re_max": (float, 3.0, None),
     "lambda_im_max": (float, 3.0, _check_nonneg("lambda_im_max")),
@@ -188,6 +188,9 @@ def parse_config(argv) -> RunConfig:
         if raw is not None:
             params[key] = _coerce(key, raw)
             given.add(key)
+    if params["lambda_re_max"] < params["lambda_re_min"]:
+        raise ConfigError(f"lambda_re_max ({params['lambda_re_max']}) must "
+                          f"be >= lambda_re_min ({params['lambda_re_min']})")
     out_dir = os.environ.get("BLOWUPLAB_OUT") or params["output_dir"]
     if not params["tag"]:
         params["tag"] = ns.command

@@ -266,12 +266,20 @@ def ode_blowup_instability(p: float, kappa: float = 0.0) -> dict:
     ||U_p(tau,.) - (tau+a)||_{L2(-1,1)} with U_p(tau,y) = p tau - p log(1 +
     y sqrt(1-p)) + kappa grows like |p-1| sqrt(2) tau for every shift
     a in {0, kappa, 1}; the slope is measured by a linear fit over the late
-    half of tau in [0, 200].
+    half of tau in [0, tau_end].  ValueError at p = 1, where the slope is 0.
     """
+    if p >= 1.0:
+        raise ValueError("the divergence slope |p-1| sqrt(2) vanishes at "
+                         "p = 1: instability-p1 needs p < 1")
     a_grid = (0.0, kappa, 1.0)
-    tau_grid = np.linspace(0.0, 200.0, 81)
     grid = ChebGrid.make(INSTABILITY_NODES)
     prof = similarity_profile(p, grid.y, kappa)
+    # the norm turns linear in tau only once (1-p) tau is past every value
+    # of the static part U - a (the sign change), and its curvature there
+    # is set by the spread of U: tau_end is ten of the larger of those two
+    # times, and at least 200
+    reach = max(np.max(prof) - min(a_grid), np.ptp(prof))
+    tau_grid = np.linspace(0.0, max(200.0, 10.0 * reach / (1.0 - p)), 81)
     slopes = {}
     norms = {}
     for a in a_grid:

@@ -13,11 +13,11 @@ the solution smooth at z = 1 along the non-smooth local branch at z = 0.
 
 `mode_scan` takes it in closed form from the Gauss connection formula
 (DLMF 15.10.21), vectorised over the whole lambda grid.  `connection_defect`
-matches the Frobenius series of the locally-smooth solution at z = 1
-against the two Frobenius branches at z = 0, by value and slope at
-z = 1/2: it is the fallback where the formula degenerates (integer c or
-c - a - b) and the oracle the closed form is tested against.  The formula
-needs only log|Gamma|, which is summed here in numpy (recurrence,
+matches the Frobenius series of the solution smooth at z = 1 against the
+two branches at z = 0, all summed from the hypergeometric two-term
+recurrence, by value and slope at z = 1/2: it is the fallback where the
+formula degenerates (integer c or c - a - b) and the closed form's oracle.
+The formula needs only log|Gamma|, summed here in numpy (recurrence,
 reflection and the Stirling series), so a scan loads no scipy at any p.
 """
 
@@ -50,18 +50,8 @@ def lorentz_frame_params(p: float, lam):
 
 
 # ---------------------------------------------------------------------------
-# Frobenius machinery at a regular singular point
+# Frobenius series of the hypergeometric equation (DLMF 15.10)
 # ---------------------------------------------------------------------------
-
-def indicial_roots(p0_coeff: complex, q0_coeff: complex) -> tuple[complex, complex]:
-    """Roots of s(s-1) + p0 s + q0, ordered Re(s1) >= Re(s2)."""
-    disc = cmath.sqrt((p0_coeff - 1.0) ** 2 - 4.0 * q0_coeff)
-    s_a = (1.0 - p0_coeff + disc) / 2.0
-    s_b = (1.0 - p0_coeff - disc) / 2.0
-    if s_a.real >= s_b.real:
-        return s_a, s_b
-    return s_b, s_a
-
 
 @dataclass
 class FrobeniusExpansion:
@@ -96,106 +86,63 @@ class FrobeniusExpansion:
         return not (self.log_branch and abs(self.c_log) > _INT_TOL)
 
 
-def frobenius_coeffs(p_taylor: np.ndarray, q_taylor: np.ndarray, s: complex,
+def frobenius_coeffs(a: complex, b: complex, c: complex, s: complex,
                      N: int) -> FrobeniusExpansion:
-    """Plain Frobenius series a_n for exponent s, a_0 = 1.
+    """Plain Frobenius series a_n, a_0 = 1, of the hypergeometric equation
+    for the exponent s, from the two-term recurrence
+    (s+n+1)(s+n+c) a_{n+1} = (s+n+a)(s+n+b) a_n.
 
-    p_taylor, q_taylor are the Taylor coefficients of z*p(z) and z^2*q(z).
-    Raises if the indicial polynomial vanishes at s+n for some n >= 1 (that
-    resonance belongs to the log-branch construction, not here).
+    Raises if (s+n)(s+n-1+c) vanishes for some n >= 1 (that resonance
+    belongs to the log-branch construction, not here).
     """
-    p_t, q_t = _padded(p_taylor, N), _padded(q_taylor, N)
-    a = np.zeros(N + 1, dtype=complex)
-    a[0] = 1.0
-    for n in range(1, N + 1):
-        Pn = _indicial_poly(p_t, q_t, s + n)
-        if abs(Pn) < _INT_TOL:
-            raise ValueError(f"indicial resonance at n={n}; use the log branch")
-        a[n] = -_lower_order_terms(a, s, p_t, q_t, n) / Pn
-    return FrobeniusExpansion(s=s, coeffs=a, log_branch=False)
+    n = np.arange(N)
+    den = (s + n + 1.0) * (s + n + c)
+    resonant = np.abs(den) < _INT_TOL
+    if resonant.any():
+        raise ValueError(f"indicial resonance at n={resonant.argmax() + 1}; "
+                         "use the log branch")
+    coeffs = np.ones(N + 1, dtype=complex)
+    coeffs[1:] = np.cumprod((s + n + a) * (s + n + b) / den)
+    return FrobeniusExpansion(s=s, coeffs=coeffs, log_branch=False)
 
 
-def _padded(taylor: np.ndarray, N: int) -> np.ndarray:
-    out = np.zeros(N + 1, dtype=complex)
-    out[:min(len(taylor), N + 1)] = taylor[:N + 1]
-    return out
-
-
-def _indicial_poly(p_t: np.ndarray, q_t: np.ndarray, x: complex) -> complex:
-    return x * (x - 1.0) + p_t[0] * x + q_t[0]
-
-
-def _lower_order_terms(c: np.ndarray, s: complex, p_t: np.ndarray,
-                       q_t: np.ndarray, n: int) -> complex:
-    """sum_{k<n} c_k ((s+k) p_{n-k} + q_{n-k}): the part of the order-n
-    Frobenius recurrence fixed by the coefficients already known."""
-    rhs = 0.0 + 0.0j
-    for k in range(n):
-        rhs += c[k] * ((s + k) * p_t[n - k] + q_t[n - k])
-    return rhs
-
-
-def fundamental_system(p_taylor: np.ndarray, q_taylor: np.ndarray, N: int
+def fundamental_system(a: complex, b: complex, c: complex, N: int
                        ) -> tuple[FrobeniusExpansion, FrobeniusExpansion]:
-    """Both local solutions at the regular singular point z = 0.
+    """Both local solutions of the hypergeometric equation at z = 0, for
+    the exponents 0 and 1 - c ordered Re(s1) >= Re(s2).
 
     Non-resonant exponent gap: two plain series.  Integer gap m0 >= 0: the
     second solution is c_log * phi1 * log z + z^{s2} sum b_n z^n, with c_log
-    fixed by the n = m0 compatibility equation (c_log = 1 by convention when
-    the roots coincide, and c_log may turn out to be 0 — an apparent
-    resonance, giving two analytic solutions).
+    fixed by the n = m0 step of the recurrence (c_log = 1 by convention
+    when the exponents coincide, and c_log may turn out to be 0 — an
+    apparent resonance, giving two analytic solutions).
     """
-    p_t, q_t = _padded(p_taylor, N), _padded(q_taylor, N)
-    s1, s2 = indicial_roots(p_t[0], q_t[0])
-    gap = s1 - s2
-    m0 = round(gap.real)
-    resonant = abs(gap - m0) < _INT_TOL and m0 >= 0
+    s1, s2 = sorted((0j, 1.0 - c + 0j), key=lambda s: -s.real)
+    m0 = round((s1 - s2).real)
+    phi1 = frobenius_coeffs(a, b, c, s1, N)
+    if abs(s1 - s2 - m0) >= _INT_TOL:
+        return phi1, frobenius_coeffs(a, b, c, s2, N)
 
-    phi1 = frobenius_coeffs(p_t, q_t, s1, N)
-    if not resonant:
-        phi2 = frobenius_coeffs(p_t, q_t, s2, N)
-        return phi1, phi2
-
-    a = phi1.coeffs
-
-    def R(m):
-        # coefficient of z^{s1+m} in 2 z phi1' - phi1 + (z p) phi1
-        out = (2.0 * (s1 + m) - 1.0) * a[m]
-        for j in range(m + 1):
-            out += p_t[j] * a[m - j]
-        return out
-
-    b = np.zeros(N + 1, dtype=complex)
-    if m0 == 0:
-        c_log = 1.0 + 0.0j
-        b[0] = 0.0
-        start = 1
-    else:
-        b[0] = 1.0
-        for n in range(1, m0):
-            b[n] = (-_lower_order_terms(b, s2, p_t, q_t, n)
-                    / _indicial_poly(p_t, q_t, s2 + n))
-        c_log = -_lower_order_terms(b, s2, p_t, q_t, m0) / R(0)
-        b[m0] = 0.0  # free direction (adding phi1); fixed by this convention
-        start = m0 + 1
-    for n in range(start, N + 1):
-        rhs = _lower_order_terms(b, s2, p_t, q_t, n)
-        if n - m0 <= N:
-            rhs += c_log * R(n - m0)
-        b[n] = -rhs / _indicial_poly(p_t, q_t, s2 + n)
-    phi2 = FrobeniusExpansion(s=s2, coeffs=b, log_branch=True,
+    # c_log phi1 log z leaves c_log z^{s1-1} g(z) in the equation, where
+    # z^{s1} g = 2 z (1-z) phi1' + (c - 1 - (a+b) z) phi1
+    k = np.arange(N + 1)
+    g = (2.0 * (s1 + k) + c - 1.0) * phi1.coeffs
+    g[1:] -= (2.0 * (s1 + k[:-1]) + a + b) * phi1.coeffs[:-1]
+    coeffs = np.zeros(N + 1, dtype=complex)
+    c_log = 1.0 + 0.0j
+    if m0:
+        # a plain series up to n = m0 - 1; the step to n = m0, where
+        # (s2+n)(s2+n-1+c) vanishes, fixes c_log instead, and b_{m0}, a
+        # free multiple of phi1, is left at 0
+        coeffs[:m0] = frobenius_coeffs(a, b, c, s2, m0 - 1).coeffs
+        c_log = (s1 - 1.0 + a) * (s1 - 1.0 + b) * coeffs[m0 - 1] / g[0]
+    for n in range(m0 + 1, N + 1):
+        x = s2 + n - 1.0
+        coeffs[n] = (((x + a) * (x + b) * coeffs[n - 1] - c_log * g[n - m0])
+                     / ((x + 1.0) * (x + c)))
+    phi2 = FrobeniusExpansion(s=s2, coeffs=coeffs, log_branch=True,
                               c_log=c_log, base=phi1)
     return phi1, phi2
-
-
-def hypergeom_taylor_data(a: complex, b: complex, c: complex, N: int
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Taylor data of z*p(z), z^2*q(z) for the hypergeometric ODE at z=0."""
-    p_t = np.full(N + 1, c - a - b - 1.0, dtype=complex)
-    p_t[0] = c
-    q_t = np.full(N + 1, -a * b, dtype=complex)
-    q_t[0] = 0.0
-    return p_t, q_t
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +156,8 @@ def _smooth_solutions_at_one(a: complex, b: complex, c: complex, N: int
     Generically one-dimensional (the exponent-0 branch); at degenerate
     parameters (p = 1, lam = 1 - n) both branches can be analytic.
     """
-    cp = a + b + 1.0 - c  # lower parameter of the w-frame equation
-    p_t, q_t = hypergeom_taylor_data(a, b, cp, N)
-    phi1, phi2 = fundamental_system(p_t, q_t, N)
+    # in w the equation is hypergeometric with lower parameter a + b + 1 - c
+    phi1, phi2 = fundamental_system(a, b, a + b + 1.0 - c, N)
     out = [phi for phi in (phi1, phi2) if phi.smooth]
     if not out:
         raise RuntimeError("no analytic branch at z=1 found")
@@ -241,19 +187,13 @@ def smooth_candidate_defects(p: float, lam: complex, N: int = DEFAULT_SERIES_N
     a, b, c = lorentz_frame_params(p, lam)
     smooth_at_1 = _smooth_solutions_at_one(a, b, c, N)
 
-    p0_t, q0_t = hypergeom_taylor_data(a, b, c, N)
-    psi1, psi2 = fundamental_system(p0_t, q0_t, N)
     # order the pair so col 2 carries the non-smooth content
-    if psi1.smooth and not psi2.smooth:
-        smooth_b, sing_b = psi1, psi2
-    elif psi2.smooth and not psi1.smooth:
-        smooth_b, sing_b = psi2, psi1
-    elif psi1.smooth and psi2.smooth:
-        # both local branches analytic: every solution is smooth
-        return [0.0] * len(smooth_at_1)
-    else:
-        # no analytic branch at 0 at all: nothing smooth can come through
-        return [1.0] * len(smooth_at_1)
+    smooth_b, sing_b = sorted(fundamental_system(a, b, c, N),
+                              key=lambda psi: not psi.smooth)
+    if smooth_b.smooth == sing_b.smooth:
+        # both local branches analytic: every solution is smooth; neither:
+        # nothing smooth can come through
+        return [0.0 if smooth_b.smooth else 1.0] * len(smooth_at_1)
 
     # the series about z = 0 and about z = 1 both have radius 1, so z = 1/2
     # is where both converge fastest

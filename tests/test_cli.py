@@ -64,6 +64,11 @@ def test_constraint_violations_named():
         parse_config(["spectrum", "--p", "1.5"])
     with pytest.raises(ConfigError, match="tau_max"):
         parse_config(["evolve", "--tau-max", "99"])
+    with pytest.raises(ConfigError, match="lambda_re_max.*lambda_re_min"):
+        parse_config(["mode-scan", "--lambda-re-min", "3",
+                      "--lambda-re-max", "0"])
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        parse_config(["profile-check", "--seed", "-1"])
 
 
 def test_unknown_command_rejected():
@@ -349,6 +354,21 @@ def test_instability_nan_slope_fails(tmp_path, monkeypatch):
     assert checks["smallness"] and not checks["divergence_slopes"]
 
 
+@pytest.mark.parametrize("p,kappa", [("0.999", "0.3"), ("0.99", "2.5")])
+def test_instability_p1_passes_with_large_shift(tmp_path, p, kappa):
+    # the norm turns linear only once (1-p) tau is past the shift kappa,
+    # which here is well beyond tau = 200
+    code = main(["instability-p1", "--p", p, "--kappa", kappa,
+                 "--output-dir", str(tmp_path)])
+    assert code == EXIT_PASS
+    with open(tmp_path / f"instability_p{p}.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3
+    for row in rows:
+        exp = float(row["expected_slope"])
+        assert float(row["slope"]) == pytest.approx(exp, rel=1e-3), row["a"]
+
+
 def test_every_csv_has_header(tmp_path):
     cfg = parse_config(["profile-check", "--output-dir", str(tmp_path)])
     run(cfg)
@@ -358,10 +378,11 @@ def test_every_csv_has_header(tmp_path):
         assert header and not any(ch.isdigit() for ch in header[0])
 
 
-@pytest.mark.parametrize("command", ["spectrum", "evolve"])
+@pytest.mark.parametrize("command", ["spectrum", "evolve", "instability-p1"])
 def test_p_one_numerical_failure_names_p(tmp_path, capsys, command):
-    # g0 exists only for p < 1, so both commands fail with a cause that
-    # names p = 1 rather than a bare division by zero
+    # g0 exists only for p < 1, and the divergence slope vanishes at p = 1,
+    # so each command fails with a cause that names p = 1 rather than a
+    # bare division by zero or a slope check that cannot pass
     code = main([command, "--p", "1", "--output-dir", str(tmp_path)])
     assert code == EXIT_NUMERICAL
     assert "p = 1" in capsys.readouterr().err

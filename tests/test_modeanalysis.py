@@ -20,8 +20,6 @@ from blowuplab.modeanalysis import (
     default_lambda_grid,
     frobenius_coeffs,
     fundamental_system,
-    hypergeom_taylor_data,
-    indicial_roots,
     lorentz_frame_params,
     mode_scan,
     smooth_candidate_defects,
@@ -31,8 +29,7 @@ from blowuplab.modeanalysis import (
 def gauss_series(a, b, c, z, N=150):
     """2F1(a, b; c; z) as the exponent-0 Frobenius branch of the
     hypergeometric equation at z = 0, summed to N terms."""
-    p_t, q_t = hypergeom_taylor_data(a, b, c, N)
-    coeffs = frobenius_coeffs(p_t, q_t, 0.0, N).coeffs
+    coeffs = frobenius_coeffs(a, b, c, 0.0, N).coeffs
     return np.polynomial.polynomial.polyval(z, coeffs)
 
 
@@ -66,13 +63,13 @@ def test_2f1_pole_detection():
     # c = -2: the exponents 0 and 1 - c = 3 differ by an integer, and the
     # plain exponent-0 series breaks down at n = 3
     with pytest.raises(ValueError, match="resonance"):
-        frobenius_coeffs(*hypergeom_taylor_data(0.3, 0.7, -2.0, 10), 0.0, 10)
+        frobenius_coeffs(0.3, 0.7, -2.0, 0.0, 10)
     # generically the second solution then carries a log term ...
-    _, phi2 = fundamental_system(*hypergeom_taylor_data(0.3, 0.7, -2.0, 10), 10)
+    _, phi2 = fundamental_system(0.3, 0.7, -2.0, 10)
     assert not phi2.smooth
     # ... but a terminating numerator rescues it: the resonance is apparent
     # and the exponent-0 solution is the polynomial 1 + (a b / c) z
-    _, phi2 = fundamental_system(*hypergeom_taylor_data(-1.0, 0.7, -2.0, 10), 10)
+    _, phi2 = fundamental_system(-1.0, 0.7, -2.0, 10)
     assert phi2.smooth and phi2.c_log == 0.0
     val, _ = phi2.eval(0.5)
     assert val == pytest.approx(1.0 + (-1.0) * 0.7 / (-2.0) * 0.5, rel=1e-14)
@@ -131,23 +128,13 @@ def test_series_coeff_ratio_tends_to_one():
     assert slope == pytest.approx(-1.0, abs=0.2)
 
 
-def test_indicial_roots_ordering():
-    s1, s2 = indicial_roots(0.3 + 0.0j, -0.7 + 0.0j)
-    assert s1.real >= s2.real
-    for s in (s1, s2):
-        assert abs(s * (s - 1.0) + 0.3 * s - 0.7) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # Frobenius series
 
 def test_frobenius_reproduces_hypergeometric():
     # at z=0 the s=0 branch of the hypergeometric equation is 2F1 itself
     a, b, c = 0.7, -0.3, 1.4
-    p_t, q_t = hypergeom_taylor_data(a, b, c, 30)
-    s1, s2 = indicial_roots(p_t[0], q_t[0])
-    exp = frobenius_coeffs(p_t, q_t, s1 if abs(s1) < abs(s2) else s2, 30)
-    coeffs = exp.coeffs
+    coeffs = frobenius_coeffs(a, b, c, 0.0, 30).coeffs
     z = 0.3
     series = sum(coeffs[n] * z ** n for n in range(len(coeffs)))
     assert series == pytest.approx(hyp2f1(a, b, c, z), rel=1e-12)
@@ -155,8 +142,7 @@ def test_frobenius_reproduces_hypergeometric():
 
 def test_frobenius_radius_root_test():
     a, b, c = 0.7, -0.3, 1.4
-    p_t, q_t = hypergeom_taylor_data(a, b, c, 60)
-    coeffs = frobenius_coeffs(p_t, q_t, 0.0, 60).coeffs
+    coeffs = frobenius_coeffs(a, b, c, 0.0, 60).coeffs
     # root test: |a_n|^(1/n) -> 1/R = 1
     tail = np.abs(coeffs[40:60])
     roots = tail ** (1.0 / np.arange(40, 60))
@@ -166,22 +152,44 @@ def test_frobenius_radius_root_test():
 def test_fundamental_system_log_branch():
     # c = 1 forces equal indicial roots at z = 0: the second solution
     # must carry a log term
-    p_t, q_t = hypergeom_taylor_data(0.5, 0.5, 1.0, 20)
-    phi1, phi2 = fundamental_system(p_t, q_t, 20)
+    phi1, phi2 = fundamental_system(0.5, 0.5, 1.0, 20)
     assert not phi1.log_branch
     assert phi2.log_branch
     assert abs(phi2.c_log) > 1e-8
 
 
 def test_fundamental_system_plain_pair():
-    # non-integer exponent gap: two plain power-series branches
-    p_t, q_t = hypergeom_taylor_data(0.3, 0.8, 0.4, 20)
-    phi1, phi2 = fundamental_system(p_t, q_t, 20)
+    # non-integer exponent gap: two plain power-series branches, for the
+    # exponents 1 - c and 0, ordered by real part
+    phi1, phi2 = fundamental_system(0.3, 0.8, 0.4, 20)
     assert not phi1.log_branch and not phi2.log_branch
+    assert (phi1.s, phi2.s) == pytest.approx((0.6, 0.0), abs=1e-15)
     # Wronskian-type independence at a sample point
     v1, d1 = phi1.eval(0.05)
     v2, d2 = phi2.eval(0.05)
     assert abs(v1 * d2 - v2 * d1) > 1e-12
+
+
+@pytest.mark.parametrize("a,b,c,kind", [
+    (0.3, 0.8, 0.4, "plain"),
+    (0.3, 0.7, 1.0, "log"), (0.3, 0.7, 2.0, "log"),
+    (0.3, 0.7, 0.0, "log"), (0.3, 0.7, -2.0, "log"),
+    (-1.0, 0.7, -2.0, "apparent"),
+])
+def test_fundamental_system_branches_solve_the_equation(a, b, c, kind):
+    """Both branches at z = 0 satisfy the hypergeometric equation, with phi''
+    a central difference of phi'."""
+    phi1, phi2 = fundamental_system(a, b, c, 60)
+    assert phi2.log_branch == (kind != "plain")
+    assert (phi2.c_log == 0.0) == (kind != "log")
+    h = 1e-5
+    for phi in (phi1, phi2):
+        for z in (0.2, 0.5):
+            val, dval = phi.eval(z)
+            ddval = (phi.eval(z + h)[1] - phi.eval(z - h)[1]) / (2.0 * h)
+            terms = (z * (1.0 - z) * ddval, (c - (a + b + 1.0) * z) * dval,
+                     -a * b * val)
+            assert abs(sum(terms)) < 1e-7 * sum(map(abs, terms)), (phi.s, z)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +417,7 @@ def _continuation_defects(p, lam, N=40):
 
     a, b, c = lorentz_frame_params(p, lam)
     smooth_at_1 = _smooth_solutions_at_one(a, b, c, N)
-    psi1, psi2 = fundamental_system(*hypergeom_taylor_data(a, b, c, N), N)
+    psi1, psi2 = fundamental_system(a, b, c, N)
     assert psi1.smooth != psi2.smooth
     smooth_b, sing_b = (psi1, psi2) if psi1.smooth else (psi2, psi1)
 
