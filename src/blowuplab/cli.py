@@ -328,7 +328,8 @@ def _run_mode_scan(cfg: RunConfig) -> list:
 
 def _run_spectrum(cfg: RunConfig) -> list:
     from .chebgrid import ChebGrid
-    from .linop import eigen_triple_residuals, riesz_projectors_for, spectrum
+    from .linop import (OMEGA0, eigen_triple_residuals, riesz_projectors_for,
+                        spectrum)
 
     p, N = cfg["p"], cfg["N"]
     # first: it rejects p = 1 before any eigenvalues are taken or written
@@ -350,7 +351,8 @@ def _run_spectrum(cfg: RunConfig) -> list:
         fh.write("\n".join(report) + "\n")
     worst = np.max(list(res.values()))
     checks = [
-        ("gap", 0.0 < rep.gap_omega0 <= 0.5, f"omega0={rep.gap_omega0:g}"),
+        ("gap", 0.0 < rep.gap_omega0 <= OMEGA0,
+         f"omega0={rep.gap_omega0:g} gap_raw={rep.gap_raw:.3g}"),
         ("ranks", (r0, r1) == (2, 1), f"rank_P0={r0} rank_P1={r1}"),
         ("eigen_triples", worst < 1e-7, f"max residual {worst:.2e}"),
     ]
@@ -377,7 +379,7 @@ def _run_semigroup_check(cfg: RunConfig) -> list:
 def _run_evolve(cfg: RunConfig) -> list:
     from .evolve import (DECAY_FIT_WINDOW, EvolveConfig, evolve_perturbation,
                          physical_space_crosscheck)
-    from .linop import measured_gap
+    from .linop import OMEGA0
 
     dt = cfg["dt"] if cfg["dt"] > 0 else None
     ecfg = EvolveConfig(p=cfg["p"], kappa=cfg["kappa"], T=cfg["T"],
@@ -388,10 +390,9 @@ def _run_evolve(cfg: RunConfig) -> list:
     write_csv(cfg.output_dir / f"decay_{tag}.csv",
               ["tau", "norm_k", "norm_L2"],
               zip(fit.taus, fit.norms, fit.l2_norms))
-    omega0 = measured_gap(cfg["p"], cfg["N"])
     a, b = DECAY_FIT_WINDOW
-    checks = [("decay_rate", fit.decays_at(-0.8 * omega0),
-               f"rate={fit.fitted_rate:.3f} target<={-0.8 * omega0:.3f} "
+    checks = [("decay_rate", fit.decays_at(-0.8 * OMEGA0),
+               f"rate={fit.fitted_rate:.3f} target<={-0.8 * OMEGA0:.3f} "
                f"r2={fit.r_squared:.4f} window=({a:g}, {b:g})")]
 
     errs = physical_space_crosscheck(replace(ecfg, epsilon=1e-3))
@@ -425,14 +426,13 @@ def _run_instability_p1(cfg: RunConfig) -> list:
 
 def _run_modulate(cfg: RunConfig) -> list:
     from .chebgrid import ChebGrid
-    from .linop import StateVector
     from .modulation import fit_parameters, modulated_decay
 
     eps = cfg["epsilon"]
     grid = ChebGrid.make(cfg["N"])
-    f = StateVector(
-        q1=eps * np.polynomial.legendre.legval(grid.y, (0.0, 1.0, 1.0, 0.5)),
-        q2=eps * np.polynomial.legendre.legval(grid.y, (0.5, 1.0, 1.0, 0.0)))
+    f = np.stack([
+        eps * np.polynomial.legendre.legval(grid.y, (0.0, 1.0, 1.0, 0.5)),
+        eps * np.polynomial.legendre.legval(grid.y, (0.5, 1.0, 1.0, 0.0))])
     baseline = (cfg["p"], cfg["T"], cfg["kappa"])
     state = fit_parameters(f, baseline, N=cfg["N"])
     write_csv(cfg.output_dir / f"modulation_{cfg['tag']}.csv",

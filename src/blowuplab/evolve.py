@@ -28,8 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .chebgrid import ChebGrid, exponential_filter, truncate_modes
-from .linop import (DEFAULT_K, StateVector, assemble_Lp, energy_norm,
-                    neutral_coordinates)
+from .linop import DEFAULT_K, assemble_Lp, energy_norm, neutral_coordinates
 from .profiles import (_FD4_C2, ProfileParams, _log_arg, eval_profile,
                        similarity_profile, similarity_profile_q2)
 
@@ -59,8 +58,8 @@ class EvolveConfig:
 
     def __post_init__(self):
         ProfileParams(p=self.p, kappa=self.kappa, T=self.T, x0=self.x0)
-        if self.tau_max > TAU_MAX_CAP:
-            raise ValueError(f"tau_max capped at {TAU_MAX_CAP}")
+        if not 0.0 < self.tau_max <= TAU_MAX_CAP:
+            raise ValueError(f"tau_max must lie in (0, {TAU_MAX_CAP:g}]")
         if self.dt is not None and self.dt <= 0:
             raise ValueError("dt must be positive")
 
@@ -114,19 +113,12 @@ def _rk4(f, u: np.ndarray, dt: float) -> np.ndarray:
     return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def step_similarity(state: StateVector, p: float, h: float, grid: ChebGrid,
-                    norm0: float) -> tuple[StateVector, float]:
-    """One filtered integrating-factor RK4 step of the perturbation system.
-
-    norm0 is the base energy norm of `state`; returns the new state and its
-    norm.  The instability guard allows a loose per-step factor: the
-    non-normal discretisation shows genuine one-step transients on stable
-    trajectories (especially for marginally resolved data), while an actual
-    q2^2 runaway crosses three orders of magnitude within a step or two.
-    Trajectory-level growth is policed in evolve_states.
-    """
+def step_similarity(q: np.ndarray, p: float, h: float,
+                    grid: ChebGrid) -> np.ndarray:
+    """One filtered integrating-factor RK4 step of the perturbation system,
+    from the state q, shape (2, N+1), to the next."""
     half, full = _propagators(p, grid.N, h)
-    u = state.flat()
+    u = q.ravel()
     k1 = _nonlinear(u)
     k2 = _nonlinear(half @ (u + 0.5 * h * k1))
     half_u = half @ u
@@ -134,14 +126,7 @@ def step_similarity(state: StateVector, p: float, h: float, grid: ChebGrid,
     full_u = half @ half_u
     k4 = _nonlinear(full_u + h * (half @ k3))
     u = full_u + (h / 6.0) * (full @ k1 + 2.0 * (half @ (k2 + k3)) + k4)
-    q1, q2 = exponential_filter(u.reshape(2, grid.N + 1))
-    state = StateVector(q1=q1, q2=q2)
-    norm = energy_norm(0, state, grid)
-    if not norm <= 1e3 * max(norm0, 1e-300):      # also catches NaN and inf
-        raise RuntimeError(
-            f"similarity evolution unstable: energy norm {norm0:.3e} -> "
-            f"{norm:.3e} in one step (h={h})")
-    return state, norm
+    return exponential_filter(u.reshape(2, grid.N + 1))
 
 
 def bump(y: np.ndarray) -> np.ndarray:
@@ -154,35 +139,51 @@ def bump(y: np.ndarray) -> np.ndarray:
     return out
 
 
-def initial_perturbation(cfg: EvolveConfig, grid: ChebGrid) -> StateVector:
+def initial_perturbation(cfg: EvolveConfig, grid: ChebGrid) -> np.ndarray:
     """epsilon * (bump, bump / 2), with the unresolved coefficient tail
     chopped; see truncate_modes."""
     b = bump(grid.y)
-    return StateVector(q1=truncate_modes(cfg.epsilon * b),
-                       q2=truncate_modes(cfg.epsilon * 0.5 * b))
+    return np.stack([truncate_modes(cfg.epsilon * b),
+                     truncate_modes(cfg.epsilon * 0.5 * b)])
 
 
-def evolve_states(cfg: EvolveConfig, q0: StateVector, grid: ChebGrid):
-    """Generator of (tau, StateVector) along the trajectory, in equal steps of
-    about cfg.dt (IF_STEP by default) that end at cfg.tau_max."""
+def evolve_states(cfg: EvolveConfig, q0: np.ndarray,
+                  grid: ChebGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(taus, Q): the trajectory from the state q0 in equal steps of about
+    cfg.dt (IF_STEP by default) that end at cfg.tau_max, at least one step;
+    Q[j], shape (2, N+1), is the state at taus[j].
+
+    ValueError unless q0 is a finite (2, N+1) array.  RuntimeError when the
+    k = 0 energy norm grows 1e3-fold in one step (loose: the non-normal
+    discretisation shows genuine one-step transients on stable trajectories,
+    while a q2^2 runaway crosses three orders of magnitude within a step or
+    two) or 1e6-fold over the trajectory.
+    """
+    if np.shape(q0) != (2, grid.N + 1) or not np.all(np.isfinite(q0)):
+        raise ValueError(f"q0 must be a finite (2, {grid.N + 1}) array")
     h = cfg.dt if cfg.dt is not None else IF_STEP
-    nsteps = int(math.ceil(cfg.tau_max / h - 1e-12))
+    nsteps = max(1, int(math.ceil(cfg.tau_max / h - 1e-12)))
     h = cfg.tau_max / nsteps
-    q = q0
-    norm = energy_norm(0, q, grid)
+    Q = np.empty((nsteps + 1, 2, grid.N + 1))
+    Q[0] = q0
+    norm = energy_norm(0, Q[0], grid)
     bound = 1e6 * max(norm, 1e-300)
-    yield 0.0, q
     for j in range(nsteps):
-        q, norm = step_similarity(q, cfg.p, h, grid, norm)
+        Q[j + 1] = step_similarity(Q[j], cfg.p, h, grid)
+        norm0, norm = norm, energy_norm(0, Q[j + 1], grid)
+        if not norm <= 1e3 * max(norm0, 1e-300):   # also catches NaN and inf
+            raise RuntimeError(
+                f"similarity evolution unstable: energy norm {norm0:.3e} -> "
+                f"{norm:.3e} in one step (h={h})")
         if norm > bound:
             raise RuntimeError(
                 f"similarity trajectory diverged by tau={(j + 1) * h:.3f}: "
                 "unstable component present or data outside stability basin")
-        yield (j + 1) * h, q
+    return h * np.arange(nsteps + 1), Q
 
 
 def evolve_perturbation(cfg: EvolveConfig, project_out_unstable: bool = True,
-                        q0: StateVector | None = None) -> DecayFit:
+                        q0: np.ndarray | None = None) -> DecayFit:
     """Run the similarity evolution and fit the exponential decay rate.
 
     With project_out_unstable the neutral/unstable spectral components are
@@ -198,15 +199,12 @@ def evolve_perturbation(cfg: EvolveConfig, project_out_unstable: bool = True,
         q0 = initial_perturbation(cfg, grid)
     if project_out_unstable:
         Phi, V = neutral_coordinates(cfg.p, cfg.N)
-        u = q0.flat()
-        q0 = StateVector.from_flat(u - V @ (Phi @ u))
-    taus, norms, l2s = [], [], []
-    for tau, q in evolve_states(cfg, q0, grid):
-        taus.append(tau)
-        norms.append(energy_norm(cfg.k, q, grid))
-        l2s.append(math.sqrt(grid.integrate(q.q1 ** 2) + grid.integrate(q.q2 ** 2)))
-    taus = np.array(taus)
-    norms = np.array(norms)
+        u = q0.ravel()
+        q0 = (u - V @ (Phi @ u)).reshape(2, -1)
+    taus, Q = evolve_states(cfg, q0, grid)
+    norms = np.array([energy_norm(cfg.k, q, grid) for q in Q])
+    l2s = [math.sqrt(grid.integrate(q1 ** 2) + grid.integrate(q2 ** 2))
+           for q1, q2 in Q]
     rate, r2 = fit_log_slope(taus, norms, DECAY_FIT_WINDOW)
     return DecayFit(taus=taus, norms=norms, fitted_rate=rate, r_squared=r2,
                     l2_norms=np.array(l2s))
@@ -338,8 +336,8 @@ def physical_space_crosscheck(cfg: EvolveConfig) -> dict:
     inside = np.abs(y0) <= 1.0
     q1_0 = np.zeros_like(y0)
     q2_0 = np.zeros_like(y0)
-    q1_0[inside] = grid.interpolate(q0.q1, y0[inside])
-    q2_0[inside] = grid.interpolate(q0.q2, y0[inside])
+    q1_0[inside] = grid.interpolate(q0[0], y0[inside])
+    q2_0[inside] = grid.interpolate(q0[1], y0[inside])
     u = similarity_profile(p, y0, cfg.kappa) + q1_0
     v = (similarity_profile_q2(p, y0) + q2_0) / T   # u_t = (U_tau + y U_y)/(T - t)
 
@@ -362,10 +360,9 @@ def physical_space_crosscheck(cfg: EvolveConfig) -> dict:
     sim_sections = []
     q, tau = q0, 0.0
     for tau_t in (-math.log1p(-t / T) for t in t_samples):
-        for _, q in evolve_states(replace(cfg, tau_max=tau_t - tau), q, grid):
-            pass
+        q = evolve_states(replace(cfg, tau_max=tau_t - tau), q, grid)[1][-1]
         tau = tau_t
-        sim_sections.append(q.q1)
+        sim_sections.append(q[0])
 
     state = np.array([u, v])
     t = 0.0

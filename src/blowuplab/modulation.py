@@ -24,7 +24,7 @@ import numpy as np
 
 from .chebgrid import ChebGrid
 from .evolve import EvolveConfig, evolve_perturbation, evolve_states
-from .linop import DEFAULT_K, StateVector, energy_norm, neutral_coordinates
+from .linop import DEFAULT_K, energy_norm, neutral_coordinates
 from .profiles import similarity_profile, similarity_profile_q2
 
 FIT_TOL = 1e-8              # correction norm at which the fit has converged
@@ -46,13 +46,17 @@ class ModulationState:
 
 
 def initial_data_operator(p: float, T: float, kappa: float, baseline: tuple,
-                          f: StateVector, grid: ChebGrid) -> StateVector:
-    """U_{p,T,kappa}(f) = f^T + f0^T - f_{p,kappa} on the collocation grid.
+                          f: np.ndarray, grid: ChebGrid) -> np.ndarray:
+    """U_{p,T,kappa}(f) = f^T + f0^T - f_{p,kappa} on the collocation grid,
+    for data f and result of shape (2, N+1).
 
     baseline = (p0, T0, kappa0).  Domain constraint: the baseline profile
     entering f0^T is evaluated at (T/T0) y and must stay left of its
-    singularity, i.e. T/T0 < 1/sqrt(1-p0).
+    singularity, i.e. T/T0 < 1/sqrt(1-p0).  ValueError unless f is a finite
+    (2, N+1) array.
     """
+    if np.shape(f) != (2, grid.N + 1) or not np.all(np.isfinite(f)):
+        raise ValueError(f"data f must be a finite (2, {grid.N + 1}) array")
     p0, T0, kappa0 = baseline
     if not 0.0 < p < 1.0 or not 0.0 < p0 < 1.0:
         raise ValueError("p and p0 must lie in (0, 1)")
@@ -62,14 +66,14 @@ def initial_data_operator(p: float, T: float, kappa: float, baseline: tuple,
             f"initial data operator undefined: T/T0 = {ratio} must be "
             f"< 1/sqrt(1-p0) = {1.0 / math.sqrt(1.0 - p0)}")
     y = grid.y
-    fT1 = grid.interpolate(f.q1, T * y)
-    fT2 = T * grid.interpolate(f.q2, T * y)
+    fT1 = grid.interpolate(f[0], T * y)
+    fT2 = T * grid.interpolate(f[1], T * y)
     yr = ratio * y
     f0T1 = similarity_profile(p0, yr, kappa0)
     f0T2 = ratio * similarity_profile_q2(p0, yr)
     fp1 = similarity_profile(p, y, kappa)
     fp2 = similarity_profile_q2(p, y)
-    return StateVector(q1=fT1 + f0T1 - fp1, q2=fT2 + f0T2 - fp2)
+    return np.stack([fT1 + f0T1 - fp1, fT2 + f0T2 - fp2])
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -124,33 +128,24 @@ def correction_functional(Phi: np.ndarray, d: np.ndarray,
     return ell
 
 
-def _evolve_traj(p: float, data_flat: np.ndarray, grid: ChebGrid):
-    """Nonlinear trajectory of `data` up to FIT_TAU_MAX; returns (taus,
-    q2^2 history)."""
-    cfg = EvolveConfig(p=p, N=grid.N, tau_max=FIT_TAU_MAX, epsilon=0.0)
-    q0 = StateVector.from_flat(data_flat)
-    taus, q2sq = [], []
-    for tau, q in evolve_states(cfg, q0, grid):
-        taus.append(tau)
-        q2sq.append(q.q2 ** 2)
-    return np.array(taus), np.array(q2sq)
-
-
-def _corrected_trajectory(p: float, T: float, kappa: float, f: StateVector,
+def _corrected_trajectory(p: float, T: float, kappa: float, f: np.ndarray,
                           baseline: tuple, grid: ChebGrid):
     """Self-consistent corrected flow: evolve U(f) - C, update C, repeat
     (at most INNER_ITERS times).
 
     Builds (Phi, V) and the data d = U_{p,T,kappa}(f) once for the
     parameter point and reuses them in every inner iterate.  Returns
-    (ell, V, q_traj) at the last inner iterate; C = V ell.
+    (ell, V, q_traj) at the last inner iterate, with q_traj = (taus,
+    q2^2 history) of the trajectory up to FIT_TAU_MAX; C = V ell.
     """
     Phi, V = neutral_coordinates(p, grid.N)
-    d = initial_data_operator(p, T, kappa, baseline, f, grid).flat()
+    d = initial_data_operator(p, T, kappa, baseline, f, grid).ravel()
     ell = correction_functional(Phi, d)
+    cfg = EvolveConfig(p=p, N=grid.N, tau_max=FIT_TAU_MAX)
     traj = None
     for _ in range(INNER_ITERS):
-        traj = _evolve_traj(p, d - V @ ell, grid)
+        taus, Q = evolve_states(cfg, (d - V @ ell).reshape(2, -1), grid)
+        traj = (taus, Q[:, 1] ** 2)
         ell_new = correction_functional(Phi, d, traj)
         if np.max(np.abs(ell - ell_new)) < 1e-15:
             ell = ell_new
@@ -159,9 +154,10 @@ def _corrected_trajectory(p: float, T: float, kappa: float, f: StateVector,
     return ell, V, traj
 
 
-def fit_parameters(f: StateVector, baseline: tuple,
+def fit_parameters(f: np.ndarray, baseline: tuple,
                    N: int = 64) -> ModulationState:
-    """Solve l_{p,T,kappa} = 0 for the modulation parameters.
+    """Solve l_{p,T,kappa} = 0 for the modulation parameters, for data f of
+    shape (2, N+1).
 
     At most FIT_MAX_ITER steps of p += l_g0, kappa += l_f0,
     T += T0 sqrt(1-p) l_f1 (to first order, each unit step lowers its
@@ -175,8 +171,7 @@ def fit_parameters(f: StateVector, baseline: tuple,
     history = []
     for it in range(1, FIT_MAX_ITER + 1):
         ell, V, _ = _corrected_trajectory(p, T, kappa, f, baseline, grid)
-        C = StateVector.from_flat(V @ ell)
-        cnorm = energy_norm(DEFAULT_K, C, grid)
+        cnorm = energy_norm(DEFAULT_K, V @ ell, grid)
         history.append((it, p, T, kappa, *ell, cnorm))
         if cnorm < FIT_TOL:
             return ModulationState(p_star=p, T_star=T, kappa_star=kappa,
@@ -190,7 +185,7 @@ def fit_parameters(f: StateVector, baseline: tuple,
                            converged=False, history=history)
 
 
-def modulated_decay(f: StateVector, baseline: tuple, state: ModulationState,
+def modulated_decay(f: np.ndarray, baseline: tuple, state: ModulationState,
                     N: int = 64):
     """Unprojected decay of the data prepared with the fitted parameters,
     up to DECAY_TAU_MAX and fitted over evolve.DECAY_FIT_WINDOW.
@@ -205,6 +200,5 @@ def modulated_decay(f: StateVector, baseline: tuple, state: ModulationState,
     grid = ChebGrid.make(N)
     d = initial_data_operator(state.p_star, state.T_star, state.kappa_star,
                               baseline, f, grid)
-    cfg = EvolveConfig(p=state.p_star, N=N, tau_max=DECAY_TAU_MAX, epsilon=0.0,
-                       k=0)
+    cfg = EvolveConfig(p=state.p_star, N=N, tau_max=DECAY_TAU_MAX, k=0)
     return evolve_perturbation(cfg, project_out_unstable=False, q0=d)

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from blowuplab.chebgrid import ChebGrid
-from blowuplab.linop import StateVector
 
 
 def report(capsys, name, ok, detail):
@@ -211,9 +210,9 @@ def test_criterion_09_parameter_fitting(capsys):
     grid = ChebGrid.make(64)
     dps, ok, decay_details = [], True, []
     for eps in (1e-5, 1e-4):
-        f = StateVector(
-            q1=eps * np.polynomial.legendre.legval(grid.y, (0.0, 1.0, 1.0, 0.5)),
-            q2=eps * np.polynomial.legendre.legval(grid.y, (0.5, 1.0, 1.0, 0.0)))
+        f = np.stack([
+            eps * np.polynomial.legendre.legval(grid.y, (0.0, 1.0, 1.0, 0.5)),
+            eps * np.polynomial.legendre.legval(grid.y, (0.5, 1.0, 1.0, 0.0))])
         st = fit_parameters(f, baseline, N=64)
         ok &= st.converged and st.iterations <= 30
         ok &= st.correction_norm < 1e-8

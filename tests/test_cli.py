@@ -99,16 +99,31 @@ def test_numerical_value_error_exit_code(tmp_path, monkeypatch):
 
 
 def test_unmeasured_gap_exit_code(tmp_path, capsys, monkeypatch):
-    # a gap the spectrum cannot measure stops semigroup-check with exit 3
+    """A gap the spectrum cannot measure fails the `spectrum` gap check
+    (exit 4); semigroup-check gates on OMEGA0 and measures no spectrum."""
     def no_gap(p, grid):
         return linop.SpectrumReport(eigenvalues=np.zeros(0),
                                     residuals=np.zeros(0),
                                     robust=np.zeros(0, bool))
 
     monkeypatch.setattr(linop, "spectrum", no_gap)
-    code = main(["semigroup-check", "--output-dir", str(tmp_path)])
-    assert code == EXIT_NUMERICAL
-    assert "could not measure a spectral gap" in capsys.readouterr().err
+    code = main(["spectrum", "--N", "32", "--output-dir", str(tmp_path)])
+    assert code == EXIT_ACCEPTANCE
+    assert "FAIL gap: omega0=nan gap_raw=nan" in capsys.readouterr().out
+
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("semigroup-check measured the spectrum")
+
+    monkeypatch.setattr(linop, "spectrum", no_spectrum)
+    assert main(["semigroup-check", "--output-dir", str(tmp_path)]) == EXIT_PASS
+
+
+def test_evolve_tiny_tau_max_fails_decay_check(tmp_path, capsys):
+    # one step of 1e-14 leaves no sample in the fit window: rate nan, exit 4
+    code = main(["evolve", "--tau-max", "1e-14", "--N", "32",
+                 "--output-dir", str(tmp_path)])
+    assert code == EXIT_ACCEPTANCE
+    assert "FAIL decay_rate: rate=nan" in capsys.readouterr().out
 
 
 def test_non_numerical_error_propagates(tmp_path, monkeypatch):

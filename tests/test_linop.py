@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from blowuplab import linop
 from blowuplab.chebgrid import ChebGrid
 from blowuplab.linop import (
-    StateVector,
     _appendixB_ode_solution,
     _mp_cheb,
     _mp_energy_norm,
@@ -37,13 +36,6 @@ from blowuplab.linop import (
 GRID = ChebGrid.make(64)
 
 
-def test_state_vector_flat_round_trip():
-    q = StateVector(q1=np.sin(GRID.y), q2=np.cos(GRID.y))
-    back = StateVector.from_flat(q.flat())
-    assert np.array_equal(back.q1, q.q1)
-    assert np.array_equal(back.q2, q.q2)
-
-
 def test_potential_values():
     # 2p/(1 + y sqrt(1-p)) at y = 0 is 2p
     for p in (0.25, 0.75, 1.0):
@@ -51,9 +43,9 @@ def test_potential_values():
 
 
 def test_energy_norm_positive_and_scaling():
-    q = StateVector(q1=GRID.y ** 2, q2=GRID.y)
+    q = np.stack([GRID.y ** 2, GRID.y])
     n1 = energy_norm(4, q, GRID)
-    n2 = energy_norm(4, StateVector(q1=2 * q.q1, q2=2 * q.q2), GRID)
+    n2 = energy_norm(4, 2 * q, GRID)
     assert n1 > 0
     assert n2 == pytest.approx(2.0 * n1, rel=1e-12)
 
@@ -64,13 +56,13 @@ def test_energy_norm_positive_and_scaling():
 def test_eigen_triple_states_satisfy_collocation_identities():
     p = 0.75
     L = assemble_Lp(p, GRID)
-    f0, f1, g0 = f0_state(GRID, p), f1_state(GRID, p), g0_state(GRID, p)
-    assert np.max(np.abs(L @ f0.flat())) < 1e-8
-    assert np.max(np.abs(L @ f1.flat() - f1.flat())) < 1e-8
-    assert np.max(np.abs(L @ g0.flat() - f0.flat())) < 1e-7
+    f0, f1, g0 = (s(GRID, p).ravel() for s in (f0_state, f1_state, g0_state))
+    assert np.max(np.abs(L @ f0)) < 1e-8
+    assert np.max(np.abs(L @ f1 - f1)) < 1e-8
+    assert np.max(np.abs(L @ g0 - f0)) < 1e-7
     # double-precision collocation only; the 1e-7 certification runs in
     # extended precision (test_eigen_triple_residuals_certified)
-    assert np.max(np.abs(L @ (L @ g0.flat()))) < 1e-5
+    assert np.max(np.abs(L @ (L @ g0))) < 1e-5
 
 
 @pytest.mark.parametrize("p", [0.25, 0.5, 0.75, 0.9])
@@ -113,6 +105,29 @@ def test_gap_in_range_and_resolution_robust():
         # the split's disc about 0 lies within half the gap
         assert linop.SPLIT_RADIUS0 <= g / 2
     assert max(gaps) - min(gaps) <= 0.1 * max(gaps)
+
+
+# zeros of the Gauss connection defect with Re > -1.5 and their order: the
+# pole of Gamma(lambda - 1) at 1, the poles of both Gamma at 0 and -1
+_LADDER = ((1.0, 1), (0.0, 2), (-1.0, 2))
+
+
+@pytest.mark.parametrize("N", [48, 64, 96])
+@pytest.mark.parametrize("p", [0.5, 0.75, 0.9])
+def test_spectrum_matches_closed_form_ladder(p, N):
+    """The robust eigenvalues with Re > -1.5 are the closed-form zeros with
+    their orders: cluster means within 2e-4, members within 1e-2, and
+    gap_raw (the pair at -1) within 1e-2 of 1."""
+    rep = spectrum(p, ChebGrid.make(N))
+    rob = rep.eigenvalues[rep.robust]
+    top = rob[rob.real > -1.5]
+    assert len(top) == sum(order for _, order in _LADDER)
+    for zero, order in _LADDER:
+        members = top[np.abs(top - zero) < 0.5]
+        assert len(members) == order
+        assert abs(members.mean() - zero) < 2e-4
+        assert np.max(np.abs(members - zero)) < 1e-2
+    assert abs(rep.gap_raw - 1.0) < 1e-2
 
 
 def test_spectrum_no_robust_unstable_modes():
@@ -162,9 +177,9 @@ def test_projector_commutes_with_L(projectors):
 def test_projector_ranges(projectors):
     P0, _, P1, _, _ = projectors
     f0, f1, g0 = f0_state(GRID, 0.75), f1_state(GRID, 0.75), g0_state(GRID, 0.75)
-    for v in (f0.flat(), g0.flat()):
+    for v in (f0.ravel(), g0.ravel()):
         assert np.linalg.norm((P0 @ v).real - v) / np.linalg.norm(v) < 1e-6
-    v = f1.flat()
+    v = f1.ravel()
     assert np.linalg.norm((P1 @ v).real - v) / np.linalg.norm(v) < 1e-6
 
 
@@ -270,8 +285,8 @@ def test_neutral_coordinates_recover_basis_combination():
     combo = V @ np.array([0.5, -2.0, 3.0])
     assert np.allclose(Phi @ combo, [0.5, -2.0, 3.0], atol=1e-9)
     # the columns of V are the closed-form modes
-    assert np.array_equal(V[:, 0], g0_state(GRID, 0.75).flat())
-    assert np.array_equal(V[:, 2], f1_state(GRID, 0.75).flat())
+    assert np.array_equal(V[:, 0], g0_state(GRID, 0.75).ravel())
+    assert np.array_equal(V[:, 2], f1_state(GRID, 0.75).ravel())
 
 
 def test_neutral_condition_grows_as_p_to_one(monkeypatch):

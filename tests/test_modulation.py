@@ -8,8 +8,8 @@ import pytest
 
 from blowuplab import modulation
 from blowuplab.chebgrid import ChebGrid
-from blowuplab.linop import (StateVector, energy_norm, f0_state, f1_state,
-                             g0_state, neutral_coordinates, riesz_projectors_for)
+from blowuplab.linop import (energy_norm, f0_state, f1_state, g0_state,
+                             neutral_coordinates, riesz_projectors_for)
 from blowuplab.modulation import (
     FIT_TAU_MAX,
     _corrected_trajectory,
@@ -23,41 +23,40 @@ from blowuplab.modulation import (
 
 GRID = ChebGrid.make(64)
 BASELINE = (0.75, 1.0, 0.0)
+ZERO = np.zeros((2, 65))
 
 
 def _coordinates_and_data(f):
     """(Phi, d) of correction_functional at the baseline point."""
     Phi, _ = neutral_coordinates(BASELINE[0], GRID.N)
-    return Phi, initial_data_operator(*BASELINE, BASELINE, f, GRID).flat()
+    return Phi, initial_data_operator(*BASELINE, BASELINE, f, GRID).ravel()
 
 
 def _legendre_f(eps):
-    return StateVector(
-        q1=eps * np.polynomial.legendre.legval(GRID.y, (0.0, 1.0, 1.0, 0.5)),
-        q2=eps * np.polynomial.legendre.legval(GRID.y, (0.5, 1.0, 1.0, 0.0)))
+    return np.stack([
+        eps * np.polynomial.legendre.legval(GRID.y, (0.0, 1.0, 1.0, 0.5)),
+        eps * np.polynomial.legendre.legval(GRID.y, (0.5, 1.0, 1.0, 0.0))])
 
 
 # ---------------------------------------------------------------------------
 # initial data operator
 
 def test_initial_data_operator_vanishes_at_baseline():
-    zero = StateVector(q1=np.zeros(65), q2=np.zeros(65))
-    d = initial_data_operator(0.75, 1.0, 0.0, BASELINE, zero, GRID)
+    d = initial_data_operator(0.75, 1.0, 0.0, BASELINE, ZERO, GRID)
     assert energy_norm(4, d, GRID) < 1e-12
 
 
 def test_initial_data_operator_domain_constraint():
-    zero = StateVector(q1=np.zeros(65), q2=np.zeros(65))
     # T/T0 beyond 1/sqrt(1-p0) puts the baseline profile past its singularity
     with pytest.raises(ValueError):
-        initial_data_operator(0.75, 2.5, 0.0, BASELINE, zero, GRID)
+        initial_data_operator(0.75, 2.5, 0.0, BASELINE, ZERO, GRID)
 
 
 def test_initial_data_linear_in_f():
     f1 = _legendre_f(1e-4)
     f2 = _legendre_f(2e-4)
-    d1 = initial_data_operator(0.75, 1.0, 0.0, BASELINE, f1, GRID).flat()
-    d2 = initial_data_operator(0.75, 1.0, 0.0, BASELINE, f2, GRID).flat()
+    d1 = initial_data_operator(0.75, 1.0, 0.0, BASELINE, f1, GRID)
+    d2 = initial_data_operator(0.75, 1.0, 0.0, BASELINE, f2, GRID)
     assert np.linalg.norm(d2 - 2.0 * d1) < 1e-12
 
 
@@ -67,19 +66,18 @@ def test_expansion_remainder_quadratic():
     with t = T/T0 - 1, g0 carries p0 - p, f0 carries (kappa0 - kappa) - p t
     + p(p0 - p)/(2(1-p)) and f1 carries -t/sqrt(1-p), so the coordinates
     move by -1 per unit of p, kappa and T/(T0 sqrt(1-p))."""
-    zero = StateVector(q1=np.zeros(65), q2=np.zeros(65))
     p0, T0, k0 = BASELINE
     basis = [g0_state(GRID, 0.75), f0_state(GRID, 0.75), f1_state(GRID, 0.75)]
     norms = []
     steps = (1e-3, 1e-4)
     for s in steps:
         p, T, kappa = p0 + 0.7 * s, T0 * (1.0 + 0.4 * s), k0 + 0.3 * s
-        d = initial_data_operator(p, T, kappa, BASELINE, zero, GRID).flat()
+        d = initial_data_operator(p, T, kappa, BASELINE, ZERO, GRID)
         t = T / T0 - 1.0
         b = (p0 - p,
              (k0 - kappa) - p * t + p * (p0 - p) / (2.0 * (1.0 - p)),
              -t / math.sqrt(1.0 - p))
-        lin = sum(b[n] * basis[n].flat() for n in range(3))
+        lin = sum(b[n] * basis[n] for n in range(3))
         norms.append(np.linalg.norm(d - lin))
     order = math.log(norms[0] / norms[1]) / math.log(steps[0] / steps[1])
     assert order >= 1.9
@@ -89,8 +87,7 @@ def test_expansion_remainder_quadratic():
 # correction functional
 
 def test_correction_zero_for_trivial_data():
-    zero = StateVector(q1=np.zeros(65), q2=np.zeros(65))
-    ell = correction_functional(*_coordinates_and_data(zero))
+    ell = correction_functional(*_coordinates_and_data(ZERO))
     assert max(abs(x) for x in ell) < 1e-10
 
 
@@ -107,11 +104,10 @@ def test_correction_nonlinear_terms_match_projector_formula():
     """With U(f) = 0 the correction is P0 I[N] + L P0 I[-tau N] + P1 I[e^-tau N];
     read through Phi and the Jordan block it matches the coordinates in
     {g0, f0, f1} of that sum built from the Riesz projectors."""
-    zero = StateVector(q1=np.zeros(65), q2=np.zeros(65))
     taus = np.linspace(0.0, 4.0, 81)
     shape = np.polynomial.chebyshev.chebval(GRID.y, (1.0, 0.5, -0.3, 0.2))
     q2sq = 1e-8 * np.exp(-taus)[:, None] * (shape ** 2)[None, :]
-    ell = correction_functional(*_coordinates_and_data(zero), (taus, q2sq))
+    ell = correction_functional(*_coordinates_and_data(ZERO), (taus, q2sq))
     P0, _, P1, _, L = riesz_projectors_for(0.75, GRID)
     lift = [np.concatenate([np.zeros(65), I])
             for I in _nonlinear_integrals(taus, q2sq)]
@@ -151,8 +147,7 @@ def test_simpson_rejects_even_sample_counts(n):
 # fixed-point fitting
 
 def test_fit_trivial_data_one_iteration():
-    zero = StateVector(q1=np.zeros(65), q2=np.zeros(65))
-    st = fit_parameters(zero, BASELINE)
+    st = fit_parameters(ZERO, BASELINE)
     assert st.converged and st.iterations == 1
     assert (st.p_star, st.T_star, st.kappa_star) == BASELINE
 
@@ -166,10 +161,21 @@ def test_fit_evaluates_each_point_once(monkeypatch):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(modulation, name, counted)
-    zero = StateVector(q1=np.zeros(65), q2=np.zeros(65))
-    st = fit_parameters(zero, BASELINE)
+    st = fit_parameters(ZERO, BASELINE)
     assert st.iterations == 1
     assert calls == {"neutral_coordinates": 1, "initial_data_operator": 1}
+
+
+def test_fit_rejects_non_finite_data(monkeypatch):
+    """NaN data stop the fit with ValueError before any trajectory runs."""
+    def no_evolution(*args, **kwargs):
+        raise AssertionError("evolve_states ran on non-finite data")
+
+    monkeypatch.setattr(modulation, "evolve_states", no_evolution)
+    f = _legendre_f(1e-4)
+    f[0, 7] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        fit_parameters(f, BASELINE)
 
 
 @pytest.mark.slow
