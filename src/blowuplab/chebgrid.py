@@ -69,22 +69,11 @@ class ChebGrid:
         return self.w @ f
 
     def interpolate(self, vals: np.ndarray, yq: np.ndarray) -> np.ndarray:
-        """Barycentric interpolation of nodal values at query points."""
-        n = np.arange(self.N + 1)
-        bw = (-1.0) ** n
-        bw[0] *= 0.5
-        bw[-1] *= 0.5
-        yq = np.atleast_1d(np.asarray(yq, dtype=float))
-        out = np.empty(yq.shape, dtype=np.result_type(vals, float))
-        for i, yi in enumerate(yq):
-            d = yi - self.y
-            hit = np.argmin(np.abs(d))
-            if abs(d[hit]) < 1e-14:
-                out[i] = vals[hit]
-                continue
-            t = bw / d
-            out[i] = (t @ vals) / t.sum()
-        return out
+        """The interpolant of nodal values at query points, summed as its
+        Chebyshev series by Clenshaw's recurrence: forward stable also a
+        little beyond [-1, 1], where the initial-data operator reads it and
+        the barycentric formula is not (Higham, IMA J. Numer. Anal. 2004)."""
+        return np.polynomial.chebyshev.chebval(yq, cheb_coeffs(vals))
 
 
 @lru_cache(maxsize=None)

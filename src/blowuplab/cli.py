@@ -491,10 +491,6 @@ def run(cfg: RunConfig) -> int:
         t0 = time.perf_counter()
         try:
             checks.extend(_DISPATCH[name](cfg))
-        except ConfigError as exc:
-            _write_manifest(cfg, timings, checks)
-            print(f"config error in {name}: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
         except (ValueError, RuntimeError, ArithmeticError) as exc:
             # LinAlgError is a ValueError; anything else (a missing module,
             # a programming error) is not a numerical result and propagates

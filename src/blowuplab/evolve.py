@@ -34,6 +34,7 @@ from .profiles import (_FD4_C2, ProfileParams, _log_arg, eval_profile,
 
 TAU_MAX_CAP = 15.0
 IF_STEP = 0.05                   # integrating-factor RK4 step in tau
+MAX_SIMILARITY_STEPS = 100_000   # steps to tau_max: 104 MB of states at N = 64
 DECAY_FIT_WINDOW = (3.0, 7.0)    # tau window of the decay-rate fit
 DECAY_R2_MIN = 0.98              # least r^2 of a fit that shows decay
 BUMP_WIDTH = 0.8                 # support |y| < BUMP_WIDTH of the initial bump
@@ -60,8 +61,13 @@ class EvolveConfig:
         ProfileParams(p=self.p, kappa=self.kappa, T=self.T, x0=self.x0)
         if not 0.0 < self.tau_max <= TAU_MAX_CAP:
             raise ValueError(f"tau_max must lie in (0, {TAU_MAX_CAP:g}]")
-        if self.dt is not None and self.dt <= 0:
+        if self.dt is not None and not self.dt > 0:
             raise ValueError("dt must be positive")
+        if self.dt is not None and self.tau_max / self.dt > MAX_SIMILARITY_STEPS:
+            raise ValueError(
+                f"dt = {self.dt:g} takes {math.ceil(self.tau_max / self.dt)} "
+                f"steps to tau_max = {self.tau_max:g}; at most "
+                f"MAX_SIMILARITY_STEPS = {MAX_SIMILARITY_STEPS}")
 
 
 @dataclass
@@ -309,27 +315,29 @@ def physical_space_crosscheck(cfg: EvolveConfig) -> dict:
     scheme for u_tt - u_xx = u_t^2 on [x0 - R, x0 + R], R = 1.25 T
     (CROSSCHECK_HALF_WIDTH), with CROSSCHECK_INTERVALS intervals; by finite
     speed of propagation the frozen far boundaries cannot influence the light
-    cone for t <= 0.5 T.  The guard below checks the singular surface of
-    the unperturbed profile, x - x0 = -(T-t)/sqrt(1-p), at t = 0 only
-    (R < T/sqrt(1-p)).  The finite-difference solution equals the exact one,
-    singular surface included, on |x - x0| < R - t, so it meets the surface
-    before t = 0.5 T once p < 5/9.
+    cone for t <= 0.5 T.  The finite-difference solution equals the exact
+    one on |x - x0| < R - t, so it stays clear of the singular surface
+    x - x0 = -(T-t)/sqrt(1-p) up to the last section t_last when
+    (T - t_last)/sqrt(1-p) > R - t_last, i.e. p > 5/9 at the defaults;
+    ValueError naming p otherwise, before any step.
     The similarity flow runs evolve_states from one cone section to the
     next, in steps of at most cfg.dt (IF_STEP by default).  Returns the
     max |u_phys - u_sim| over the physical nodes inside the cone sections
-    t = CROSSCHECK_T_SAMPLES * T, reading q1 there by grid.interpolate.
+    t = CROSSCHECK_T_SAMPLES * T, reading q1 there by its Chebyshev series.
     """
     p, T, x0 = cfg.p, cfg.T, cfg.x0
-    g = math.sqrt(1.0 - p)
-    if g > 0 and CROSSCHECK_HALF_WIDTH >= 1.0 / g:
-        raise ValueError("singular surface enters the physical domain")
     t_samples = [s * T for s in CROSSCHECK_T_SAMPLES]
+    R = CROSSCHECK_HALF_WIDTH * T
+    reach = (T - t_samples[-1]) / (R - t_samples[-1])   # largest sqrt(1-p)
+    if not math.sqrt(1.0 - p) < reach:
+        raise ValueError(f"singular surface meets the finite-difference "
+                         f"solution by t = {t_samples[-1]:g}: the crosscheck "
+                         f"needs p > {1.0 - reach ** 2:.4g}, got p = {p}")
 
     # one set of initial data for both solvers, from the truncated expansion
     grid = ChebGrid.make(cfg.N)
     q0 = initial_perturbation(cfg, grid)
 
-    R = CROSSCHECK_HALF_WIDTH * T
     x = np.linspace(x0 - R, x0 + R, CROSSCHECK_INTERVALS + 1)
     h = x[1] - x[0]
     y0 = (x - x0) / T
@@ -343,18 +351,11 @@ def physical_space_crosscheck(cfg: EvolveConfig) -> dict:
 
     w2 = _FD4_C2 / 12.0 / (h * h)
 
-    def dxx(f):
-        out = np.zeros_like(f)
-        out[2:-2] = np.correlate(f, w2, mode="valid")
+    def phys_rhs(state):     # (u_t, u_tt) on nodes 2 .. n-3; the rest frozen
+        out = np.zeros_like(state)
+        out[0, 2:-2] = state[1, 2:-2]
+        out[1, 2:-2] = np.correlate(state[0], w2, "valid") + state[1, 2:-2] ** 2
         return out
-
-    def phys_rhs(state):
-        uu, vv = state
-        du = vv.copy()
-        dv = dxx(uu) + vv ** 2
-        du[[0, 1, -2, -1]] = 0.0       # frozen far boundaries
-        dv[[0, 1, -2, -1]] = 0.0
-        return np.array([du, dv])
 
     # similarity trajectory, sampled exactly at the requested cone sections
     sim_sections = []

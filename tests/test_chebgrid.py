@@ -70,6 +70,28 @@ def test_barycentric_interpolation_off_grid():
     assert np.max(np.abs(grid.interpolate(vals, yq) - np.sin(3.0 * yq))) < 1e-12
 
 
+def test_interpolation_sums_series_beyond_interval():
+    """Nodal values of a degree-N Chebyshev series, read at |y| <= 1.2, give
+    the series to 1e-12 of its largest value there; the oracle sums
+    cos(k arccos y) inside and +-cosh(k arccosh |y|) outside [-1, 1]."""
+    N = 64
+    grid = ChebGrid.make(N)
+    k = np.arange(N + 1)[:, None]
+
+    def series(c, y):
+        a = np.abs(y)
+        inner = np.cos(k * np.arccos(np.clip(y, -1.0, 1.0)))
+        outer = np.sign(y) ** k * np.cosh(k * np.arccosh(np.maximum(a, 1.0)))
+        return c @ np.where(a <= 1.0, inner, outer)
+
+    yq = np.linspace(-1.2, 1.2, 401)
+    for seed in range(3):
+        c = np.random.Generator(np.random.Philox(seed)).standard_normal(N + 1)
+        exact = series(c, yq)
+        err = np.max(np.abs(grid.interpolate(series(c, grid.y), yq) - exact))
+        assert err < 1e-12 * np.max(np.abs(exact))
+
+
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2**31))
 def test_cheb_coeff_round_trip(seed):

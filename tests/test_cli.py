@@ -86,6 +86,26 @@ def test_main_config_error_exit_code():
     assert main(["spectrum", "--p", "2.0"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["spectrum", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    ([], "the following arguments are required: command"),
+])
+def test_invalid_command_line_exit_code(capsys, argv, message):
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err and "config error: invalid command line" in err
+
+
+def test_config_file_errors_name_file_and_line(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert main(["spectrum", "--config", str(missing)]) == EXIT_CONFIG
+    assert f"cannot read config file {missing}" in capsys.readouterr().err
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("p = 0.5\nN 32\n", encoding="utf-8")
+    assert main(["spectrum", "--config", str(bad)]) == EXIT_CONFIG
+    assert f"{bad}:2: expected 'key = value'" in capsys.readouterr().err
+
+
 def test_numerical_value_error_exit_code(tmp_path, monkeypatch):
     # a ValueError raised while computing is a numerical failure, not a
     # configuration error
@@ -124,6 +144,34 @@ def test_evolve_tiny_tau_max_fails_decay_check(tmp_path, capsys):
                  "--output-dir", str(tmp_path)])
     assert code == EXIT_ACCEPTANCE
     assert "FAIL decay_rate: rate=nan" in capsys.readouterr().out
+
+
+def test_evolve_below_five_ninths_exits_naming_p(tmp_path, capsys):
+    # the singular surface would meet the finite-difference solution before
+    # the last cone section: exit 3 before the physical solver steps
+    code = main(["evolve", "--p", "0.5", "--N", "32",
+                 "--output-dir", str(tmp_path)])
+    assert code == EXIT_NUMERICAL
+    assert "needs p > 0.5556, got p = 0.5" in capsys.readouterr().err
+
+
+def test_evolve_tiny_dt_exits_before_any_step(tmp_path, capsys, monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("evolve stepped")
+
+    monkeypatch.setattr(evolve, "step_similarity", no_step)
+    code = main(["evolve", "--dt", "1e-6", "--output-dir", str(tmp_path)])
+    assert code == EXIT_NUMERICAL
+    assert "takes 12000000 steps" in capsys.readouterr().err
+
+
+def test_modulate_unconverged_fit_exits_acceptance(tmp_path, capsys,
+                                                   monkeypatch):
+    monkeypatch.setattr(modulation, "FIT_MAX_ITER", 1)
+    code = main(["modulate", "--output-dir", str(tmp_path)])
+    assert code == EXIT_ACCEPTANCE
+    assert "FAIL modulation_converged: iters=1 " in capsys.readouterr().out
+    assert not list(tmp_path.glob("decay_*_modulated.csv"))
 
 
 def test_non_numerical_error_propagates(tmp_path, monkeypatch):

@@ -10,6 +10,7 @@ from blowuplab import evolve
 from blowuplab.chebgrid import ChebGrid, exponential_filter
 from blowuplab.evolve import (
     IF_STEP,
+    MAX_SIMILARITY_STEPS,
     EvolveConfig,
     _nonlinear,
     _rk4,
@@ -33,6 +34,15 @@ def test_config_validation():
     for tau_max in (100.0, 0.0, -1.0):
         with pytest.raises(ValueError, match="tau_max"):
             EvolveConfig(p=0.75, tau_max=tau_max)
+
+
+def test_config_rejects_too_many_steps():
+    """A dt that takes more than MAX_SIMILARITY_STEPS steps to tau_max is
+    rejected before any trajectory is allocated; the cap itself is allowed."""
+    with pytest.raises(ValueError,
+                       match=r"dt = 1e-06 takes 12000000 steps to tau_max = 12"):
+        EvolveConfig(p=0.75, dt=1e-6)
+    EvolveConfig(p=0.75, tau_max=10.0, dt=10.0 / MAX_SIMILARITY_STEPS)
 
 
 def test_tiny_tau_max_takes_one_step():
@@ -195,6 +205,16 @@ def test_trajectory_guard_raises_on_blowup():
         evolve_states(cfg, -10.0 * f1_state(grid, p), grid)
 
 
+def test_trajectory_guard_raises_on_slow_divergence():
+    # a small unstable component grows like e^tau, never 1e3-fold in one
+    # step, and trips the 1e6 guard over the trajectory (near tau = 13.85)
+    p, N = 0.75, 32
+    grid = ChebGrid.make(N)
+    cfg = EvolveConfig(p=p, N=N, tau_max=15.0, epsilon=0.0)
+    with pytest.raises(RuntimeError, match="diverged by tau=13"):
+        evolve_states(cfg, 1e-8 * f1_state(grid, p), grid)
+
+
 # ---------------------------------------------------------------------------
 # ODE blow-up instability
 
@@ -269,3 +289,22 @@ def test_crosscheck_rejects_singular_domain():
     cfg = EvolveConfig(p=0.1, N=32, epsilon=0.0)
     with pytest.raises(ValueError, match="singular surface"):
         physical_space_crosscheck(cfg)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.55, 0.5555])
+def test_crosscheck_rejects_surface_before_last_section(monkeypatch, p):
+    """Below p = 5/9 the singular surface meets the region where the
+    finite-difference solution is exact before t = 0.5 T: ValueError naming
+    p, before either solver takes a step."""
+    def no_step(*args, **kwargs):
+        raise AssertionError("the crosscheck stepped")
+
+    monkeypatch.setattr(evolve, "_rk4", no_step)
+    monkeypatch.setattr(evolve, "step_similarity", no_step)
+    with pytest.raises(ValueError, match=rf"needs p > 0.5556, got p = {p}$"):
+        physical_space_crosscheck(EvolveConfig(p=p, N=32, epsilon=1e-3))
+
+
+def test_crosscheck_passes_just_above_five_ninths():
+    rep = physical_space_crosscheck(EvolveConfig(p=0.5557, epsilon=1e-3))
+    assert rep["max_discrepancy"] < 1e-4

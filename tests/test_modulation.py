@@ -117,30 +117,30 @@ def test_correction_nonlinear_terms_match_projector_formula():
     assert np.linalg.norm(ell - ref) < 1e-5 * np.linalg.norm(ref)
 
 
-def test_simpson_bit_identical_to_scipy():
-    """The numpy Simpson rule reproduces scipy.integrate.simpson exactly, on
-    small samples and on the fit's own tau grid with one column per node."""
+def test_simpson_matches_scipy_on_fit_grid():
+    """The uniform Simpson rule agrees with scipy.integrate.simpson to 1e-14
+    relative on the fit's own tau grid, one column per node, for the three
+    weights of the correction, and is exact on a cubic."""
     from scipy.integrate import simpson
 
-    rng = np.random.default_rng(3)
-    for n in (3, 5):
-        x = np.cumsum(rng.uniform(0.1, 1.0, n))
-        for y in (rng.standard_normal(n), rng.standard_normal((n, 4))):
-            assert np.array_equal(_simpson(y, x), simpson(y, x=x, axis=0))
     # the corrected trajectory of the fit's first iteration
     _, _, (taus, q2sq) = _corrected_trajectory(*BASELINE, _legendre_f(1e-4),
                                                BASELINE, GRID)
     assert taus.shape == (241,) and q2sq.shape == (241, 65)
     assert taus[-1] == FIT_TAU_MAX
+    h = taus[1] - taus[0]
     for y in (q2sq, -taus[:, None] * q2sq, np.exp(-taus)[:, None] * q2sq):
-        assert np.array_equal(_simpson(y, taus), simpson(y, x=taus, axis=0))
+        np.testing.assert_allclose(_simpson(y, h), simpson(y, x=taus, axis=0),
+                                   rtol=1e-14, atol=0.0)
+    x = np.linspace(-1.0, 2.0, 7)
+    cubic = x ** 3 - 2.0 * x + 1.0      # integral over [-1, 2]: 15/4 - 3 + 3
+    assert _simpson(cubic, 0.5) == pytest.approx(3.75, rel=1e-14)
 
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_simpson_rejects_even_sample_counts(n):
-    x = np.arange(float(n))
     with pytest.raises(ValueError, match="odd"):
-        _simpson(np.ones((n, 3)), x)
+        _simpson(np.ones((n, 3)), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +150,13 @@ def test_fit_trivial_data_one_iteration():
     st = fit_parameters(ZERO, BASELINE)
     assert st.converged and st.iterations == 1
     assert (st.p_star, st.T_star, st.kappa_star) == BASELINE
+
+
+def test_fit_stops_unconverged_after_max_iterations(monkeypatch):
+    monkeypatch.setattr(modulation, "FIT_MAX_ITER", 1)
+    st = fit_parameters(_legendre_f(1e-4), BASELINE)
+    assert not st.converged and st.iterations == 1 and len(st.history) == 1
+    assert st.correction_norm == st.history[0][-1] > modulation.FIT_TOL
 
 
 def test_fit_evaluates_each_point_once(monkeypatch):
