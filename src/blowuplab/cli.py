@@ -49,6 +49,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_ACCEPTANCE = 4
 
+# largest collocation order: see README for the memory it implies
+MAX_N = 512
+
 COMMANDS = ("profile-check", "mode-scan", "spectrum", "semigroup-check",
             "evolve", "instability-p1", "modulate", "appendixB", "all")
 
@@ -70,8 +73,8 @@ def _check_p(v):
 
 
 def _check_N(v):
-    if v < 8:
-        raise ConfigError(f"N must be >= 8, got {v}")
+    if not 8 <= v <= MAX_N:
+        raise ConfigError(f"N must lie in [8, {MAX_N}], got {v}")
 
 
 def _check_tau_max(v):
@@ -137,6 +140,8 @@ def _coerce(key: str, raw: str) -> object:
     except ValueError:
         raise ConfigError(
             f"key {key!r}: cannot parse {raw!r} as {typ.__name__}") from None
+    if typ is float and not math.isfinite(val):
+        raise ConfigError(f"key {key!r} must be finite, got {raw!r}")
     if validate is not None:
         validate(val)
     return val

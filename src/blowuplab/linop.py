@@ -32,6 +32,9 @@ APPENDIXB_RK4_STEPS = 1000        # RK4 steps of the dv1 ODE cross-check
 NEUTRAL_COND_LIMIT = 1e10   # largest cond(Wh V) neutral_coordinates accepts
 SPLIT_RADIUS0 = 0.25        # spectral_split: radius of the disc about 0
 SPLIT_RADIUS1 = 0.5         # spectral_split: radius of the disc about 1
+SPLIT_DEFECT_TOL = 1e-15    # spectral_split: largest ||A21|| / ||B|| accepted
+SPLIT_NEWTON_MAX = 6        # spectral_split: most Newton steps on the subspace
+BALANCE_SWEEPS = 10         # _balance: damped Jacobi sweeps
 # rate the decay gates read and the cap of the reported gap: the free-wave
 # dissipativity bound (free_wave_dissipativity_check), below gap_raw ~ 1
 OMEGA0 = 0.5
@@ -369,45 +372,144 @@ def measured_gap(p: float, N: int = 64) -> float:
 # ---------------------------------------------------------------------------
 # Riesz projections, neutral-mode coordinates and semigroup checks
 
+def _balance(A: np.ndarray) -> np.ndarray:
+    """Powers of two d with B = D^-1 A D, D = diag(d), whose off-diagonal
+    row and column 1-norms nearly agree: Parlett & Reinsch (1969) balancing
+    without permutation.  Every index takes half its own equalising step at
+    once, a damped Jacobi sweep in place of the sequential one.  A must have
+    no zero off-diagonal row or column."""
+    A1 = np.abs(A)
+    np.fill_diagonal(A1, 0.0)
+    e = np.zeros(len(A))
+    for _ in range(BALANCE_SWEEPS):
+        B1 = A1 * np.exp2(e[None, :] - e[:, None])
+        e += 0.25 * np.log2(B1.sum(axis=1) / B1.sum(axis=0))
+    return np.exp2(np.round(e))
+
+
+def _sylvester3(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """X with A X - X B = C for a 3 x 3 B, by one Kronecker solve in the
+    3 m unknowns of X, m = len(A)."""
+    m = len(A)
+    K = np.zeros((3, m, 3, m))      # I3 (x) A - B^T (x) Im, built in place
+    for i in range(3):
+        K[i, :, i, :] = A
+    diag = np.arange(m)
+    K[:, diag, :, diag] -= B.T
+    return np.linalg.solve(K.reshape(3 * m, 3 * m),
+                           C.ravel(order="F")).reshape(3, m).T
+
+
+def _split_basis(grid: ChebGrid, p: float) -> np.ndarray:
+    """Flat columns spanning {g0, f0, f1} for p < 1, finite through p = 1:
+    g g0 + p / (2 g) f0, f0 and f1 / g, with g = sqrt(1 - p).  At p = 1
+    they are (y / 2, y / 2), f0 and (-1, -1): the split Jordan pair at 0
+    and the mode at 1."""
+    g = math.sqrt(1.0 - p)
+    y = grid.y
+    d = 1.0 + y * g
+    h0 = np.concatenate([-g * np.log1p(y * g) + p * y / (2.0 * d),
+                         ((2.0 - p) * y + 2.0 * g) / (2.0 * d**2)])
+    h1 = np.concatenate([-p / d, -p / d**2])
+    return np.column_stack([h0, f0_state(grid, p).ravel(), h1])
+
+
+def _invariant_subspace(B: np.ndarray,
+                        X: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(Q, A): Q = [Q1, Q2] orthogonal with Q1 spanning the invariant
+    subspace of B nearest span X (3 columns), and A = Q^T B Q.
+
+    Starting from the complete QR factor of X, each Newton step on the
+    Riccati equation of the subspace solves A22 Y - Y A11 = -A21
+    (_sylvester3) and takes the QR factor of Q1 + Q2 Y (Stewart 1973).
+    Steps run until ||A21|| <= SPLIT_DEFECT_TOL ||B|| (Frobenius norms), at
+    least one and at most SPLIT_NEWTON_MAX; ValueError if they do not get
+    there.  A21 is summed in np.longdouble: sep(A11, A22) is 6e-7 at N = 64
+    and 2.5e-7 at N = 96, and with A21 in double precision the subspace
+    moved by 2e-6 under rounding at N = 96, which made the semigroup
+    check's P0 error a readout of rounding.  Where np.longdouble is plain
+    double (Windows, for one) this falls back to that.
+    """
+    norm_B = np.linalg.norm(B)
+    B_ld = B.astype(np.longdouble)
+    for step in range(SPLIT_NEWTON_MAX + 1):
+        Q = np.linalg.qr(X, mode="complete")[0]
+        A = Q.T @ B @ Q
+        Q1_ld = Q[:, :3].astype(np.longdouble)
+        A21 = Q[:, 3:].T @ (B_ld @ Q1_ld - Q1_ld @ A[:3, :3]).astype(float)
+        defect = np.linalg.norm(A21) / norm_B
+        if step and defect <= SPLIT_DEFECT_TOL or step == SPLIT_NEWTON_MAX:
+            break
+        X = Q[:, :3] + Q[:, 3:] @ _sylvester3(A[3:, 3:], A[:3, :3], -A21)
+    if not defect <= SPLIT_DEFECT_TOL:
+        raise ValueError(f"invariant subspace not refined: ||A21|| / ||B|| = "
+                         f"{defect:.1e} after {SPLIT_NEWTON_MAX} Newton steps")
+    return Q, A
+
+
 @functools.lru_cache(maxsize=16)
 def spectral_split(p: float, N: int) -> tuple[np.ndarray, ...]:
     """(Z0, W0, Z1, W1): the spectral split of L_p into the Jordan pair
-    {g0, f0} at 0, P0 = Z0 W0, and the mode f1 at 1, P1 = Z1 W1; read-only.
+    {g0, f0} at 0, P0 = Z0 W0, and the mode f1 at 1, P1 = Z1 W1; real and
+    read-only.
+
+    The maths gives the invariant subspace, span{g0, f0, f1}, in closed
+    form, so no Schur form is taken.  L = D B D^-1 is balanced (_balance),
+    and Newton steps refine D^-1 [g0, f0, f1] (_split_basis) to the
+    invariant subspace Q1 of B, with A = Q^T B Q (_invariant_subspace).  The
+    same steps on B^T, started from Q1, give the left invariant subspace
+    Ql.  The first of them is the Kronecker solve of A11 R - R A22 = A12
+    for the left factor Wh = Q1^T + R Q2^T (Stewart 1973); that system has
+    condition ~1e10, and the next step takes out the rounding it leaves.
+    Then Wh = (Ql^T Q1)^-1 Ql^T, so Wh Q1 = I and Wh B = A11 Wh.
+
+    Inside the 3 x 3 block A11 = Q1^T B Q1 the left eigenvector u of the
+    eigenvalue near 1 splits 0 from 1: with G orthogonal and G e3 = u / |u|,
+    T = G^T A11 G has T[2, :2] = 0, and the 2 x 1 solve T[:2, :2] r -
+    r T[2, 2] = T[:2, 2] gives Wb0 = Gh[:2] + r Gh[2], Zb1 = Z3 [-r; 1] / nu
+    and Wb1 = nu Gh[2], with Z3 = Q1 G, Gh = G^T Wh and nu the norm of
+    [-r; 1] (Golub & Van Loan 7.6).  Balancing is undone as Z_k R_k = D Zb_k,
+    a thin QR, and W_k = R_k Wb_k D^-1, so Z0 and Z1 have orthonormal
+    columns.
 
     The two discs, about 0 with radius SPLIT_RADIUS0 and about 1 with
-    radius SPLIT_RADIUS1, are fixed constants, so the split reads L_p alone.
-    One complex Schur form L = Z [[T11, T12], [0, T22]] Z^H is sorted on
-    their union; a 3 x 3 Schur form of T11 sorted on the disc about 0 puts
-    the cluster first, so Z0 is its leading Schur vectors and only the
-    simple mode at 1 needs an eigenvector.  T11 R - R T22 = T12 gives the
-    left factor Wh = Z3^H + R Z2^H, and the 2 x 1 solve T11[:2, :2] r -
-    r T11[2, 2] = T11[:2, 2] splits it: W0 = Wh[:2] + r Wh[2], Z1 = Z3
-    [-r; 1] / nu with nu its norm, W1 = nu Wh[2] (Bavely & Stewart 1979,
-    Golub & Van Loan 7.6).  Z0 and Z1 have orthonormal columns.  Raises
-    ValueError unless the discs hold 2 and 1 eigenvalues, which is what
-    guards the constant radii.
+    radius SPLIT_RADIUS1, are fixed constants, so the split reads L_p
+    alone.  Raises ValueError unless the eigenvalues of L_p in the discs
+    number 3, 2 of them about 0, which is what guards the constant radii,
+    or when the Newton steps fail.
     """
-    from scipy.linalg import schur, solve_sylvester
-
-    L = assemble_Lp(p, ChebGrid.make(N))
-    T, Z, m = schur(L.astype(complex), output="complex",
-                    sort=lambda z: (abs(z) < SPLIT_RADIUS0
-                                    or abs(z - 1.0) < SPLIT_RADIUS1))
-    T11, Q, m0 = schur(T[:3, :3], output="complex",
-                       sort=lambda z: abs(z) < SPLIT_RADIUS0)
+    grid = ChebGrid.make(N)
+    L = assemble_Lp(p, grid)
+    lam = np.linalg.eigvals(L)
+    near0 = np.abs(lam) < SPLIT_RADIUS0
+    m0 = int(np.sum(near0))
+    m = int(np.sum(near0 | (np.abs(lam - 1.0) < SPLIT_RADIUS1)))
     if (m, m0) != (3, 2):
         raise ValueError(f"{m} eigenvalues near 0 and 1 at p = {p}, {m0} of "
-                         "the leading 3 near 0; expected 3 and 2")
-    Z3 = Z[:, :3] @ Q
-    R = solve_sylvester(T11, -T[3:, 3:], Q.conj().T @ T[:3, 3:])
-    Wh = Z3.conj().T + R @ Z[:, 3:].conj().T
-    r = solve_sylvester(T11[:2, :2], -T11[2:, 2:], T11[:2, 2:])
+                         "them near 0; expected 3 and 2")
+    d = _balance(L)
+    B = L * d / d[:, None]
+    Q, A = _invariant_subspace(B, _split_basis(grid, p) / d[:, None])
+    Q1, A11 = Q[:, :3], A[:3, :3]
+    Ql = _invariant_subspace(B.T, Q1)[0][:, :3]
+    Wh = np.linalg.solve(Ql.T @ Q1, Ql.T)
+    mu, U = np.linalg.eig(A11.T)
+    u = U[:, np.argmin(np.abs(mu - 1.0))].real
+    G = np.linalg.qr(u[:, None], mode="complete")[0][:, [1, 2, 0]]
+    T = G.T @ A11 @ G
+    Z3 = Q1 @ G
+    Gh = G.T @ Wh
+    r = np.linalg.solve(T[:2, :2] - T[2, 2] * np.eye(2), T[:2, 2:])
     x1 = np.vstack([-r, [[1.0]]])
     nu = np.linalg.norm(x1)
-    factors = (Z3[:, :2], Wh[:2] + r @ Wh[2:], Z3 @ x1 / nu, nu * Wh[2:])
+    factors = []
+    for Zb, Wb in ((Z3[:, :2], Gh[:2] + r @ Gh[2:]),
+                   (Z3 @ x1 / nu, nu * Gh[2:])):
+        Zk, Rk = np.linalg.qr(d[:, None] * Zb)
+        factors += [Zk, Rk @ Wb / d]
     for a in factors:
         a.flags.writeable = False
-    return factors
+    return tuple(factors)
 
 
 def riesz_projectors_for(p: float, grid: ChebGrid):
@@ -444,7 +546,7 @@ def neutral_coordinates(p: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     if not cond < NEUTRAL_COND_LIMIT:
         raise ValueError(f"neutral modes nearly degenerate at p = {p} "
                          f"(cond = {cond:.2e})")
-    return np.linalg.solve(WV, Wh).real, V
+    return np.linalg.solve(WV, Wh), V
 
 
 def semigroup_action_check(p: float, grid: ChebGrid, seed: int = 0) -> dict:
@@ -457,7 +559,7 @@ def semigroup_action_check(p: float, grid: ChebGrid, seed: int = 0) -> dict:
     one short-step propagator do not show the rounding regrowth of
     scaling-and-squaring expm(tau L) of the non-normal L_p at large tau
     (Moler & Van Loan 2003).  Every 2-norm of a residual A W is taken as
-    ||A R^H||_2, with W^H = Q R a thin QR, so ||Z W||_2 = ||R||_2 and no
+    ||A R^T||_2, with W^T = Q R a thin QR, so ||Z W||_2 = ||R||_2 and no
     n x n matrix is formed.  The stable slope is gated at -0.9 OMEGA0
     (omega1_target); no spectrum is measured.
     """
@@ -468,8 +570,8 @@ def semigroup_action_check(p: float, grid: ChebGrid, seed: int = 0) -> dict:
     tau_samples = np.linspace(0.0, 8.0, 17)
     L = assemble_Lp(p, grid)
     Z0, W0, Z1, W1 = spectral_split(p, grid.N)
-    Rh0 = np.linalg.qr(W0.conj().T, mode="r").conj().T
-    Rh1 = np.linalg.qr(W1.conj().T, mode="r").conj().T
+    Rh0 = np.linalg.qr(W0.T, mode="r").T
+    Rh1 = np.linalg.qr(W1.T, mode="r").T
     nP0 = np.linalg.norm(Rh0, 2)
     nP1 = np.linalg.norm(Rh1, 2)
     LZ0 = L @ Z0
@@ -541,22 +643,30 @@ def _appendixB_ode_rhs(y, v):
 def _appendixB_ode_solution(y_targets, steps: int = APPENDIXB_RK4_STEPS):
     """dv1 at each target, integrated from the closed form at y = 0.
 
-    Classical RK4 at the fixed step 1/steps on y = s y_t, s in [0, 1], for
-    all targets at once; s rides along as a state component, so the
-    non-autonomous right-hand side is sampled at s, s + ds/2 and s + ds.
+    Classical RK4 at the fixed step h = 1/steps on y = s y_t, s in [0, 1],
+    for all targets at once.  The ODE is linear, dv/ds = a(s) + b(s) v with
+    a = y_t rhs(s y_t, 0) and b = y_t rhs(s y_t, 1) - a, so each step is
+    affine, v -> P_n v + Q_n.  P and Q come for every step at once from the
+    stage abscissae s_n, s_n + h/2 and s_n + h; then the recurrence runs.
     """
-    from .evolve import _rk4     # evolve imports this module
-
     yt = np.asarray(y_targets, dtype=float)
-
-    def f(u):
-        s, v = u
-        return np.array([np.ones_like(s), yt * _appendixB_ode_rhs(s * yt, v)])
-
-    u = np.array([np.zeros_like(yt), np.full_like(yt, appendixB_dv1(0.0))])
-    for _ in range(steps):
-        u = _rk4(f, u, 1.0 / steps)
-    return u[1]
+    h = 1.0 / steps
+    s = np.arange(steps)[:, None] * h
+    ys = [(s + c) * yt for c in (0.0, 0.5 * h, h)]
+    a0, am, a1 = (yt * _appendixB_ode_rhs(y, 0.0) for y in ys)
+    b0, bm, b1 = (yt * _appendixB_ode_rhs(y, 1.0) - a
+                  for y, a in zip(ys, (a0, am, a1)))
+    # stage k_i = c_i + e_i v
+    c1, e1 = a0, b0
+    c2, e2 = am + 0.5 * h * bm * c1, bm * (1.0 + 0.5 * h * e1)
+    c3, e3 = am + 0.5 * h * bm * c2, bm * (1.0 + 0.5 * h * e2)
+    c4, e4 = a1 + h * b1 * c3, b1 * (1.0 + h * e3)
+    P = 1.0 + (h / 6.0) * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
+    Q = (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+    v = np.full_like(yt, appendixB_dv1(0.0))
+    for Pn, Qn in zip(P, Q):
+        v = Pn * v + Qn
+    return v
 
 
 def appendixB_no_second_jordan_block() -> dict:

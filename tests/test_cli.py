@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blowuplab import cli, evolve, linop, modeanalysis, modulation
 from blowuplab.cli import (
@@ -69,6 +71,60 @@ def test_constraint_violations_named():
                       "--lambda-re-max", "0"])
     with pytest.raises(ConfigError, match="seed must be >= 0"):
         parse_config(["profile-check", "--seed", "-1"])
+
+
+# the domain of each numeric key once parsed; parse_config must either
+# resolve a key into it or raise a ConfigError naming the key
+_DOMAINS = {
+    "p": lambda v: 0.0 < v <= 1.0,
+    "T": lambda v: v > 0.0,
+    "kappa": lambda v: True,
+    "x0": lambda v: True,
+    "N": lambda v: 8 <= v <= cli.MAX_N,
+    "dt": lambda v: v >= 0.0,
+    "tau_max": lambda v: 0.0 < v <= 15.0,
+    "epsilon": lambda v: v >= 0.0,
+    "seed": lambda v: v >= 0,
+    "lambda_re_min": lambda v: v <= 3.0,    # the default lambda_re_max
+    "lambda_re_max": lambda v: v >= 0.0,    # the default lambda_re_min
+    "lambda_im_max": lambda v: v >= 0.0,
+    "lambda_step": lambda v: v > 0.0,
+}
+
+_RAW_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-2**70, 2**70).map(str),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e999", "-0.0", "0", "8",
+                     "512", "513", "100000", "1e308", "5e-324"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(sorted(_DOMAINS)), raw=_RAW_VALUES)
+def test_parse_config_is_total(key, raw):
+    """Finite, boundary, huge, NaN and infinite values of every numeric
+    key: each resolves to a finite value in the key's domain, or raises a
+    ConfigError that names the key.  Only the configuration is parsed."""
+    flag = f"--{key.replace('_', '-')}={raw}"
+    try:
+        cfg = parse_config(["spectrum", flag])
+    except ConfigError as exc:
+        assert key in str(exc)
+        return
+    value = cfg[key]
+    assert math.isfinite(value)
+    assert _DOMAINS[key](value)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["evolve", "--dt", "nan"], "key 'dt' must be finite"),
+    (["evolve", "--kappa", "nan"], "key 'kappa' must be finite"),
+    (["modulate", "--epsilon", "nan"], "key 'epsilon' must be finite"),
+    (["evolve", "--x0=-inf"], "key 'x0' must be finite"),
+    (["spectrum", "--N", "100000"], f"N must lie in [8, {cli.MAX_N}]"),
+])
+def test_non_finite_or_huge_value_exits_config(capsys, argv, message):
+    assert main(argv) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
 
 
 def test_unknown_command_rejected():
@@ -353,6 +409,42 @@ def test_manifest_records_environment(tmp_path):
     # the scan at p = 0.5 continues no point, so it needs no scipy at all
     assert manifest["scipy_modules"] == "none"
     assert "scipy_version" not in manifest
+
+
+def _cli_subprocess(argv, out_dir, threads=None):
+    """Exit code of `python -m blowuplab.cli argv` in a fresh process that
+    writes to out_dir, with OPENBLAS_NUM_THREADS set to threads or unset."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "BLOWUPLAB_OUT": str(out_dir)}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
+    return subprocess.run([sys.executable, "-m", "blowuplab.cli", *argv],
+                          env=env, capture_output=True).returncode
+
+
+def test_spectrum_loads_no_scipy(tmp_path):
+    """The spectral split needs no Schur form, so `spectrum` loads no scipy
+    module at all."""
+    assert _cli_subprocess(["spectrum"], tmp_path) == EXIT_PASS
+    lines = (tmp_path / "manifest.txt").read_text().splitlines()
+    manifest = dict(line.split(" = ", 1) for line in lines)
+    assert manifest["scipy_modules"] == "none"
+    assert "scipy_version" not in manifest
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p", ["0.75", "0.72"])
+def test_semigroup_check_N96_exit_code_independent_of_threads(tmp_path, p):
+    """semigroup-check --N 96 flipped with the BLAS thread count at the
+    Schur split: at p = 0.75 err_P0 read 6.8e-7 on one thread and 2.25e-6
+    on two, against the 1e-6 gate.  The refined split reads 6.6e-8 and
+    7.8e-8 at these p on either count."""
+    codes = {threads: _cli_subprocess(["semigroup-check", "--N", "96",
+                                       "--p", p], tmp_path / str(threads),
+                                      threads)
+             for threads in (1, 2)}
+    assert codes == {1: EXIT_PASS, 2: EXIT_PASS}
 
 
 def test_manifest_nproc_without_sched_getaffinity(tmp_path, monkeypatch):

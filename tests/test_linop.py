@@ -215,11 +215,13 @@ def test_split_mode_at_one_matches_contour_oracle():
 
 
 def test_spectral_split_factors():
-    """Read-only factors; Z0 an orthonormal basis of the cluster at 0 and
-    Z1 the unit eigenvector at 1; W = [W0; W1] a left inverse of [Z0, Z1]."""
+    """Real read-only factors; Z0 an orthonormal basis of the cluster at 0
+    and Z1 the unit eigenvector at 1; W = [W0; W1] a left inverse of
+    [Z0, Z1]."""
     Z0, W0, Z1, W1 = spectral_split(0.75, 64)
     assert (Z0.shape[1], Z1.shape[1]) == (2, 1)
     assert not any(a.flags.writeable for a in (Z0, W0, Z1, W1))
+    assert all(a.dtype == np.float64 for a in (Z0, W0, Z1, W1))
     Z = np.column_stack([Z0, Z1])
     assert np.max(np.abs(Z0.conj().T @ Z0 - np.eye(2))) < 1e-12
     assert abs(np.linalg.norm(Z1) - 1.0) < 1e-12
@@ -230,26 +232,87 @@ def test_spectral_split_factors():
     assert np.max(np.abs(W @ Z - np.eye(3))) < 1e-9
 
 
-def test_one_schur_form_per_p_N(monkeypatch):
+def test_one_split_build_per_p_N(monkeypatch):
     """The projectors, the neutral coordinates and the semigroup check at
-    one fresh (p, N) share one n x n Schur form."""
-    import scipy.linalg
+    one fresh (p, N) share one build of the split."""
+    builds = []
+    balance = linop._balance
 
-    shapes = []
-    schur = scipy.linalg.schur
+    def counting_balance(A):
+        builds.append(A.shape)
+        return balance(A)
 
-    def counting_schur(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return schur(a, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+    monkeypatch.setattr(linop, "_balance", counting_balance)
+    spectral_split.cache_clear()
     p, N = 0.65, 40
     grid = ChebGrid.make(N)
     riesz_projectors_for(p, grid)
     neutral_coordinates(p, N)
     semigroup_action_check(p, grid, seed=0)
-    n = 2 * (N + 1)
-    assert shapes.count((n, n)) == 1
+    assert builds == [(2 * (N + 1), 2 * (N + 1))]
+
+
+def _schur_split(p, N):
+    """(P0, P1) from the Schur-Sylvester split that spectral_split replaced
+    (Bavely & Stewart 1979): one complex Schur form of L_p sorted on the two
+    discs, a 3 x 3 one sorted on the disc about 0, two Sylvester solves."""
+    from scipy.linalg import schur, solve_sylvester
+
+    L = assemble_Lp(p, ChebGrid.make(N))
+    T, Z, m = schur(L.astype(complex), output="complex",
+                    sort=lambda z: (abs(z) < linop.SPLIT_RADIUS0
+                                    or abs(z - 1.0) < linop.SPLIT_RADIUS1))
+    T11, Q, m0 = schur(T[:3, :3], output="complex",
+                       sort=lambda z: abs(z) < linop.SPLIT_RADIUS0)
+    assert (m, m0) == (3, 2)
+    Z3 = Z[:, :3] @ Q
+    R = solve_sylvester(T11, -T[3:, 3:], Q.conj().T @ T[:3, 3:])
+    Wh = Z3.conj().T + R @ Z[:, 3:].conj().T
+    r = solve_sylvester(T11[:2, :2], -T11[2:, 2:], T11[:2, 2:])
+    x1 = np.vstack([-r, [[1.0]]])
+    return Z3[:, :2] @ (Wh[:2] + r @ Wh[2:]), Z3 @ x1 @ Wh[2:]
+
+
+# Measured distances, one and two BLAS threads: P0 5e-9 to 5.8e-8 at
+# N = 32 and 2.6e-7 to 9.4e-7 at N = 64, P1 at most 6.3e-10 and 2.0e-8.
+# They are the Schur split's own rounding: against the contour projector
+# the Schur P0 reads up to 9.5e-7 at N = 64, spectral_split's 9.2e-8.
+@pytest.mark.parametrize("N,rtol", [(32, 5e-7), (64, 5e-6)])
+@pytest.mark.parametrize("p", [0.5, 0.75, 0.9])
+def test_split_matches_schur_sylvester_split(p, N, rtol):
+    Z0, W0, Z1, W1 = spectral_split(p, N)
+    for P, ref in zip((Z0 @ W0, Z1 @ W1), _schur_split(p, N)):
+        assert np.linalg.norm(P - ref) / np.linalg.norm(ref) < rtol
+
+
+def test_balance_is_a_power_of_two_similarity():
+    """D^-1 L D with D a diagonal of powers of two, so balancing rounds
+    nothing; it takes ||L||_2 from 2.6e6 to 3.3e3 at p = 0.75, N = 64."""
+    L = assemble_Lp(0.75, GRID)
+    d = linop._balance(L)
+    assert np.all(np.frexp(d)[0] == 0.5)
+    B = L * d / d[:, None]
+    assert np.array_equal(B * d[:, None] / d, L)
+    assert np.linalg.norm(L, 2) > 1e6
+    assert np.linalg.norm(B, 2) < 5e3
+
+
+def test_split_raises_when_newton_stalls(monkeypatch):
+    """A defect the Newton steps cannot reach is a ValueError, not a split."""
+    monkeypatch.setattr(linop, "SPLIT_DEFECT_TOL", 0.0)
+    spectral_split.cache_clear()
+    with pytest.raises(ValueError, match="not refined"):
+        spectral_split(0.7, 24)
+
+
+def test_split_at_p_one():
+    """At p = 1 the Jordan pair at 0 splits into (y, y) and f0 and no g0
+    exists; the split still gives ranks 2 and 1 and idempotent projectors."""
+    P0, r0, P1, r1, L = riesz_projectors_for(1.0, ChebGrid.make(32))
+    assert (r0, r1) == (2, 1)
+    for P in (P0, P1):
+        assert np.linalg.norm(P @ P - P) / np.linalg.norm(P) < 1e-8
+        assert np.linalg.norm(P @ L - L @ P) / np.linalg.norm(L) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +341,22 @@ def test_neutral_coordinates_match_projector_oracle(p, N):
     stable = X[:, lam.real < -0.5]
     stable = stable / np.linalg.norm(stable, axis=0)
     assert np.max(np.abs(Phi @ stable)) < 1e-6
+
+
+@pytest.mark.parametrize("p", [0.6, 0.75, 0.9])
+def test_neutral_coordinates_smooth_in_p(p):
+    """Phi d under 9 steps of 1e-12 in p lies on a line to 1e-8 relative:
+    the largest deviation read 1e-12 to 7e-10 (it read 1.1e-8 to 2.2e-6
+    with the unbalanced Schur split, whose rounding set the modulation
+    fit's noise floor)."""
+    d = _random_cheb_state(np.random.Generator(np.random.Philox(0)), GRID,
+                           GRID.N // 2)
+    ks = np.arange(9)
+    ells = np.array([neutral_coordinates(p + k * 1e-12, GRID.N)[0] @ d
+                     for k in ks])
+    for ell in ells.T:
+        line = np.polyval(np.polyfit(ks, ell, 1), ks)
+        assert np.max(np.abs(ell - line)) < 1e-8 * np.max(np.abs(ell))
 
 
 def test_neutral_coordinates_recover_basis_combination():
@@ -466,6 +545,26 @@ def test_appendixB_rk4_fourth_order():
     e50, e100 = (np.max(np.abs(_appendixB_ode_solution(APPENDIXB_TARGETS, n)
                                - exact)) for n in (50, 100))
     assert 12.0 <= e50 / e100 <= 20.0
+
+
+def test_appendixB_recurrence_matches_stepwise_rk4():
+    """The affine recurrence against classical RK4 stepped on (s, v), with
+    s riding along as a state component."""
+    from blowuplab.evolve import _rk4
+
+    yt = APPENDIXB_TARGETS
+
+    def f(u):
+        s, v = u
+        return np.array([np.ones_like(s),
+                         yt * linop._appendixB_ode_rhs(s * yt, v)])
+
+    for steps in (50, 1000):
+        u = np.array([np.zeros_like(yt), np.full_like(yt, appendixB_dv1(0.0))])
+        for _ in range(steps):
+            u = _rk4(f, u, 1.0 / steps)
+        np.testing.assert_allclose(_appendixB_ode_solution(yt, steps), u[1],
+                                   rtol=0.0, atol=1e-13)
 
 
 def test_appendixB_rk4_matches_solve_ivp():
