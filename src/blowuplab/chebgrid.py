@@ -2,7 +2,9 @@
 
 Standard differentiation matrix (Trefethen, Spectral Methods in MATLAB,
 chap. 6) together with Clenshaw-Curtis quadrature weights.  Nodes are
-y_n = cos(pi*n/N), n = 0..N, i.e. ordered from +1 down to -1.
+y_n = cos(pi*n/N), n = 0..N, i.e. ordered from +1 down to -1.  Both are
+functions of the node array alone, so the float64 grid and the mpmath grid
+of the eigen-triple certificate (linop._mp_cheb) share one formula each.
 """
 
 from __future__ import annotations
@@ -17,30 +19,28 @@ FILTER_FRACTION = 1.0 / 3.0    # share of the modes the filter damps
 TRUNCATE_FRACTION = 2.0 / 3.0  # share of the modes truncate_modes keeps
 
 
-def cheb_diff(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes cos(pi*n/N) and the (N+1)x(N+1) differentiation matrix."""
-    n = np.arange(N + 1)
-    x = np.cos(np.pi * n / N)
-    c = np.hstack([2.0, np.ones(N - 1), 2.0]) * (-1.0) ** n
-    X = np.tile(x, (N + 1, 1)).T
-    dX = X - X.T
-    D = np.outer(c, 1.0 / c) / (dX + np.eye(N + 1))
+def cheb_diff(y: np.ndarray) -> np.ndarray:
+    """The (N+1)x(N+1) differentiation matrix on the nodes y_n = cos(pi*n/N),
+    in their number type: float64, or mpmath objects."""
+    N = len(y) - 1
+    c = np.hstack([2.0, np.ones(N - 1), 2.0]) * (-1.0) ** np.arange(N + 1)
+    D = np.outer(c, 1.0 / c) / (np.subtract.outer(y, y) + np.eye(N + 1))
     D -= np.diag(D.sum(axis=1))
-    return x, D
+    return D
 
 
-def clenshaw_curtis_weights(N: int) -> np.ndarray:
-    """Quadrature weights on [-1, 1] for the cos(pi*n/N) nodes."""
-    w = np.zeros(N + 1)
-    theta = np.pi * np.arange(1, N) / N
-    v = np.ones(N - 1)
-    for k in range(1, N // 2 + 1):
-        if 2 * k == N:
-            v -= np.cos(2 * k * theta) / (4 * k * k - 1)
-        else:
-            v -= 2.0 * np.cos(2 * k * theta) / (4 * k * k - 1)
-    w[1:N] = 2.0 * v / N
-    w[0] = w[N] = 1.0 / (N * N - 1) if N % 2 == 0 else 1.0 / N**2
+def clenshaw_curtis_weights(y: np.ndarray) -> np.ndarray:
+    """Quadrature weights on [-1, 1] for the nodes y_n = cos(pi*n/N), in their
+    number type.  cos(2k theta_n) is the node y_m, m = 2kn mod 2N folded
+    into [0, N] (Waldvogel, BIT 46:195, 2006)."""
+    N = len(y) - 1
+    k = np.arange(1, N // 2 + 1)[:, None]
+    m = 2 * k * np.arange(1, N) % (2 * N)
+    fac = np.where(2 * k == N, 1, 2)
+    v = 1 - (fac * y[np.minimum(m, 2 * N - m)] / (4 * k * k - 1)).sum(axis=0)
+    w = np.empty_like(y)
+    w[1:N] = 2 * v / N
+    w[0] = w[N] = y[0] / (N * N - 1 if N % 2 == 0 else N * N)
     return w
 
 
@@ -78,19 +78,16 @@ class ChebGrid:
 
 @lru_cache(maxsize=None)
 def _make_grid(N: int) -> ChebGrid:
-    y, D = cheb_diff(N)
-    w = clenshaw_curtis_weights(N)
-    return ChebGrid(N=N, y=y, D=D, w=w)
+    y = np.cos(np.pi * np.arange(N + 1) / N)
+    return ChebGrid(N=N, y=y, D=cheb_diff(y), w=clenshaw_curtis_weights(y))
 
 
 @lru_cache(maxsize=None)
 def _deriv_pow(N: int, k: int) -> np.ndarray:
-    g = _make_grid(N)
-    if k == 0:
-        return np.eye(N + 1)
-    if k == 1:      # D itself: the cache holds no identity or copy of D
-        return g.D
-    return g.D @ _deriv_pow(N, k - 1)
+    D = _make_grid(N).D
+    if k == 1:      # D itself: the cache holds no copy of D
+        return D
+    return D @ _deriv_pow(N, k - 1)
 
 
 def cheb_coeffs(vals: np.ndarray) -> np.ndarray:

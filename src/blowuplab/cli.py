@@ -488,8 +488,13 @@ _DISPATCH = {
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute a run configuration; returns the process exit code."""
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    """Execute a run configuration; returns the process exit code.
+    ConfigError if the output directory cannot be created."""
+    try:
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {cfg.output_dir}: "
+                          f"{exc.strerror or exc}") from None
     names = list(_DISPATCH) if cfg.command == "all" else [cfg.command]
     timings, checks = [], []
     for name in names:
@@ -514,11 +519,10 @@ def run(cfg: RunConfig) -> int:
 
 def main(argv=None) -> int:
     try:
-        cfg = parse_config(sys.argv[1:] if argv is None else argv)
-    except ConfigError as exc:
+        return run(parse_config(sys.argv[1:] if argv is None else argv))
+    except ConfigError as exc:   # run catches the commands' own ValueErrors
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return run(cfg)
 
 
 if __name__ == "__main__":

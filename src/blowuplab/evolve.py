@@ -89,9 +89,12 @@ def _propagators(p: float, N: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     """(expm(h L_p / 2), expm(h L_p)) on the N-grid, read-only.
 
     scipy's expm scales and squares, so squaring the half-step propagator
-    gives what expm(h L_p) returns; one expm per (p, N, h) suffices.  One
-    entry is kept: callers run all their steps at one (p, N, h) before
-    moving on, and the modulation fit never returns to an earlier p.
+    gives what expm(h L_p) returns; one expm per (p, N, h) suffices.  This
+    is the one scipy expm call: linop.semigroup_action_check takes its step
+    propagator here too.  One entry is kept: callers run all their steps at
+    one (p, N, h) before moving on, and the modulation fit never returns to
+    an earlier p.  Under `all`, semigroup-check (h = 1) and evolve evict
+    each other, which costs one expm each and changes no result.
     """
     from scipy.linalg import expm
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chebgrid import ChebGrid
+from .chebgrid import ChebGrid, cheb_diff, clenshaw_curtis_weights
 from .profiles import similarity_profile_q2
 
 DEFAULT_K = 4
@@ -192,33 +192,12 @@ def free_wave_dissipativity_check(grid: ChebGrid, trials: int = 200,
 
 def _mp_cheb(N: int):
     """Chebyshev nodes, differentiation matrix and Clenshaw-Curtis weights as
-    mpmath object arrays at the working precision in force."""
+    mpmath object arrays at the working precision in force: chebgrid's
+    formulas applied to the mpmath nodes."""
     import mpmath as mp
 
-    one = mp.mpf(1)
-    idx = np.arange(N + 1)
-    y = np.array([mp.cos(mp.pi * j / N) for j in idx], dtype=object)
-    c = np.array([mp.mpf(2 if j in (0, N) else 1) * (-1) ** j for j in idx],
-                 dtype=object)
-    D = np.empty((N + 1, N + 1), dtype=object)
-    for i in range(N + 1):
-        for j in range(N + 1):
-            if i != j:
-                D[i, j] = (c[i] / c[j]) / (y[i] - y[j])
-    for i in range(N + 1):
-        D[i, i] = mp.mpf(0)
-        D[i, i] = -sum(D[i, :])
-    w = np.empty(N + 1, dtype=object)
-    theta = [mp.pi * j / N for j in range(1, N)]
-    v = [one for _ in range(N - 1)]
-    for m in range(1, N // 2 + 1):
-        fac = one if 2 * m == N else mp.mpf(2)
-        for i, th in enumerate(theta):
-            v[i] -= fac * mp.cos(2 * m * th) / (4 * m * m - 1)
-    for i in range(1, N):
-        w[i] = 2 * v[i - 1] / N
-    w[0] = w[N] = one / (N * N - 1) if N % 2 == 0 else one / N**2
-    return y, D, w
+    y = np.frompyfunc(mp.cos, 1, 1)(mp.pi * np.arange(N + 1) / N)
+    return y, cheb_diff(y), clenshaw_curtis_weights(y)
 
 
 def _mp_matvec(D: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -555,7 +534,8 @@ def semigroup_action_check(p: float, grid: ChebGrid, seed: int = 0) -> dict:
 
     The projectors stay factored, P0 = Z0 W0 and P1 = Z1 W1 from
     spectral_split.  One E = expm(dtau L), dtau the step of the tau grid,
-    advances the block [Z0, Z1, qs] from each tau to the next; products of
+    taken as the half-step propagator of evolve at h = 2 dtau, advances the
+    block [Z0, Z1, qs] from each tau to the next; products of
     one short-step propagator do not show the rounding regrowth of
     scaling-and-squaring expm(tau L) of the non-normal L_p at large tau
     (Moler & Van Loan 2003).  Every 2-norm of a residual A W is taken as
@@ -563,9 +543,7 @@ def semigroup_action_check(p: float, grid: ChebGrid, seed: int = 0) -> dict:
     n x n matrix is formed.  The stable slope is gated at -0.9 OMEGA0
     (omega1_target); no spectrum is measured.
     """
-    from scipy.linalg import expm
-
-    from .evolve import fit_log_slope     # evolve imports this module
+    from .evolve import _propagators, fit_log_slope   # evolve imports this module
 
     tau_samples = np.linspace(0.0, 8.0, 17)
     L = assemble_Lp(p, grid)
@@ -578,7 +556,7 @@ def semigroup_action_check(p: float, grid: ChebGrid, seed: int = 0) -> dict:
     rng = np.random.Generator(np.random.Philox(seed))
     r = _random_cheb_state(rng, grid, grid.N // 2)
     qs = r - Z0 @ (W0 @ r) - Z1 @ (W1 @ r)
-    E = expm((tau_samples[1] - tau_samples[0]) * L)
+    E = _propagators(p, grid.N, 2.0 * (tau_samples[1] - tau_samples[0]))[0]
     S = seminorm_stack(grid.N)
 
     block = np.column_stack([Z0, Z1, qs])

@@ -43,8 +43,8 @@ def test_second_derivative_matrix():
 
 def test_clenshaw_curtis_polynomial_exactness():
     N = 16
-    w = clenshaw_curtis_weights(N)
     y = np.cos(np.pi * np.arange(N + 1) / N)
+    w = clenshaw_curtis_weights(y)
     for deg in range(0, N):
         exact = 2.0 / (deg + 1) if deg % 2 == 0 else 0.0
         assert w @ y ** deg == pytest.approx(exact, abs=1e-13)
@@ -143,5 +143,5 @@ def test_truncate_modes_zeroes_tail():
 
 
 def test_cheb_diff_rows_sum_to_zero():
-    _, D = cheb_diff(20)
+    D = cheb_diff(np.cos(np.pi * np.arange(21) / 20))
     assert np.max(np.abs(D.sum(axis=1))) < 1e-10

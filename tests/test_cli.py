@@ -162,6 +162,29 @@ def test_config_file_errors_name_file_and_line(tmp_path, capsys):
     assert f"{bad}:2: expected 'key = value'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("via_env", [False, True])
+def test_uncreatable_output_dir_exits_config(tmp_path, capsys, monkeypatch,
+                                             via_env):
+    """An output directory under a file (flag) or equal to a file
+    (BLOWUPLAB_OUT) is a config error, raised before any command runs."""
+    blocker = tmp_path / "a_file"
+    blocker.write_text("", encoding="utf-8")
+    ran = []
+    monkeypatch.setitem(cli._DISPATCH, "appendixB", ran.append)
+    if via_env:
+        out = blocker
+        monkeypatch.setenv("BLOWUPLAB_OUT", str(out))
+        argv = ["appendixB"]
+    else:
+        out = blocker / "x"
+        argv = ["appendixB", "--output-dir", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: cannot create output directory {out}: " in err
+    assert "Traceback" not in err
+    assert not ran
+
+
 def test_numerical_value_error_exit_code(tmp_path, monkeypatch):
     # a ValueError raised while computing is a numerical failure, not a
     # configuration error

@@ -34,6 +34,8 @@ def test_config_validation():
     for tau_max in (100.0, 0.0, -1.0):
         with pytest.raises(ValueError, match="tau_max"):
             EvolveConfig(p=0.75, tau_max=tau_max)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        EvolveConfig(p=0.75, dt=0.0)
 
 
 def test_config_rejects_too_many_steps():

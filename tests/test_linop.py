@@ -42,6 +42,19 @@ def test_potential_values():
         assert potential(p, np.array([0.0]))[0] == pytest.approx(2.0 * p)
 
 
+def test_seminorm_stack_guards():
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        seminorm_stack(16, -1)
+    with pytest.warns(RuntimeWarning, match="under-resolves"):
+        seminorm_stack(8, 4)
+
+
+@pytest.mark.parametrize("p", [0.0, 1.5])
+def test_assemble_Lp_rejects_p_outside_unit_interval(p):
+    with pytest.raises(ValueError, match=r"p must lie in \(0,1\]"):
+        assemble_Lp(p, GRID)
+
+
 def test_energy_norm_positive_and_scaling():
     q = np.stack([GRID.y ** 2, GRID.y])
     n1 = energy_norm(4, q, GRID)
@@ -86,6 +99,23 @@ def test_certificate_norm_is_the_k0_energy_norm():
         mp_norm = float(_mp_energy_norm(halves, D, w))
     assert mp_norm == pytest.approx(np.linalg.norm(seminorm_stack(N, 0) @ q),
                                     rel=1e-12)
+
+
+def test_mp_grid_is_exact_at_working_precision():
+    """chebgrid's D and weights on mpmath nodes stay in mpmath: D
+    differentiates and w integrates polynomials of degree < N to 1e-30, far
+    below double precision, and every entry is an mpf."""
+    import mpmath as mp
+
+    N = 16
+    with mp.workdps(35):
+        y, D, w = _mp_cheb(N)
+        assert all(isinstance(v, mp.mpf) for v in (*y, *D.ravel(), *w))
+        for deg in range(N):
+            exact = mp.mpf(2) / (deg + 1) if deg % 2 == 0 else 0
+            assert abs(w @ y ** deg - exact) < mp.mpf(10) ** -30
+            dv = deg * y ** (deg - 1) if deg else 0 * y
+            assert max(abs(a - b) for a, b in zip(D @ y ** deg, dv)) < mp.mpf(10) ** -28
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +553,51 @@ def test_dissipativity_nan_quotient_propagates(monkeypatch):
 def test_dissipativity_bound_any_seed(seed):
     worst = free_wave_dissipativity_check(GRID, trials=20, seed=seed)
     assert worst <= -0.5 + 1e-3
+
+
+def _dissipativity_sup(L: np.ndarray, grid: ChebGrid, k: int) -> float:
+    """sup Re<L q, q>_k / ||q||_k^2 over the states whose halves are
+    Chebyshev series of degree <= N/2: with B the block-diagonal Chebyshev
+    basis and S B = Q1 R a thin QR, the largest eigenvalue of the symmetric
+    part of Q1^T (S L B) R^-1."""
+    B = np.kron(np.eye(2),
+                np.polynomial.chebyshev.chebvander(grid.y, grid.N // 2))
+    S = seminorm_stack(grid.N, k)
+    Q1, R = np.linalg.qr(S @ B)
+    M = np.linalg.solve(R.T, (Q1.T @ (S @ (L @ B))).T).T
+    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[-1])
+
+
+@pytest.mark.parametrize("N", [32, 64])
+@pytest.mark.parametrize("k", [0, 1])
+def test_dissipativity_supremum(N, k):
+    """The supremum itself, not a sample of it, is -1/2."""
+    grid = ChebGrid.make(N)
+    sup = _dissipativity_sup(linop.assemble_free_modified(grid), grid, k)
+    assert sup == pytest.approx(-0.5, abs=1e-3)
+
+
+def _without_trace(grid):
+    return linop._assemble(grid, np.zeros_like(grid.y))
+
+
+def _damped(c):
+    def mutate(grid):
+        L = linop.assemble_free_modified(grid)
+        n = grid.N + 1
+        L[n:, n:] += (1.0 - c) * np.eye(n)    # -q2 becomes -c q2
+        return L
+    return mutate
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("mutant", [_without_trace, _damped(0.6), _damped(0.55)],
+                         ids=["no_trace", "damping_0.6", "damping_0.55"])
+def test_dissipativity_supremum_sees_mutations(mutant, k):
+    """Each weakening of assemble_free_modified lifts the supremum above the
+    -1/2 + 1e-3 gate (measured at N = 64: no trace +0.50 / +0.25, damping
+    0.6 -0.10 / -0.30, damping 0.55 -0.05 / -0.26 at k = 0 / 1)."""
+    assert _dissipativity_sup(mutant(GRID), GRID, k) > -0.5 + 1e-3
 
 
 # ---------------------------------------------------------------------------

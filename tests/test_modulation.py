@@ -52,6 +52,11 @@ def test_initial_data_operator_domain_constraint():
         initial_data_operator(0.75, 2.5, 0.0, BASELINE, ZERO, GRID)
 
 
+def test_initial_data_operator_rejects_p_one():
+    with pytest.raises(ValueError, match=r"p and p0 must lie in \(0, 1\)"):
+        initial_data_operator(1.0, 1.0, 0.0, BASELINE, ZERO, GRID)
+
+
 def test_initial_data_linear_in_f():
     f1 = _legendre_f(1e-4)
     f2 = _legendre_f(2e-4)
@@ -115,6 +120,13 @@ def test_correction_nonlinear_terms_match_projector_formula():
     _, V = neutral_coordinates(0.75, 64)
     ref = np.linalg.lstsq(V, C, rcond=None)[0]
     assert np.linalg.norm(ell - ref) < 1e-5 * np.linalg.norm(ref)
+
+
+def test_correction_rejects_short_trajectory():
+    taus = np.linspace(0.0, 1.0, 5)
+    q2sq = np.zeros((len(taus) - 1, GRID.N + 1))
+    with pytest.raises(ValueError, match="trajectory shape mismatch"):
+        correction_functional(*_coordinates_and_data(ZERO), (taus, q2sq))
 
 
 def test_simpson_matches_scipy_on_fit_grid():

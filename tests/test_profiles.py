@@ -169,6 +169,20 @@ def test_exact_ss_denominator_limits():
         exact_ss_denominator(5.0, np.array([0.0, 1.5]))
 
 
+def test_bisect_endpoint_roots_and_bracket():
+    assert bisect(lambda y: y, 0.0, 1.0) == 0.0
+    assert bisect(lambda y: y - 1.0, 0.0, 1.0) == 1.0
+    with pytest.raises(ValueError, match="no sign change"):
+        bisect(lambda y: y + 1.0, 0.0, 1.0)
+
+
+def test_general_riccati_denominator_domain():
+    with pytest.raises(ValueError, match=r"p must lie in \(0,1\)"):
+        general_riccati_denominator(1.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="c must be positive"):
+        general_riccati_denominator(0.5, 0.0, 0.0)
+
+
 def test_exact_ss_denominator_root_c0_symmetric():
     root = find_denominator_zero(0.0)
     assert abs(root) < 1e-12
