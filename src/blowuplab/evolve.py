@@ -84,21 +84,86 @@ class DecayFit:
         return self.fitted_rate <= rate and self.r_squared >= DECAY_R2_MIN
 
 
+# Pade-13 coefficients b_0 .. b_13 of Higham (2005), SIAM J. Matrix Anal.
+# Appl. 26:1179, and Al-Mohy & Higham's (2009) bounds for that degree
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 4.25                  # largest eta that degree 13 takes unscaled
+_C27 = 1.1325077560602111e35     # 1 / |c_27|, c_27 leads the backward error
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _expm_scaling(A: np.ndarray, A4: np.ndarray, A6: np.ndarray) -> int:
+    """Squaring count s of Al-Mohy & Higham's (2009) degree-13 branch, from
+    A and its powers A^4, A^6; the s that scipy.linalg.expm picks.
+
+    eta = min(max(d6, d8), max(d8, d10)), d_k = ||A^k||_1^(1/k) exact, gives
+    s = max(0, ceil(log2(eta / 4.25))).  Their ell correction then adds
+    ceil(log2(alpha / u) / 26) halvings where alpha = ||B^27||_1 /
+    (||B||_1 C27), B = |2^-s A|, exceeds the unit roundoff u; ||B^27||_1
+    takes 27 vector-matrix products.  A tiny alpha (it underflows to 0 at
+    ||A||_1 ~ 1e-9) adds nothing.
+    """
+    d6, d8, d10 = (np.linalg.norm(M, 1) ** (1.0 / k)
+                   for M, k in ((A6, 6), (A4 @ A4, 8), (A4 @ A6, 10)))
+    eta = min(max(d6, d8), max(d8, d10))
+    s = max(0, math.ceil(math.log2(eta / _THETA13))) if eta > 0 else 0
+    norm = np.linalg.norm(A, 1) * 2.0 ** -s
+    if norm == 0:
+        return s
+    B = np.abs(A) * 2.0 ** -s
+    v = np.ones(len(A))
+    for _ in range(27):
+        v = v @ B
+    alpha = v.max() / (norm * _C27)
+    if alpha > _UNIT_ROUNDOFF:
+        s += math.ceil(math.log2(alpha / _UNIT_ROUNDOFF) / 26)
+    return s
+
+
+def _expm(A: np.ndarray) -> np.ndarray:
+    """exp(A) by scaling and squaring with the degree-13 Pade approximant
+    X = (V - U)^-1 (V + U) of exp(2^-s A), s from _expm_scaling.
+
+    X is solved from (V - U)^T X^T = (V + U)^T, as scipy's C code does by
+    handing C-ordered arrays to LAPACK; U and V commute, so X is the same.
+    On h L_p (cond(V - U) ~ 4e6 at N = 64) the untransposed solve is 20 to
+    110 times less accurate against an extended-precision Pade-13.
+    """
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A2 @ A4
+    s = _expm_scaling(A, A4, A6)
+    c = 2.0 ** -s
+    A, A2, A4, A6 = c * A, c ** 2 * A2, c ** 4 * A4, c ** 6 * A6
+    b = _PADE13
+    ident = np.eye(len(A))
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
+    X = np.linalg.solve((V - U).T, (V + U).T).T
+    for _ in range(s):
+        X = X @ X
+    return X
+
+
 @functools.lru_cache(maxsize=1)
 def _propagators(p: float, N: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     """(expm(h L_p / 2), expm(h L_p)) on the N-grid, read-only.
 
-    scipy's expm scales and squares, so squaring the half-step propagator
-    gives what expm(h L_p) returns; one expm per (p, N, h) suffices.  This
-    is the one scipy expm call: linop.semigroup_action_check takes its step
-    propagator here too.  One entry is kept: callers run all their steps at
-    one (p, N, h) before moving on, and the modulation fit never returns to
-    an earlier p.  Under `all`, semigroup-check (h = 1) and evolve evict
-    each other, which costs one expm each and changes no result.
+    _expm scales by a power of two and squares, so squaring the half-step
+    propagator gives what _expm(h L_p) returns; one expm per (p, N, h)
+    suffices.  This is the one expm call: linop.semigroup_action_check
+    takes its step propagator here too.  One entry is kept: callers run all
+    their steps at one (p, N, h) before moving on, and the modulation fit
+    never returns to an earlier p.  Under `all`, semigroup-check (h = 1)
+    and evolve evict each other, which costs one expm each and changes no
+    result.
     """
-    from scipy.linalg import expm
-
-    half = expm(0.5 * h * assemble_Lp(p, ChebGrid.make(N)))
+    half = _expm(0.5 * h * assemble_Lp(p, ChebGrid.make(N)))
     full = half @ half
     half.flags.writeable = False
     full.flags.writeable = False

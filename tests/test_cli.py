@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -446,14 +447,45 @@ def _cli_subprocess(argv, out_dir, threads=None):
                           env=env, capture_output=True).returncode
 
 
-def test_spectrum_loads_no_scipy(tmp_path):
-    """The spectral split needs no Schur form, so `spectrum` loads no scipy
-    module at all."""
-    assert _cli_subprocess(["spectrum"], tmp_path) == EXIT_PASS
+def test_all_loads_no_scipy(tmp_path):
+    """The spectral split needs no Schur form and the propagators take
+    evolve._expm, so no command loads scipy: the manifest of `all`, which
+    runs every command in one process, lists no scipy module."""
+    assert _cli_subprocess(["all", "--seed", "0"], tmp_path) == EXIT_PASS
     lines = (tmp_path / "manifest.txt").read_text().splitlines()
     manifest = dict(line.split(" = ", 1) for line in lines)
     assert manifest["scipy_modules"] == "none"
     assert "scipy_version" not in manifest
+
+
+SCIPY_BLOCKED = textwrap.dedent("""
+    import sys
+
+    class BlockScipy:
+        def find_spec(self, name, path=None, target=None):
+            if name == "scipy" or name.startswith("scipy."):
+                raise ImportError(f"{name} is blocked")
+
+    sys.meta_path.insert(0, BlockScipy())
+    from blowuplab import cli
+
+    codes = [cli.main([cmd, "--output-dir", sys.argv[1]])
+             for cmd in ("semigroup-check", "evolve", "modulate")]
+    try:
+        import scipy
+    except ImportError:
+        print("blocked", *codes)
+""")
+
+
+def test_propagator_commands_run_with_scipy_blocked(tmp_path):
+    """The three commands that take expm(h L_p) pass in a process where
+    every scipy import raises."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED, str(tmp_path)],
+                         env=env, check=True, capture_output=True, text=True)
+    assert out.stdout.splitlines()[-1].split() == ["blocked"] + ["0"] * 3
 
 
 @pytest.mark.slow

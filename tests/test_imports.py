@@ -1,6 +1,6 @@
-"""Import side effects: scipy.linalg and scipy.interpolate load only where
-they are called, importing the package or running a mode scan at any p
-loads no scipy at all, and importing the CLI leaves BLAS on one thread."""
+"""Import side effects: importing the package, running a mode scan at any
+p or building the similarity propagators loads no scipy at all, and
+importing the CLI leaves BLAS on one thread."""
 
 import os
 import subprocess
@@ -19,7 +19,7 @@ PROBE = textwrap.dedent("""
     for mod in pkgutil.iter_modules(blowuplab.__path__):
         importlib.import_module(f"blowuplab.{mod.name}")
     assert "scipy.linalg" not in sys.modules
-    from blowuplab.evolve import ode_blowup_instability
+    from blowuplab.evolve import _propagators, ode_blowup_instability
     from blowuplab.modeanalysis import mode_scan
     from blowuplab.modulation import _nonlinear_integrals
 
@@ -31,6 +31,7 @@ PROBE = textwrap.dedent("""
     taus = np.linspace(0.0, 1.0, 5)
     I_plain, _, _ = _nonlinear_integrals(taus, np.ones((5, 3)))
     assert np.allclose(I_plain, 1.0)
+    _propagators(0.75, 64, 0.05)
     print(" ".join(sorted(m for m in sys.modules
                           if m == "scipy" or m.startswith("scipy."))))
 """)
@@ -38,8 +39,9 @@ PROBE = textwrap.dedent("""
 
 def test_fresh_process_loads_no_integrate_or_interpolate():
     """Importing every module, running mode scans with and without
-    degenerate points (p = 0.5, 0.75, 1), the closed-form instability check
-    and the Simpson integrals loads no scipy module at all."""
+    degenerate points (p = 0.5, 0.75, 1), the closed-form instability check,
+    the Simpson integrals and the step propagators expm(h L_p / 2) loads no
+    scipy module at all."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", PROBE], env=env, check=True,
                          capture_output=True, text=True).stdout
