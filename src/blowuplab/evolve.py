@@ -170,12 +170,33 @@ def _propagators(p: float, N: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     return half, full
 
 
-def _nonlinear(u: np.ndarray) -> np.ndarray:
-    """N(u) = (0, q2^2) on a flattened state."""
-    out = np.zeros_like(u)
-    n = len(u) // 2
-    out[n:] = u[n:] ** 2
-    return out
+@functools.lru_cache(maxsize=1)
+def _step_operators(p: float, N: int, h: float) -> tuple[np.ndarray, ...]:
+    """(P, H2, H1, M): the blocks of the propagators that one step of
+    step_similarity reads, read-only; one cache entry, as in _propagators.
+
+    N(u) = (0, q2^2) has no q1 half, so a propagator acting on a stage
+    value needs only its q2 columns, and the stages need only the q2 rows
+    of their inputs.  P = [half[n:]; full[n:]] gives the q2 rows of half u
+    and full u; H2 and H1 are the q2-q2 block of half times h / 2 and h.
+    M maps [u, a1, a2 + a3, a4], with a_i the q2 halves of the stages, to
+    the next state: full, then h / 6 full, h / 3 half and h / 6 times the
+    identity on their q2 columns, each column filtered (exponential_filter)
+    as a state, since the filter is linear.
+    """
+    half, full = _propagators(p, N, h)
+    n = N + 1
+    lift = np.zeros((2 * n, n))
+    lift[n:] = np.eye(n)
+    M = np.hstack([full, (h / 6.0) * full[:, n:], (h / 3.0) * half[:, n:],
+                   (h / 6.0) * lift])
+    M = np.ascontiguousarray(
+        exponential_filter(M.T.reshape(-1, 2, n)).reshape(-1, 2 * n).T)
+    ops = (np.vstack([half[n:], full[n:]]), (0.5 * h) * half[n:, n:],
+           h * half[n:, n:], M)
+    for a in ops:
+        a.flags.writeable = False
+    return ops
 
 
 def _rk4(f, u: np.ndarray, dt: float) -> np.ndarray:
@@ -190,17 +211,18 @@ def _rk4(f, u: np.ndarray, dt: float) -> np.ndarray:
 def step_similarity(q: np.ndarray, p: float, h: float,
                     grid: ChebGrid) -> np.ndarray:
     """One filtered integrating-factor RK4 step of the perturbation system,
-    from the state q, shape (2, N+1), to the next."""
-    half, full = _propagators(p, grid.N, h)
+    from the state q, shape (2, N+1), to the next: the stages
+    k_i = (0, a_i) on the q2 blocks of the propagators (_step_operators)."""
+    P, H2, H1, M = _step_operators(p, grid.N, h)
+    n = grid.N + 1
     u = q.ravel()
-    k1 = _nonlinear(u)
-    k2 = _nonlinear(half @ (u + 0.5 * h * k1))
-    half_u = half @ u
-    k3 = _nonlinear(half_u + 0.5 * h * k2)
-    full_u = half @ half_u
-    k4 = _nonlinear(full_u + h * (half @ k3))
-    u = full_u + (h / 6.0) * (full @ k1 + 2.0 * (half @ (k2 + k3)) + k4)
-    return exponential_filter(u.reshape(2, grid.N + 1))
+    a1 = u[n:] ** 2
+    v = P @ u
+    half_u, full_u = v[:n], v[n:]
+    a2 = (half_u + H2 @ a1) ** 2
+    a3 = (half_u + (0.5 * h) * a2) ** 2
+    a4 = (full_u + H1 @ a3) ** 2
+    return (M @ np.concatenate([u, a1, a2 + a3, a4])).reshape(2, n)
 
 
 def bump(y: np.ndarray) -> np.ndarray:

@@ -86,9 +86,10 @@ def seminorm_stack(N: int, k: int = DEFAULT_K) -> np.ndarray:
 
 
 def energy_norm(k: int, q: np.ndarray, grid: ChebGrid) -> float:
-    """||q||_k of a state, shape (2, N+1), or of its flat form."""
-    S = seminorm_stack(grid.N, k)
-    return float(np.linalg.norm(S @ np.ravel(q)))
+    """||q||_k of a real state, shape (2, N+1), or of its flat form;
+    sqrt(v @ v) is what np.linalg.norm(v) computes on a real vector."""
+    v = seminorm_stack(grid.N, k) @ np.ravel(q)
+    return math.sqrt(v @ v)
 
 
 # ---------------------------------------------------------------------------
@@ -367,16 +368,34 @@ def _balance(A: np.ndarray) -> np.ndarray:
 
 
 def _sylvester3(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """X with A X - X B = C for a 3 x 3 B, by one Kronecker solve in the
-    3 m unknowns of X, m = len(A)."""
+    """X with A X - X B = C for a 3 x 3 B, by one shifted solve in m = len(A)
+    unknowns and one Kronecker solve in 2 m (Golub, Nash & Van Loan 1979).
+
+    G is orthogonal with first column the eigenvector of the real
+    eigenvalue lam of B farthest from the other two (a real 3 x 3 has one;
+    a complex one would leave a complex G).  T = G^T B G then has
+    T[1:, 0] = 0, so Y = X G solves (A - lam I) y0 = (C G)[:, 0] and
+    A Y' - Y' T[1:, 1:] = (C G)[:, 1:] + y0 T[0, 1:] for its other two
+    columns.  In the split B = A11 has eigenvalues near {0, 0, 1} and lam
+    is the mode at 1: its eigenvector is well conditioned, while the
+    near-Jordan pair at 0 has nearly parallel eigenvectors.
+    """
+    mu, U = np.linalg.eig(B)
+    real = np.flatnonzero(mu.imag == 0)
+    gaps = [min(abs(mu[i] - mu[j]) for j in range(3) if j != i) for i in real]
+    i = real[np.argmax(gaps)]
+    G = np.linalg.qr(U[:, i:i + 1].real, mode="complete")[0]
+    T = G.T @ B @ G
+    D = C @ G
     m = len(A)
-    K = np.zeros((3, m, 3, m))      # I3 (x) A - B^T (x) Im, built in place
-    for i in range(3):
-        K[i, :, i, :] = A
+    y0 = np.linalg.solve(A - T[0, 0] * np.eye(m), D[:, 0])
+    K = np.zeros((2, m, 2, m))  # I2 (x) A - T[1:, 1:]^T (x) Im, in place
+    K[0, :, 0, :] = K[1, :, 1, :] = A
     diag = np.arange(m)
-    K[:, diag, :, diag] -= B.T
-    return np.linalg.solve(K.reshape(3 * m, 3 * m),
-                           C.ravel(order="F")).reshape(3, m).T
+    K[:, diag, :, diag] -= T[1:, 1:].T
+    rhs = D[:, 1:] + np.outer(y0, T[0, 1:])
+    Y = np.linalg.solve(K.reshape(2 * m, 2 * m), rhs.ravel(order="F"))
+    return np.column_stack([y0, Y.reshape(2, m).T]) @ G.T
 
 
 def _split_basis(grid: ChebGrid, p: float) -> np.ndarray:
@@ -437,7 +456,7 @@ def spectral_split(p: float, N: int) -> tuple[np.ndarray, ...]:
     and Newton steps refine D^-1 [g0, f0, f1] (_split_basis) to the
     invariant subspace Q1 of B, with A = Q^T B Q (_invariant_subspace).  The
     same steps on B^T, started from Q1, give the left invariant subspace
-    Ql.  The first of them is the Kronecker solve of A11 R - R A22 = A12
+    Ql.  The first of them is the Sylvester solve of A11 R - R A22 = A12
     for the left factor Wh = Q1^T + R Q2^T (Stewart 1973); that system has
     condition ~1e10, and the next step takes out the rounding it leaves.
     Then Wh = (Ql^T Q1)^-1 Ql^T, so Wh Q1 = I and Wh B = A11 Wh.

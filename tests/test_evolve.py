@@ -11,7 +11,6 @@ from blowuplab.evolve import (
     IF_STEP,
     MAX_SIMILARITY_STEPS,
     EvolveConfig,
-    _nonlinear,
     _rk4,
     bump,
     evolve_perturbation,
@@ -109,6 +108,14 @@ def test_projected_decay_rate_epsilon_independent():
     assert abs(rates[0] - rates[1]) < 0.05
 
 
+def _nonlinear(u):
+    """N(u) = (0, q2^2) on a flattened state."""
+    out = np.zeros_like(u)
+    n = len(u) // 2
+    out[n:] = u[n:] ** 2
+    return out
+
+
 def test_rk4_self_convergence_order():
     # the bare RK4 core on the unfiltered right-hand side
     p, N = 0.75, 32
@@ -175,6 +182,28 @@ def test_step_propagates_linear_part_exactly():
     u = evolve._expm(IF_STEP * assemble_Lp(p, grid)) @ q0.ravel()
     ref = exponential_filter(u.reshape(2, N + 1)).ravel()
     assert np.linalg.norm(q.ravel() - ref) < 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("p,N", [(0.5, 32), (0.6, 48), (0.75, 64), (0.9, 96)])
+def test_step_matches_reference_if_rk4(p, N):
+    """The step on the q2 blocks with the filter folded in is Lawson's
+    IF-RK4 written out on the whole propagators, then filtered, to 1e-12.
+    At amplitude 1 the nonlinear part moves the step by about 1 %."""
+    grid = ChebGrid.make(N)
+    half, full = evolve._propagators(p, N, IF_STEP)
+    h = IF_STEP
+    u = initial_perturbation(EvolveConfig(p=p, N=N, epsilon=1.0), grid).ravel()
+    k1 = _nonlinear(u)
+    k2 = _nonlinear(half @ (u + 0.5 * h * k1))
+    k3 = _nonlinear(half @ u + 0.5 * h * k2)
+    k4 = _nonlinear(full @ u + h * (half @ k3))
+    ref = exponential_filter(
+        (full @ u + (h / 6.0) * (full @ k1 + 2.0 * (half @ (k2 + k3)) + k4))
+        .reshape(2, N + 1)).ravel()
+    linear = exponential_filter((full @ u).reshape(2, N + 1)).ravel()
+    assert np.linalg.norm(ref - linear) > 1e-3 * np.linalg.norm(ref)
+    q = step_similarity(u.reshape(2, N + 1), p, h, grid)
+    assert np.linalg.norm(q.ravel() - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def _pade13_extended(A, s):

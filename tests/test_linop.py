@@ -63,6 +63,17 @@ def test_energy_norm_positive_and_scaling():
     assert n2 == pytest.approx(2.0 * n1, rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [0, 4])
+def test_energy_norm_bit_identical(k):
+    """energy_norm takes sqrt(v @ v); on random states that is the same
+    float, bit for bit, as np.linalg.norm(S @ q)."""
+    S = seminorm_stack(GRID.N, k)
+    rng = np.random.Generator(np.random.Philox(k))
+    for _ in range(20):
+        q = _random_cheb_state(rng, GRID, GRID.N // 2)
+        assert energy_norm(k, q, GRID) == float(np.linalg.norm(S @ q))
+
+
 # ---------------------------------------------------------------------------
 # eigen-triples
 
@@ -325,6 +336,58 @@ def test_balance_is_a_power_of_two_similarity():
     assert np.array_equal(B * d[:, None] / d, L)
     assert np.linalg.norm(L, 2) > 1e6
     assert np.linalg.norm(B, 2) < 5e3
+
+
+def _near_jordan(rng):
+    """V J V^-1 with J the Jordan pair at 0 and a 1, nudged by 1e-9."""
+    V = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
+    J = np.array([[0.0, 1.0, 0.0], [1e-9, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    return V @ J @ np.linalg.inv(V)
+
+
+def _complex_pair(rng):
+    """A rotation of the eigenvalues +-2i and 0.5: the real one is no
+    farther from the pair than each of the pair is from it."""
+    V = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
+    J = np.array([[0.0, 2.0, 0.0], [-2.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
+    return V @ J @ np.linalg.inv(V)
+
+
+@pytest.mark.parametrize("make_B", [_near_jordan, _complex_pair,
+                                    lambda rng: rng.standard_normal((3, 3))])
+def test_sylvester3_matches_kronecker(make_B):
+    """The rotated solve (one shifted, one 2 m Kronecker) agrees with one
+    Kronecker solve in 3 m unknowns written out here, A's spectrum kept
+    clear of B's as in the split."""
+    rng = np.random.Generator(np.random.Philox(5))
+    m = 40
+    A = rng.standard_normal((m, m)) - (math.sqrt(m) + 4.0) * np.eye(m)
+    B = make_B(rng)
+    C = rng.standard_normal((m, 3))
+    K = np.kron(np.eye(3), A) - np.kron(B.T, np.eye(m))
+    ref = np.linalg.solve(K, C.ravel(order="F")).reshape(3, m).T
+    X = linop._sylvester3(A, B, C)
+    assert np.linalg.norm(X - ref) < 1e-12 * np.linalg.norm(ref)
+    assert np.linalg.norm(A @ X - X @ B - C) < 1e-12 * np.linalg.norm(C)
+
+
+def test_split_solves_at_most_two_blocks(monkeypatch):
+    """A fresh split solves no system with more than 2 (n - 3) unknowns,
+    n = 2 (N + 1): the 3 (n - 3) Kronecker matrix (3069^2 doubles, 75 MB
+    at N = 512) is not built."""
+    sizes = []
+    solve = np.linalg.solve
+
+    def recording_solve(a, b):
+        sizes.append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(linop.np.linalg, "solve", recording_solve)
+    spectral_split.cache_clear()
+    N = 40
+    spectral_split(0.7, N)
+    spectral_split.cache_clear()
+    assert max(sizes) == 2 * (2 * (N + 1) - 3)
 
 
 def test_split_raises_when_newton_stalls(monkeypatch):
