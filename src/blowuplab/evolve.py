@@ -15,8 +15,8 @@ below truncation level.
 
 Also here: the closed-form divergence of the blow-up family from the
 spatially homogeneous ODE solution as p -> 1, and a physical-space (x, t)
-finite-difference solver used to cross-validate the similarity evolution
-inside the light cone.
+solver on the characteristic lattice of the backward light cone, used to
+cross-validate the similarity evolution inside that cone.
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chebgrid import ChebGrid, exponential_filter, truncate_modes
+from .chebgrid import (ChebGrid, cheb_coeffs, exponential_filter,
+                       truncate_modes)
 from .linop import DEFAULT_K, assemble_Lp, energy_norm, neutral_coordinates
-from .profiles import (_FD4_C2, ProfileParams, _log_arg, eval_profile,
+from .profiles import (ProfileParams, _log_arg, eval_profile,
                        similarity_profile, similarity_profile_q2)
 
 TAU_MAX_CAP = 15.0
@@ -38,8 +39,7 @@ MAX_SIMILARITY_STEPS = 100_000   # steps to tau_max: 104 MB of states at N = 64
 DECAY_FIT_WINDOW = (3.0, 7.0)    # tau window of the decay-rate fit
 DECAY_R2_MIN = 0.98              # least r^2 of a fit that shows decay
 BUMP_WIDTH = 0.8                 # support |y| < BUMP_WIDTH of the initial bump
-CROSSCHECK_HALF_WIDTH = 1.25     # physical domain [x0 - R, x0 + R], R / T
-CROSSCHECK_INTERVALS = 4096      # finite-difference intervals on that domain
+CROSSCHECK_INTERVALS = 4096      # lattice intervals across the cone base
 CROSSCHECK_T_SAMPLES = (0.25, 0.5)  # cone sections compared, as t / T
 SMALLNESS_NODES = 400            # Chebyshev order of the smallness quadrature
 INSTABILITY_NODES = 200          # Chebyshev order of the divergence L2 norms
@@ -197,15 +197,6 @@ def _step_operators(p: float, N: int, h: float) -> tuple[np.ndarray, ...]:
     for a in ops:
         a.flags.writeable = False
     return ops
-
-
-def _rk4(f, u: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step of du/dt = f(u)."""
-    k1 = f(u)
-    k2 = f(u + 0.5 * dt * k1)
-    k3 = f(u + 0.5 * dt * k2)
-    k4 = f(u + dt * k3)
-    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def step_similarity(q: np.ndarray, p: float, h: float,
@@ -398,80 +389,78 @@ def ode_blowup_instability(p: float, kappa: float = 0.0) -> dict:
 # Physical-space cross-validation
 # ---------------------------------------------------------------------------
 
+def _physical_sections(cfg: EvolveConfig, q0: np.ndarray, grid: ChebGrid,
+                       intervals: int = CROSSCHECK_INTERVALS) -> list:
+    """[(y, u)] on the cone sections t = CROSSCHECK_T_SAMPLES * T, with
+    y = (x - x0) / (T - t), from the profile plus q0 at t = 0.
+
+    w+- = u_t +- u_x obey (d_t -+ d_x) w+- = s^2, s = (w+ + w-)/2, so on the
+    cone's lattice dx = dt w+ comes from node j+1 and w- from node j-1, and
+    u moves with w+ by du/dt = w-, each by the trapezoid rule; its implicit
+    s = m + dt s^2 / 2 (m the mean of the explicit parts) is
+    2m / (1 + sqrt(1 - 2 dt m)).  (4 u_fine - u_coarse) / 3 from `intervals`
+    and half as many intervals is 4th order.  RuntimeError naming t when
+    1 - 2 dt m <= 0 or u is not finite.
+    """
+    p, T, g = cfg.p, cfg.T, math.sqrt(1.0 - cfg.p)
+    y = np.linspace(-1.0, 1.0, intervals + 1)
+    cheb = np.polynomial.chebyshev
+    u0 = similarity_profile(p, y, cfg.kappa) + grid.interpolate(q0[0], y)
+    u_t = (similarity_profile_q2(p, y) + grid.interpolate(q0[1], y)) / T
+    u_x = (-p * g / (1.0 + g * y)
+           + cheb.chebval(y, cheb.chebder(cheb_coeffs(q0[0])))) / T
+    lattices = []
+    for r in (2, 1):
+        u, w_plus, w_minus = u0[::r], (u_t + u_x)[::r], (u_t - u_x)[::r]
+        dt = 2.0 * T * r / intervals
+        counts = [round(s * intervals / (2 * r)) for s in CROSSCHECK_T_SAMPLES]
+        s2 = (0.5 * (w_plus + w_minus)) ** 2
+        lattices.append([])
+        for k in range(1, counts[-1] + 1):
+            a = w_plus[2:] + 0.5 * dt * s2[2:]
+            b = w_minus[:-2] + 0.5 * dt * s2[:-2]
+            disc = 1.0 - dt * (a + b)
+            ok = np.all(disc > 0.0)           # false at a NaN too
+            if ok:
+                s2 = ((a + b) / (1.0 + np.sqrt(disc))) ** 2
+                u = u[2:] + 0.5 * dt * (w_minus[2:] + b + 0.5 * dt * s2)
+                w_plus, w_minus = a + 0.5 * dt * s2, b + 0.5 * dt * s2
+                ok = np.all(np.isfinite(u))
+            if not ok:
+                raise RuntimeError(f"physical solver blew up before t={k * dt:g}")
+            if k in counts:
+                lattices[-1].append(u)
+    return [(np.linspace(-1.0, 1.0, len(uc)), (4.0 * uf[::2] - uc) / 3.0)
+            for uc, uf in zip(*lattices)]
+
+
 def physical_space_crosscheck(cfg: EvolveConfig) -> dict:
     """Evolve the same perturbed data in (x, t) and in similarity variables.
 
-    The physical solver is a 4th-order finite-difference method-of-lines RK4
-    scheme for u_tt - u_xx = u_t^2 on [x0 - R, x0 + R], R = 1.25 T
-    (CROSSCHECK_HALF_WIDTH), with CROSSCHECK_INTERVALS intervals; by finite
-    speed of propagation the frozen far boundaries cannot influence the light
-    cone for t <= 0.5 T.  The finite-difference solution equals the exact
-    one on |x - x0| < R - t, so it stays clear of the singular surface
-    x - x0 = -(T-t)/sqrt(1-p) up to the last section t_last when
-    (T - t_last)/sqrt(1-p) > R - t_last, i.e. p > 5/9 at the defaults;
-    ValueError naming p otherwise, before any step.
-    The similarity flow runs evolve_states from one cone section to the
-    next, in steps of at most cfg.dt (IF_STEP by default).  Returns the
-    max |u_phys - u_sim| over the physical nodes inside the cone sections
-    t = CROSSCHECK_T_SAMPLES * T, reading q1 there by its Chebyshev series.
+    The physical solver (_physical_sections) runs on the characteristic
+    lattice of the backward light cone of (x0, T), whose section at t is
+    the cone's |x - x0| <= T - t, so the singular surface
+    x - x0 = -(T-t)/sqrt(1-p) lies outside it at every p.  The similarity
+    flow runs evolve_states from one cone section to the next, in steps of
+    at most cfg.dt (IF_STEP by default).  Returns the max |u_phys - u_sim|
+    over the lattice nodes of the sections t = CROSSCHECK_T_SAMPLES * T,
+    reading q1 there by its Chebyshev series.
     """
-    p, T, x0 = cfg.p, cfg.T, cfg.x0
-    t_samples = [s * T for s in CROSSCHECK_T_SAMPLES]
-    R = CROSSCHECK_HALF_WIDTH * T
-    reach = (T - t_samples[-1]) / (R - t_samples[-1])   # largest sqrt(1-p)
-    if not math.sqrt(1.0 - p) < reach:
-        raise ValueError(f"singular surface meets the finite-difference "
-                         f"solution by t = {t_samples[-1]:g}: the crosscheck "
-                         f"needs p > {1.0 - reach ** 2:.4g}, got p = {p}")
-
+    p, T = cfg.p, cfg.T
     # one set of initial data for both solvers, from the truncated expansion
     grid = ChebGrid.make(cfg.N)
     q0 = initial_perturbation(cfg, grid)
-
-    x = np.linspace(x0 - R, x0 + R, CROSSCHECK_INTERVALS + 1)
-    h = x[1] - x[0]
-    y0 = (x - x0) / T
-    inside = np.abs(y0) <= 1.0
-    q1_0 = np.zeros_like(y0)
-    q2_0 = np.zeros_like(y0)
-    q1_0[inside] = grid.interpolate(q0[0], y0[inside])
-    q2_0[inside] = grid.interpolate(q0[1], y0[inside])
-    u = similarity_profile(p, y0, cfg.kappa) + q1_0
-    v = (similarity_profile_q2(p, y0) + q2_0) / T   # u_t = (U_tau + y U_y)/(T - t)
-
-    w2 = _FD4_C2 / 12.0 / (h * h)
-
-    def phys_rhs(state):     # (u_t, u_tt) on nodes 2 .. n-3; the rest frozen
-        out = np.zeros_like(state)
-        out[0, 2:-2] = state[1, 2:-2]
-        out[1, 2:-2] = np.correlate(state[0], w2, "valid") + state[1, 2:-2] ** 2
-        return out
-
-    # similarity trajectory, sampled exactly at the requested cone sections
-    sim_sections = []
+    report = {"t": [], "max_abs_err": []}
     q, tau = q0, 0.0
-    for tau_t in (-math.log1p(-t / T) for t in t_samples):
+    for s, (y, u_phys) in zip(CROSSCHECK_T_SAMPLES,
+                              _physical_sections(cfg, q0, grid)):
+        ts = s * T
+        tau_t = -math.log1p(-ts / T)
         q = evolve_states(replace(cfg, tau_max=tau_t - tau), q, grid)[1][-1]
         tau = tau_t
-        sim_sections.append(q[0])
-
-    state = np.array([u, v])
-    t = 0.0
-    dt_phys = 0.4 * h
-    report = {"t": [], "max_abs_err": []}
-    for ts, q1_sim in zip(t_samples, sim_sections):
-        nst = max(1, int(math.ceil((ts - t) / dt_phys)))
-        dtp = (ts - t) / nst
-        for _ in range(nst):
-            state = _rk4(phys_rhs, state, dtp)
-            if not np.all(np.isfinite(state)):
-                raise RuntimeError(f"physical solver blew up before t={ts}")
-        t = ts
-        cone = np.abs(x - x0) <= T - ts
-        y_cone = (x[cone] - x0) / (T - ts)
-        u_sim = (similarity_profile(p, y_cone, cfg.kappa)
-                 + p * (-math.log1p(-ts / T)) + grid.interpolate(q1_sim, y_cone))
+        u_sim = (similarity_profile(p, y, cfg.kappa) + p * tau
+                 + grid.interpolate(q[0], y))
         report["t"].append(ts)
-        report["max_abs_err"].append(float(np.max(np.abs(state[0][cone] - u_sim))))
+        report["max_abs_err"].append(float(np.max(np.abs(u_phys - u_sim))))
     report["max_discrepancy"] = float(np.max(report["max_abs_err"]))
     return report

@@ -226,13 +226,13 @@ def test_evolve_tiny_tau_max_fails_decay_check(tmp_path, capsys):
     assert "FAIL decay_rate: rate=nan" in capsys.readouterr().out
 
 
-def test_evolve_below_five_ninths_exits_naming_p(tmp_path, capsys):
-    # the singular surface would meet the finite-difference solution before
-    # the last cone section: exit 3 before the physical solver steps
+def test_evolve_crosschecks_at_p_half(tmp_path, capsys):
+    # the characteristic lattice is the light cone, so the crosscheck runs
+    # at p = 0.5; the decay fit fails its r^2 there (exit 4, not 3)
     code = main(["evolve", "--p", "0.5", "--N", "32",
                  "--output-dir", str(tmp_path)])
-    assert code == EXIT_NUMERICAL
-    assert "needs p > 0.5556, got p = 0.5" in capsys.readouterr().err
+    assert code != EXIT_NUMERICAL
+    assert "PASS crosscheck" in capsys.readouterr().out
 
 
 def test_evolve_tiny_dt_exits_before_any_step(tmp_path, capsys, monkeypatch):
@@ -338,6 +338,45 @@ def test_mode_scan_reports_method_counts_and_first_failure(tmp_path,
     assert ("1891 points (1888 closed form, 3 continuation), 1 violations, "
             "1 NaN (lam=1.5+0j: continuation failed: step size underflow)"
             in manifest)
+
+
+@pytest.mark.parametrize("flags", [["--lambda-step", "1e-7"],
+                                   ["--lambda-re-min=-1e300"],
+                                   ["--lambda-re-min=-1e308",
+                                    "--lambda-re-max=1e308"]])
+def test_oversized_lambda_grid_exits_config(tmp_path, capsys, monkeypatch,
+                                            flags):
+    """A grid above MAX_LAMBDA_POINTS, or of infinitely many points, is a
+    config error before any scan array exists."""
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a lambda grid was built")
+
+    monkeypatch.setattr(modeanalysis, "default_lambda_grid", no_grid)
+    code = main(["mode-scan", *flags, "--output-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "MAX_LAMBDA_POINTS" in capsys.readouterr().err
+
+
+def test_mode_scan_fine_step_passes(tmp_path, capsys):
+    """At step 0.01 each disc about 0 and 1 holds many points, whose
+    defects rise continuously off the eigenvalue (1.0e-2 at 0.05i); only
+    the smallest in each disc must vanish."""
+    code = main(["mode-scan", "--lambda-step", "0.01", "--lambda-re-max",
+                 "1.5", "--lambda-im-max", "0.5", "--output-dir",
+                 str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == EXIT_PASS, out
+    assert "0 violations, 0 NaN" in out
+
+
+def test_mode_scan_nan_in_disc_is_a_violation(tmp_path, capsys, monkeypatch):
+    lams = np.array([0.0, 0.05j, 0.5, 1.0, 1.03])
+    defects = [0.0, math.nan, 0.4, 1e-12, 2e-3]
+    scan = modeanalysis.ModeScan(list(zip(lams, defects)),
+                                 continued=[False] * 5, failures=[])
+    monkeypatch.setattr(modeanalysis, "mode_scan", lambda p, grid: scan)
+    assert main(["mode-scan", "--output-dir", str(tmp_path)]) == EXIT_ACCEPTANCE
+    assert "1 violations, 1 NaN" in capsys.readouterr().out
 
 
 def test_manifest_written_atomically(tmp_path, monkeypatch):

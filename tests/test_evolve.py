@@ -11,7 +11,6 @@ from blowuplab.evolve import (
     IF_STEP,
     MAX_SIMILARITY_STEPS,
     EvolveConfig,
-    _rk4,
     bump,
     evolve_perturbation,
     evolve_states,
@@ -24,6 +23,7 @@ from blowuplab.evolve import (
 )
 from blowuplab.linop import (OMEGA0, assemble_Lp, energy_norm, f1_state,
                              neutral_coordinates)
+from blowuplab.profiles import ProfileParams, eval_profile
 
 
 def test_config_validation():
@@ -114,31 +114,6 @@ def _nonlinear(u):
     n = len(u) // 2
     out[n:] = u[n:] ** 2
     return out
-
-
-def test_rk4_self_convergence_order():
-    # the bare RK4 core on the unfiltered right-hand side
-    p, N = 0.75, 32
-    grid = ChebGrid.make(N)
-    cfg = EvolveConfig(p=p, N=N, epsilon=1e-3)
-    u0 = initial_perturbation(cfg, grid).ravel()
-    L = assemble_Lp(p, grid)
-    base = 0.05
-
-    def run(dt):
-        n = int(round(1.0 / dt))
-        dt = 1.0 / n
-        u = u0
-        for _ in range(n):
-            u = _rk4(lambda v: L @ v + _nonlinear(v), u, dt)
-        return u
-
-    dts = (base / 2.0, base / 4.0, base / 8.0)
-    sols = [run(dt) for dt in dts]
-    e1 = np.linalg.norm(sols[0] - sols[2])
-    e2 = np.linalg.norm(sols[1] - sols[2])
-    order = math.log(e1 / e2) / math.log(2.0)
-    assert order >= 3.5
 
 
 def _final_state(cfg, q0, grid):
@@ -399,28 +374,51 @@ def test_crosscheck_steps_at_config_dt(monkeypatch):
     assert rep["max_discrepancy"] < 1e-4
 
 
-def test_crosscheck_rejects_singular_domain():
-    # at p = 0.1 the singular surface x - x0 = -(T-t)/sqrt(1-p) lies inside
-    # the domain half-width 1.25 T
-    cfg = EvolveConfig(p=0.1, N=32, epsilon=0.0)
-    with pytest.raises(ValueError, match="singular surface"):
-        physical_space_crosscheck(cfg)
+def _exact_oracle_error(p, intervals):
+    """max |u - u_exact| over both cone sections of the unperturbed data,
+    away from (T, x0, kappa) = (1, 0, 0), against eval_profile."""
+    T, x0, kappa = 1.7, 0.2, 0.3
+    params = ProfileParams(p=p, T=T, x0=x0, kappa=kappa)
+    cfg = EvolveConfig(p=p, T=T, x0=x0, kappa=kappa, N=32, epsilon=0.0)
+    sections = evolve._physical_sections(cfg, np.zeros((2, 33)),
+                                         ChebGrid.make(32), intervals)
+    err = 0.0
+    for s, (y, u) in zip(evolve.CROSSCHECK_T_SAMPLES, sections):
+        t = s * T
+        exact = eval_profile(params, x0 + y * (T - t), t)[0]
+        err = max(err, float(np.max(np.abs(u - exact))))
+    return err
 
 
-@pytest.mark.parametrize("p", [0.5, 0.55, 0.5555])
-def test_crosscheck_rejects_surface_before_last_section(monkeypatch, p):
-    """Below p = 5/9 the singular surface meets the region where the
-    finite-difference solution is exact before t = 0.5 T: ValueError naming
-    p, before either solver takes a step."""
-    def no_step(*args, **kwargs):
-        raise AssertionError("the crosscheck stepped")
-
-    monkeypatch.setattr(evolve, "_rk4", no_step)
-    monkeypatch.setattr(evolve, "step_similarity", no_step)
-    with pytest.raises(ValueError, match=rf"needs p > 0.5556, got p = {p}$"):
-        physical_space_crosscheck(EvolveConfig(p=p, N=32, epsilon=1e-3))
+@pytest.mark.parametrize("p,bound", [(0.1, 2e-8), (0.5, 1e-11),
+                                     (0.9, 1e-11), (1.0, 2e-12)])
+def test_characteristic_solver_matches_exact_profile(p, bound):
+    """The cone sections of the closed-form profile, to about 4x the error
+    measured on the default lattices (5.4e-9, 2.7e-12, 1.6e-12, 4.3e-13)."""
+    assert _exact_oracle_error(p, evolve.CROSSCHECK_INTERVALS) < bound
 
 
-def test_crosscheck_passes_just_above_five_ninths():
-    rep = physical_space_crosscheck(EvolveConfig(p=0.5557, epsilon=1e-3))
+@pytest.mark.parametrize("p", [0.1, 0.5])
+def test_characteristic_solver_fourth_order(p):
+    """One Richardson step on the trapezoid rule: the error falls about 16x
+    per halving of the lattice step (1024 to 2048 intervals)."""
+    ratio = _exact_oracle_error(p, 1024) / _exact_oracle_error(p, 2048)
+    assert 12.0 <= ratio <= 20.0
+
+
+@pytest.mark.parametrize("p", [0.1, 0.25, 0.4, 0.5])
+def test_crosscheck_at_small_p(p):
+    """The lattice is the light cone, so the singular surface stays outside
+    it at every p, also where it nears the cone (|y| = 1/sqrt(1-p))."""
+    rep = physical_space_crosscheck(EvolveConfig(p=p, epsilon=1e-3))
     assert rep["max_discrepancy"] < 1e-4
+
+
+def test_characteristic_solver_names_t_of_a_blow_up():
+    """Data that blow up inside the cone (u_t about 40 > 1 / t_last, the
+    ODE u_tt = u_t^2) raise RuntimeError naming the time, not a NaN."""
+    q0 = np.zeros((2, 33))
+    q0[1] = 40.0
+    with pytest.raises(RuntimeError, match=r"blew up before t=0\.02"):
+        evolve._physical_sections(EvolveConfig(p=0.75, N=32), q0,
+                                  ChebGrid.make(32))

@@ -686,9 +686,14 @@ def test_appendixB_rk4_fourth_order():
 def test_appendixB_recurrence_matches_stepwise_rk4():
     """The affine recurrence against classical RK4 stepped on (s, v), with
     s riding along as a state component."""
-    from blowuplab.evolve import _rk4
-
     yt = APPENDIXB_TARGETS
+
+    def rk4(f, u, dt):
+        k1 = f(u)
+        k2 = f(u + 0.5 * dt * k1)
+        k3 = f(u + 0.5 * dt * k2)
+        k4 = f(u + dt * k3)
+        return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def f(u):
         s, v = u
@@ -698,7 +703,7 @@ def test_appendixB_recurrence_matches_stepwise_rk4():
     for steps in (50, 1000):
         u = np.array([np.zeros_like(yt), np.full_like(yt, appendixB_dv1(0.0))])
         for _ in range(steps):
-            u = _rk4(f, u, 1.0 / steps)
+            u = rk4(f, u, 1.0 / steps)
         np.testing.assert_allclose(_appendixB_ode_solution(yt, steps), u[1],
                                    rtol=0.0, atol=1e-13)
 
