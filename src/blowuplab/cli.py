@@ -318,12 +318,10 @@ def _run_mode_scan(cfg: RunConfig) -> list:
     grid = default_lambda_grid(cfg["lambda_re_min"], cfg["lambda_re_max"],
                                cfg["lambda_im_max"], cfg["lambda_step"])
     scan = mode_scan(cfg["p"], grid)
-    results = scan.points
+    lams, defects = scan.lams, scan.defects
     write_csv(cfg.output_dir / "mode_scan.csv",
               ["re_lambda", "im_lambda", "defect", "continued"],
-              [(lam.real, lam.imag, d, int(cont))
-               for (lam, d), cont in zip(results, scan.continued)])
-    lams, defects = (np.array(v) for v in zip(*results))
+              zip(lams.real, lams.imag, defects, scan.continued.astype(int)))
     n_nan = int(np.isnan(defects).sum())
     # the defect is continuous: in the disc of radius 0.05 about 0 and 1
     # only its least value must vanish; a NaN fails in a disc and out of it
@@ -331,10 +329,9 @@ def _run_mode_scan(cfg: RunConfig) -> list:
     n_bad = int(np.sum(~(defects[~(discs[0] | discs[1])] > 1e-3)))
     for d in (defects[disc] for disc in discs):
         n_bad += int(np.isnan(d).sum()) + (d.size and not np.any(d < 1e-6))
-    n_closed = len(results) - scan.n_continuation
-    detail = (f"{len(results)} points ({n_closed} closed form, "
-              f"{scan.n_continuation} continuation), {n_bad} violations, "
-              f"{n_nan} NaN")
+    n_cont = int(scan.continued.sum())
+    detail = (f"{lams.size} points ({lams.size - n_cont} closed form, "
+              f"{n_cont} continuation), {n_bad} violations, {n_nan} NaN")
     if scan.failures:
         lam, message = scan.failures[0]
         detail += f" (lam={lam:g}: {message})"

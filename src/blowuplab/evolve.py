@@ -150,30 +150,24 @@ def _expm(A: np.ndarray) -> np.ndarray:
     return X
 
 
-@functools.lru_cache(maxsize=1)
 def _propagators(p: float, N: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """(expm(h L_p / 2), expm(h L_p)) on the N-grid, read-only.
+    """(expm(h L_p / 2), expm(h L_p)) on the N-grid.
 
     _expm scales by a power of two and squares, so squaring the half-step
     propagator gives what _expm(h L_p) returns; one expm per (p, N, h)
     suffices.  This is the one expm call: linop.semigroup_action_check
-    takes its step propagator here too.  One entry is kept: callers run all
-    their steps at one (p, N, h) before moving on, and the modulation fit
-    never returns to an earlier p.  Under `all`, semigroup-check (h = 1)
-    and evolve evict each other, which costs one expm each and changes no
-    result.
+    takes its step propagator here too.  Not cached: no command asks twice
+    for one (p, N, h), and the flow's steps read the cached _step_operators.
     """
     half = _expm(0.5 * h * assemble_Lp(p, ChebGrid.make(N)))
-    full = half @ half
-    half.flags.writeable = False
-    full.flags.writeable = False
-    return half, full
+    return half, half @ half
 
 
 @functools.lru_cache(maxsize=1)
 def _step_operators(p: float, N: int, h: float) -> tuple[np.ndarray, ...]:
     """(P, H2, H1, M): the blocks of the propagators that one step of
-    step_similarity reads, read-only; one cache entry, as in _propagators.
+    step_similarity reads, read-only; one cache entry, since callers run
+    all their steps at one (p, N, h) before moving on.
 
     N(u) = (0, q2^2) has no q1 half, so a propagator acting on a stage
     value needs only its q2 columns, and the stages need only the q2 rows

@@ -326,9 +326,8 @@ def spectrum(p: float, grid: ChebGrid) -> SpectrumReport:
             j = np.argmin(np.abs(means2 - means[c]))
             robust[i] = (abs(means2[j] - means[c]) <= CLUSTER_MATCH_TOL
                          and sizes2[j] >= 2)
-    rob = lam[robust]
-    # gap: most slowly-decaying robust mode away from the {0,1} clusters
-    away = rob[(np.abs(rob) > 0.05) & (np.abs(rob - 1.0) > 0.05)]
+    # gap: most slowly-decaying eigenvalue, robust or not, off the neutral discs
+    away = lam[(np.abs(lam) > 0.05) & (np.abs(lam - 1.0) > 0.05)]
     if len(away) and np.max(away.real) < 0:
         gap_raw = -float(np.max(away.real))
     else:

@@ -289,20 +289,19 @@ def _gauss_defects(p: float, lam: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModeScan:
-    """Defects of a lambda grid and how each was computed.
+    """Defects of a lambda grid and how each was computed, as arrays in
+    grid order.
 
-    points: (lam, defect) in grid order, NaN where no defect could be had.
-    continued: per point, whether the closed form could not take it and it
-    was handed to `connection_defect`; the rest are closed form.
-    failures: (lam, message) of every `connection_defect` call that raised.
+    lams: the grid (complex128).  defects: float64, NaN where no defect
+    could be had.  continued: whether the closed form could not take the
+    point and it was handed to `connection_defect`; the rest are closed
+    form.  failures: (lam, message) of every `connection_defect` call that
+    raised.
     """
-    points: list[tuple[complex, float]]
-    continued: list[bool]
+    lams: np.ndarray
+    defects: np.ndarray
+    continued: np.ndarray
     failures: list[tuple[complex, str]]
-
-    @property
-    def n_continuation(self) -> int:
-        return sum(self.continued)
 
 
 def mode_scan(p: float, lambda_grid=None) -> ModeScan:
@@ -324,6 +323,5 @@ def mode_scan(p: float, lambda_grid=None) -> ModeScan:
             defects[i] = connection_defect(p, complex(lams[i]))
         except (RuntimeError, ValueError) as exc:
             failures.append((complex(lams[i]), str(exc)))
-    return ModeScan(points=[(complex(lam), float(d))
-                            for lam, d in zip(lams, defects)],
-                    continued=continued.tolist(), failures=failures)
+    return ModeScan(lams=lams, defects=defects, continued=continued,
+                    failures=failures)

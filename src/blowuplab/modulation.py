@@ -25,7 +25,6 @@ import numpy as np
 from .chebgrid import ChebGrid
 from .evolve import EvolveConfig, evolve_perturbation, evolve_states
 from .linop import DEFAULT_K, energy_norm, neutral_coordinates
-from .profiles import similarity_profile, similarity_profile_q2
 
 FIT_TOL = 1e-8              # correction norm at which the fit has converged
 FIT_TAU_MAX = 12.0          # horizon of the trajectories the fit evaluates
@@ -48,32 +47,40 @@ class ModulationState:
 def initial_data_operator(p: float, T: float, kappa: float, baseline: tuple,
                           f: np.ndarray, grid: ChebGrid) -> np.ndarray:
     """U_{p,T,kappa}(f) = f^T + f0^T - f_{p,kappa} on the collocation grid,
-    for data f and result of shape (2, N+1).
+    for data f and result of shape (2, N+1); ValueError unless f is a
+    finite (2, N+1) array.
 
     baseline = (p0, T0, kappa0).  Domain constraint: the baseline profile
-    entering f0^T is evaluated at (T/T0) y and must stay left of its
-    singularity, i.e. T/T0 < 1/sqrt(1-p0).  ValueError unless f is a finite
-    (2, N+1) array.
+    entering f0^T is evaluated at r y, r = T/T0, and must stay left of its
+    singularity, i.e. r < 1/sqrt(1-p0).  The fit keeps (p, T, kappa) within
+    ~1e-4 of the baseline, so f0^T - f_{p,kappa} is written through the
+    offsets dp = p0 - p and dr = r - 1, and no term cancels (g = sqrt(1-p),
+    g0 = sqrt(1-p0), D = g0 r - g = ((1 - p0) dr (r + 1) - dp) / (g0 r + g)):
+        q1 = (kappa0 - kappa) - dp log(1 + g0 r y) - p log(1 + D y / (1 + g y)),
+        q2 = (p0 dr + dp + y r (p0 dp / (g + g0) + dp g0))
+             / ((1 + g0 r y)(1 + g y)).
     """
     if np.shape(f) != (2, grid.N + 1) or not np.all(np.isfinite(f)):
         raise ValueError(f"data f must be a finite (2, {grid.N + 1}) array")
     p0, T0, kappa0 = baseline
     if not 0.0 < p < 1.0 or not 0.0 < p0 < 1.0:
         raise ValueError("p and p0 must lie in (0, 1)")
-    ratio = T / T0
-    if not ratio < 1.0 / math.sqrt(1.0 - p0):
+    r = T / T0
+    if not r < 1.0 / math.sqrt(1.0 - p0):
         raise ValueError(
-            f"initial data operator undefined: T/T0 = {ratio} must be "
+            f"initial data operator undefined: T/T0 = {r} must be "
             f"< 1/sqrt(1-p0) = {1.0 / math.sqrt(1.0 - p0)}")
     y = grid.y
-    fT1 = grid.interpolate(f[0], T * y)
-    fT2 = T * grid.interpolate(f[1], T * y)
-    yr = ratio * y
-    f0T1 = similarity_profile(p0, yr, kappa0)
-    f0T2 = ratio * similarity_profile_q2(p0, yr)
-    fp1 = similarity_profile(p, y, kappa)
-    fp2 = similarity_profile_q2(p, y)
-    return np.stack([fT1 + f0T1 - fp1, fT2 + f0T2 - fp2])
+    g, g0 = math.sqrt(1.0 - p), math.sqrt(1.0 - p0)
+    dp, dr = p0 - p, (T - T0) / T0
+    D = ((1.0 - p0) * dr * (r + 1.0) - dp) / (g0 * r + g)
+    den = 1.0 + g * y
+    q1 = (kappa0 - kappa - dp * np.log1p(g0 * r * y)
+          - p * np.log1p(D * y / den))
+    q2 = ((p0 * dr + dp + y * r * (p0 * dp / (g + g0) + dp * g0))
+          / ((1.0 + g0 * r * y) * den))
+    return np.stack([grid.interpolate(f[0], T * y) + q1,
+                     T * grid.interpolate(f[1], T * y) + q2])
 
 
 def _simpson(y: np.ndarray, h: float) -> np.ndarray:

@@ -87,7 +87,8 @@ def test_criterion_03_mode_scan_rectangle(capsys):
     ok = True
     n_viol = n_nan = 0
     for p in (0.25, 0.5, 0.75):
-        for lam, defect in mode_scan(p).points:
+        scan = mode_scan(p)
+        for lam, defect in zip(scan.lams, scan.defects):
             near = min(abs(lam), abs(lam - 1.0)) <= 0.05
             # a NaN defect fails either comparison: a violation
             n_nan += math.isnan(defect)
@@ -120,7 +121,8 @@ def test_criterion_04_degenerate_case_mode_structure(capsys):
     # strip Re > -1: no other defect-free points
     grid = default_lambda_grid(re_min=-0.75, re_max=3.0, im_max=3.0, step=0.25)
     n_viol = n_nan = 0
-    for lam, defect in mode_scan(1.0, lambda_grid=grid).points:
+    scan = mode_scan(1.0, lambda_grid=grid)
+    for lam, defect in zip(scan.lams, scan.defects):
         near = min(abs(lam), abs(lam - 1.0)) <= 0.05
         n_nan += math.isnan(defect)
         # a NaN defect counts as a violation
@@ -149,8 +151,8 @@ def test_criterion_05_eigen_triple_residuals(capsys):
 
 
 def test_criterion_06_riesz_projector_structure(capsys):
-    """Riesz projectors from a sorted Schur form and one Sylvester solve:
-    ranks, idempotency, mutual annihilation."""
+    """Riesz projectors from the closed-form invariant subspace refined by
+    Newton steps (spectral_split): ranks, idempotency, mutual annihilation."""
     from blowuplab.linop import riesz_projectors_for
 
     t0 = time.perf_counter()

@@ -306,7 +306,9 @@ def test_mode_scan_csv_matches_reference_writer(tmp_path, monkeypatch):
     results = [(0j, 3.5e-12), (0.1 - 0.2j, 0.4182736450192837),
                (2.9 + 3j, math.nan)]
     continued = [False, True, True]
-    scan = modeanalysis.ModeScan(results, continued=continued, failures=[])
+    lams, defects = (np.array(v) for v in zip(*results))
+    scan = modeanalysis.ModeScan(lams, defects, np.array(continued),
+                                 failures=[])
     monkeypatch.setattr(modeanalysis, "mode_scan", lambda p, grid: scan)
     cfg = parse_config(["mode-scan", "--output-dir", str(tmp_path / "run")])
     assert run(cfg) == EXIT_ACCEPTANCE          # the NaN fails the check
@@ -371,9 +373,9 @@ def test_mode_scan_fine_step_passes(tmp_path, capsys):
 
 def test_mode_scan_nan_in_disc_is_a_violation(tmp_path, capsys, monkeypatch):
     lams = np.array([0.0, 0.05j, 0.5, 1.0, 1.03])
-    defects = [0.0, math.nan, 0.4, 1e-12, 2e-3]
-    scan = modeanalysis.ModeScan(list(zip(lams, defects)),
-                                 continued=[False] * 5, failures=[])
+    defects = np.array([0.0, math.nan, 0.4, 1e-12, 2e-3])
+    scan = modeanalysis.ModeScan(lams, defects, np.zeros(5, dtype=bool),
+                                 failures=[])
     monkeypatch.setattr(modeanalysis, "mode_scan", lambda p, grid: scan)
     assert main(["mode-scan", "--output-dir", str(tmp_path)]) == EXIT_ACCEPTANCE
     assert "1 violations, 1 NaN" in capsys.readouterr().out

@@ -25,7 +25,7 @@ PROBE = textwrap.dedent("""
 
     for p, n_continued in ((0.5, 0), (0.75, 3), (1.0, 4)):
         scan = mode_scan(p)
-        assert scan.n_continuation == n_continued and len(scan.points) == 1891
+        assert scan.continued.sum() == n_continued and scan.lams.size == 1891
         assert scan.failures == []
     ode_blowup_instability(0.99)
     taus = np.linspace(0.0, 1.0, 5)

@@ -1,6 +1,11 @@
 """Linearised operator: states, energy norms, spectrum, projectors, semigroup."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,6 +181,29 @@ def test_spectrum_no_robust_unstable_modes():
     rob = rep.eigenvalues[rep.robust]
     away = rob[(np.abs(rob) > 0.05) & (np.abs(rob - 1.0) > 0.05)]
     assert np.all(away.real < 0)
+
+
+GAP_PROBE = textwrap.dedent("""
+    from blowuplab.chebgrid import ChebGrid
+    from blowuplab.linop import spectrum
+
+    print(*(spectrum(0.75, ChebGrid.make(N)).gap_raw for N in (128, 192)))
+""")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_gap_read_at_large_N_on_either_thread_count(threads):
+    """At N = 128 and 192 the 2N grid can split the Jordan pair at -1, so
+    its members lose their robust flags, depending on the BLAS thread
+    count; the gap reads every eigenvalue off the neutral discs and stays
+    near 1 (the pair at -1) on one thread and on two."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src),
+           "OPENBLAS_NUM_THREADS": threads}
+    out = subprocess.run([sys.executable, "-c", GAP_PROBE], env=env,
+                         check=True, capture_output=True, text=True)
+    gaps = [float(v) for v in out.stdout.split()]
+    assert gaps == pytest.approx([1.0, 1.0], abs=1e-2)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -332,8 +333,24 @@ def test_mode_scan_raises_no_floating_point_warnings(p):
         warnings.simplefilter("error")
         scan = mode_scan(p)
         far_scan = mode_scan(p, far)
-    assert len(scan.points) == 1891 and scan.failures == []
-    assert all(np.isfinite(d) for _, d in far_scan.points)
+    assert scan.lams.size == 1891 and scan.failures == []
+    assert np.all(np.isfinite(far_scan.defects))
+
+
+def test_mode_scan_result_holds_arrays():
+    """Besides the grid it is given, the scan result holds one float64
+    defect and one bool flag per lambda: at most 16 B a point at step 0.01
+    (180,901 points), where one Python tuple per point took ~128."""
+    grid = default_lambda_grid(step=0.01)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        scan = mode_scan(0.75, grid)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert scan.failures == []
+    assert held <= 16 * grid.size
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +363,8 @@ def test_mode_scan_closed_form_matches_continuation(p, n, re_min):
     rng = np.random.Generator(np.random.Philox(int(100 * p)))
     lams = rng.uniform(re_min, 3.0, n) + 1j * rng.uniform(-3.0, 3.0, n)
     scan = mode_scan(p, lams)
-    assert scan.n_continuation == 0 and scan.failures == []
-    for lam, defect in scan.points:
+    assert not scan.continued.any() and scan.failures == []
+    for lam, defect in zip(scan.lams, scan.defects):
         assert defect == pytest.approx(connection_defect(p, lam), abs=1e-7), lam
 
 
@@ -355,8 +372,8 @@ def test_mode_scan_closed_form_matches_continuation(p, n, re_min):
 def test_mode_scan_closed_form_exact_zeros(p):
     # Gamma(a) resp. Gamma(b) has a pole at lambda = 0 resp. 1: B = 0
     scan = mode_scan(p, [0.0, 1.0])
-    assert scan.n_continuation == 0
-    assert [d for _, d in scan.points] == [0.0, 0.0]
+    assert not scan.continued.any()
+    assert scan.defects.tolist() == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("p,lams", [(0.75, [0.5, 1.5, 2.5]),
@@ -365,8 +382,8 @@ def test_mode_scan_continues_where_closed_form_degenerates(p, lams):
     # an integer c or c - a - b: the connection formula has no finite
     # value there, so each such point is one continuation
     scan = mode_scan(p, lams + [0.25 + 0.5j])
-    assert scan.n_continuation == len(lams) and scan.failures == []
-    for lam, defect in scan.points[:-1]:
+    assert scan.continued.sum() == len(lams) and scan.failures == []
+    for lam, defect in zip(scan.lams.tolist()[:-1], scan.defects):
         assert defect == connection_defect(p, lam)
 
 
@@ -400,9 +417,9 @@ def test_failed_candidate_continuation_is_a_scan_failure(monkeypatch):
     with pytest.raises(RuntimeError, match=r"p=0\.75, lam=0\.5"):
         connection_defect(0.75, 0.5)
     scan = mode_scan(0.75, [0.5])
-    assert scan.continued == [True]
+    assert scan.continued.tolist() == [True]
     assert [lam for lam, _ in scan.failures] == [0.5]
-    assert math.isnan(scan.points[0][1])
+    assert math.isnan(scan.defects[0])
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +473,7 @@ DEGENERATE = [(0.75, 0.5), (0.75, 1.5), (0.75, 2.5),
 @pytest.mark.parametrize("p,lam", DEGENERATE)
 def test_matched_series_matches_continuation_at_degenerate_points(p, lam):
     # an integer c or c - a - b: the closed form cannot check these points
-    assert mode_scan(p, [lam]).continued == [True]
+    assert mode_scan(p, [lam]).continued.tolist() == [True]
     ours, ref = smooth_candidate_defects(p, lam), _continuation_defects(p, lam)
     assert ours == pytest.approx(ref, abs=1e-7)
 

@@ -88,6 +88,28 @@ def test_expansion_remainder_quadratic():
     assert order >= 1.9
 
 
+@pytest.mark.parametrize("p0,p,T,kappa", [
+    (0.25, 0.25003801, 0.9999978, 1.31e-4),
+    (0.75, 0.75020211, 0.9999615, -1.984e-4)])
+def test_initial_data_operator_matches_extended_precision(p0, p, T, kappa):
+    """U(0) = f0^T - f_{p,kappa} at the point the `modulate` fit reaches
+    from baseline p0, against the same difference taken at 40 digits: the
+    offset form cancels nothing, where subtracting the two profiles left
+    errors near 1e-15."""
+    import mpmath as mp
+
+    d = initial_data_operator(p, T, kappa, (p0, 1.0, 0.0), ZERO, GRID)
+    with mp.workdps(40):
+        p0, p, T, kappa = (mp.mpf(v) for v in (p0, p, T, kappa))
+        g, g0 = mp.sqrt(1 - p), mp.sqrt(1 - p0)
+        ys = [mp.mpf(y) for y in GRID.y]
+        ref = np.array([
+            [float(p * mp.log1p(g * y) - p0 * mp.log1p(g0 * T * y) - kappa)
+             for y in ys],
+            [float(T * p0 / (1 + g0 * T * y) - p / (1 + g * y)) for y in ys]])
+    assert np.max(np.abs(d - ref)) <= 1e-18
+
+
 # ---------------------------------------------------------------------------
 # correction functional
 
@@ -195,6 +217,16 @@ def test_fit_rejects_non_finite_data(monkeypatch):
     f[0, 7] = math.nan
     with pytest.raises(ValueError, match="finite"):
         fit_parameters(f, BASELINE)
+
+
+@pytest.mark.parametrize("p", [0.25, 0.24999999999999997,
+                               0.25000000000000006, 0.2500000000000001])
+def test_fit_converges_at_quarter_and_its_ulp_neighbours(p):
+    """`modulate --p 0.25` data: the fit converges at p = 0.25 and at its
+    -1, +1 and +2 ulp neighbours alike, so rounding in U(f) does not
+    decide it."""
+    st = fit_parameters(_legendre_f(1e-4), (p, 1.0, 0.0))
+    assert st.converged and st.iterations <= 5
 
 
 @pytest.mark.slow
