@@ -8,10 +8,10 @@ discretised with the Chebyshev collocation operator from `linop` (no boundary
 rows: the principal coefficient degenerates at y = ±1 and characteristics
 leave the interval).  Lawson's integrating-factor RK4 in tau (Lawson 1967,
 SIAM J. Numer. Anal. 4:372) at the fixed step IF_STEP: the linear part is
-propagated exactly by expm(h L_p / 2) and its square, so the step is set by
-accuracy and not by the stiff spectrum of L_p.  A mild exponential filter on
-the top third of the Chebyshev modes after each step keeps endpoint noise
-below truncation level.
+propagated exactly by expm(h L_p / 2) (linop._expm) and its square, so the
+step is set by accuracy and not by the stiff spectrum of L_p.  A mild
+exponential filter on the top third of the Chebyshev modes after each step
+keeps endpoint noise below truncation level.
 
 Also here: the closed-form divergence of the blow-up family from the
 spatially homogeneous ODE solution as p -> 1, and a physical-space (x, t)
@@ -29,7 +29,8 @@ import numpy as np
 
 from .chebgrid import (ChebGrid, cheb_coeffs, exponential_filter,
                        truncate_modes)
-from .linop import DEFAULT_K, assemble_Lp, energy_norm, neutral_coordinates
+from .linop import (DEFAULT_K, OMEGA0, _expm, assemble_Lp, energy_norm,
+                    fit_log_slope, neutral_coordinates)
 from .profiles import (ProfileParams, _log_arg, eval_profile,
                        similarity_profile, similarity_profile_q2)
 
@@ -38,6 +39,7 @@ IF_STEP = 0.05                   # integrating-factor RK4 step in tau
 MAX_SIMILARITY_STEPS = 100_000   # steps to tau_max: 104 MB of states at N = 64
 DECAY_FIT_WINDOW = (3.0, 7.0)    # tau window of the decay-rate fit
 DECAY_R2_MIN = 0.98              # least r^2 of a fit that shows decay
+DECAY_RATE_GATE = -0.8 * OMEGA0  # largest fitted rate that shows decay
 BUMP_WIDTH = 0.8                 # support |y| < BUMP_WIDTH of the initial bump
 CROSSCHECK_INTERVALS = 4096      # lattice intervals across the cone base
 CROSSCHECK_T_SAMPLES = (0.25, 0.5)  # cone sections compared, as t / T
@@ -65,8 +67,8 @@ class EvolveConfig:
             raise ValueError("dt must be positive")
         if self.dt is not None and self.tau_max / self.dt > MAX_SIMILARITY_STEPS:
             raise ValueError(
-                f"dt = {self.dt:g} takes {math.ceil(self.tau_max / self.dt)} "
-                f"steps to tau_max = {self.tau_max:g}; at most "
+                f"dt = {self.dt:g} takes {np.ceil(self.tau_max / self.dt):.0f}"
+                f" steps to tau_max = {self.tau_max:g}; at most "
                 f"MAX_SIMILARITY_STEPS = {MAX_SIMILARITY_STEPS}")
 
 
@@ -78,96 +80,19 @@ class DecayFit:
     r_squared: float
     l2_norms: np.ndarray = field(default=None, repr=False)
 
-    def decays_at(self, rate: float) -> bool:
+    def decays_at(self) -> bool:
         """True when the fit is exponential (r^2 >= DECAY_R2_MIN) and
-        decays at least as fast as `rate`; a NaN rate fails."""
-        return self.fitted_rate <= rate and self.r_squared >= DECAY_R2_MIN
-
-
-# Pade-13 coefficients b_0 .. b_13 of Higham (2005), SIAM J. Matrix Anal.
-# Appl. 26:1179, and Al-Mohy & Higham's (2009) bounds for that degree
-_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-           1187353796428800.0, 129060195264000.0, 10559470521600.0,
-           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-           960960.0, 16380.0, 182.0, 1.0)
-_THETA13 = 4.25                  # largest eta that degree 13 takes unscaled
-_C27 = 1.1325077560602111e35     # 1 / |c_27|, c_27 leads the backward error
-_UNIT_ROUNDOFF = 2.0 ** -53
-
-
-def _expm_scaling(A: np.ndarray, A4: np.ndarray, A6: np.ndarray) -> int:
-    """Squaring count s of Al-Mohy & Higham's (2009) degree-13 branch, from
-    A and its powers A^4, A^6; the s that scipy.linalg.expm picks.
-
-    eta = min(max(d6, d8), max(d8, d10)), d_k = ||A^k||_1^(1/k) exact, gives
-    s = max(0, ceil(log2(eta / 4.25))).  Their ell correction then adds
-    ceil(log2(alpha / u) / 26) halvings where alpha = ||B^27||_1 /
-    (||B||_1 C27), B = |2^-s A|, exceeds the unit roundoff u; ||B^27||_1
-    takes 27 vector-matrix products.  A tiny alpha (it underflows to 0 at
-    ||A||_1 ~ 1e-9) adds nothing.
-    """
-    d6, d8, d10 = (np.linalg.norm(M, 1) ** (1.0 / k)
-                   for M, k in ((A6, 6), (A4 @ A4, 8), (A4 @ A6, 10)))
-    eta = min(max(d6, d8), max(d8, d10))
-    s = max(0, math.ceil(math.log2(eta / _THETA13))) if eta > 0 else 0
-    norm = np.linalg.norm(A, 1) * 2.0 ** -s
-    if norm == 0:
-        return s
-    B = np.abs(A) * 2.0 ** -s
-    v = np.ones(len(A))
-    for _ in range(27):
-        v = v @ B
-    alpha = v.max() / (norm * _C27)
-    if alpha > _UNIT_ROUNDOFF:
-        s += math.ceil(math.log2(alpha / _UNIT_ROUNDOFF) / 26)
-    return s
-
-
-def _expm(A: np.ndarray) -> np.ndarray:
-    """exp(A) by scaling and squaring with the degree-13 Pade approximant
-    X = (V - U)^-1 (V + U) of exp(2^-s A), s from _expm_scaling.
-
-    X is solved from (V - U)^T X^T = (V + U)^T, as scipy's C code does by
-    handing C-ordered arrays to LAPACK; U and V commute, so X is the same.
-    On h L_p (cond(V - U) ~ 4e6 at N = 64) the untransposed solve is 20 to
-    110 times less accurate against an extended-precision Pade-13.
-    """
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A2 @ A4
-    s = _expm_scaling(A, A4, A6)
-    c = 2.0 ** -s
-    A, A2, A4, A6 = c * A, c ** 2 * A2, c ** 4 * A4, c ** 6 * A6
-    b = _PADE13
-    ident = np.eye(len(A))
-    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
-    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
-    X = np.linalg.solve((V - U).T, (V + U).T).T
-    for _ in range(s):
-        X = X @ X
-    return X
-
-
-def _propagators(p: float, N: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """(expm(h L_p / 2), expm(h L_p)) on the N-grid.
-
-    _expm scales by a power of two and squares, so squaring the half-step
-    propagator gives what _expm(h L_p) returns; one expm per (p, N, h)
-    suffices.  This is the one expm call: linop.semigroup_action_check
-    takes its step propagator here too.  Not cached: no command asks twice
-    for one (p, N, h), and the flow's steps read the cached _step_operators.
-    """
-    half = _expm(0.5 * h * assemble_Lp(p, ChebGrid.make(N)))
-    return half, half @ half
+        decays at least as fast as DECAY_RATE_GATE; a NaN rate fails."""
+        return (self.fitted_rate <= DECAY_RATE_GATE
+                and self.r_squared >= DECAY_R2_MIN)
 
 
 @functools.lru_cache(maxsize=1)
 def _step_operators(p: float, N: int, h: float) -> tuple[np.ndarray, ...]:
-    """(P, H2, H1, M): the blocks of the propagators that one step of
-    step_similarity reads, read-only; one cache entry, since callers run
-    all their steps at one (p, N, h) before moving on.
+    """(P, H2, H1, M): the blocks of half = _expm(h L_p / 2) and full =
+    half^2, which is what _expm(h L_p) returns (it scales by a power of two
+    and squares), that one step of step_similarity reads, read-only; one
+    cache entry, since callers run all their steps at one (p, N, h).
 
     N(u) = (0, q2^2) has no q1 half, so a propagator acting on a stage
     value needs only its q2 columns, and the stages need only the q2 rows
@@ -178,7 +103,8 @@ def _step_operators(p: float, N: int, h: float) -> tuple[np.ndarray, ...]:
     identity on their q2 columns, each column filtered (exponential_filter)
     as a state, since the filter is linear.
     """
-    half, full = _propagators(p, N, h)
+    half = _expm(0.5 * h * assemble_Lp(p, ChebGrid.make(N)))
+    full = half @ half
     n = N + 1
     lift = np.zeros((2 * n, n))
     lift[n:] = np.eye(n)
@@ -289,22 +215,6 @@ def evolve_perturbation(cfg: EvolveConfig, project_out_unstable: bool = True,
     rate, r2 = fit_log_slope(taus, norms, DECAY_FIT_WINDOW)
     return DecayFit(taus=taus, norms=norms, fitted_rate=rate, r_squared=r2,
                     l2_norms=np.array(l2s))
-
-
-def fit_log_slope(taus: np.ndarray, norms: np.ndarray,
-                  window: tuple) -> tuple[float, float]:
-    """Least-squares slope of log(norm) vs tau on the window, with r^2."""
-    mask = (taus >= window[0]) & (taus <= window[1]) & (norms > 0)
-    t = taus[mask]
-    ln = np.log(norms[mask])
-    if len(t) < 3:
-        return math.nan, 0.0
-    A = np.vstack([t, np.ones_like(t)]).T
-    coef, res, *_ = np.linalg.lstsq(A, ln, rcond=None)
-    ss_tot = float(np.sum((ln - ln.mean()) ** 2))
-    ss_res = float(res[0]) if len(res) else float(np.sum((A @ coef - ln) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(coef[0]), r2
 
 
 # ---------------------------------------------------------------------------

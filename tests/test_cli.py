@@ -241,8 +241,24 @@ def test_evolve_tiny_dt_exits_before_any_step(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(evolve, "step_similarity", no_step)
     code = main(["evolve", "--dt", "1e-6", "--output-dir", str(tmp_path)])
-    assert code == EXIT_NUMERICAL
+    assert code == EXIT_CONFIG
     assert "takes 12000000 steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,steps", [
+    (["evolve", "--dt", "5e-324"], "inf"),
+    (["all", "--dt", "1e-7"], "120000000"),
+])
+def test_dt_past_step_cap_exits_config_before_any_command(tmp_path, capsys,
+                                                          argv, steps):
+    """A dt that takes more than MAX_SIMILARITY_STEPS steps to tau_max is a
+    config error naming dt, also when the step count overflows to inf and
+    under `all`, whose other commands do not read dt: nothing runs."""
+    code = main([*argv, "--output-dir", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"dt = {float(argv[-1]):g} takes {steps} steps" in err
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_modulate_unconverged_fit_exits_acceptance(tmp_path, capsys,
@@ -490,7 +506,7 @@ def _cli_subprocess(argv, out_dir, threads=None):
 
 def test_all_loads_no_scipy(tmp_path):
     """The spectral split needs no Schur form and the propagators take
-    evolve._expm, so no command loads scipy: the manifest of `all`, which
+    linop._expm, so no command loads scipy: the manifest of `all`, which
     runs every command in one process, lists no scipy module."""
     assert _cli_subprocess(["all", "--seed", "0"], tmp_path) == EXIT_PASS
     lines = (tmp_path / "manifest.txt").read_text().splitlines()

@@ -1,7 +1,11 @@
 """Import side effects: importing the package, running a mode scan at any
 p or building the similarity propagators loads no scipy at all, and
-importing the CLI leaves BLAS on one thread."""
+importing the CLI leaves BLAS on one thread.  The layering: the sibling
+imports under src/blowuplab form no cycle, and the linear semigroup check
+runs without the nonlinear layer."""
 
+import ast
+import graphlib
 import os
 import subprocess
 import sys
@@ -19,7 +23,7 @@ PROBE = textwrap.dedent("""
     for mod in pkgutil.iter_modules(blowuplab.__path__):
         importlib.import_module(f"blowuplab.{mod.name}")
     assert "scipy.linalg" not in sys.modules
-    from blowuplab.evolve import _propagators, ode_blowup_instability
+    from blowuplab.evolve import _step_operators, ode_blowup_instability
     from blowuplab.modeanalysis import mode_scan
     from blowuplab.modulation import _nonlinear_integrals
 
@@ -31,7 +35,7 @@ PROBE = textwrap.dedent("""
     taus = np.linspace(0.0, 1.0, 5)
     I_plain, _, _ = _nonlinear_integrals(taus, np.ones((5, 3)))
     assert np.allclose(I_plain, 1.0)
-    _propagators(0.75, 64, 0.05)
+    _step_operators(0.75, 64, 0.05)
     print(" ".join(sorted(m for m in sys.modules
                           if m == "scipy" or m.startswith("scipy."))))
 """)
@@ -96,3 +100,64 @@ def test_cli_import_runs_blas_on_one_thread():
     process keeps one OS thread.  A preset OPENBLAS_NUM_THREADS is kept."""
     assert _threads_after_cli_import(None) == (1, "1")
     assert _threads_after_cli_import("2")[1] == "2"
+
+
+PACKAGE = SRC / "blowuplab"
+MODULES = {path.stem: path for path in PACKAGE.glob("*.py")
+           if path.stem != "__init__"}
+
+
+def _sibling_imports(tree: ast.AST) -> set:
+    """The sibling modules imported anywhere in tree, by `from .m import x`,
+    `from . import m`, `import blowuplab.m` or `from blowuplab.m import x`."""
+    dotted = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["blowuplab" * (node.level > 0),
+                                          node.module]))
+            dotted += [base] + [f"{base}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            dotted += [alias.name for alias in node.names]
+    parts = (name.split(".") for name in dotted)
+    return {p[1] for p in parts if p[0] == "blowuplab" and len(p) > 1} \
+        & MODULES.keys()
+
+
+def test_sibling_imports_are_acyclic_and_at_module_level():
+    """The modules under src/blowuplab import each other without a cycle,
+    and none but the CLI front-end, which loads each command's modules
+    lazily, imports a sibling inside a function."""
+    graph, local = {}, []
+    for name, path in sorted(MODULES.items()):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        graph[name] = _sibling_imports(tree)
+        if name == "cli":
+            continue
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                local += [(name, fn.name, m) for m in _sibling_imports(fn)]
+    assert graph["evolve"] >= {"linop"}
+    try:
+        list(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as exc:
+        pytest.fail(f"import cycle {' -> '.join(exc.args[1])}")
+    assert local == []
+
+
+SEMIGROUP_PROBE = textwrap.dedent("""
+    import sys
+    from blowuplab.chebgrid import ChebGrid
+    from blowuplab.linop import semigroup_action_check
+
+    semigroup_action_check(0.75, ChebGrid.make(32))
+    print("blowuplab.evolve" in sys.modules)
+""")
+
+
+def test_semigroup_check_loads_no_evolve():
+    """linop owns exp(h L_p): the linear semigroup check runs in a fresh
+    process without loading the nonlinear layer, evolve."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", SEMIGROUP_PROBE], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split() == ["False"]
