@@ -32,11 +32,11 @@ from pathlib import Path
 # One BLAS thread unless the user chose otherwise; this must precede the
 # first numpy import.  A second OpenBLAS thread spins while it waits.  On
 # 2 vCPUs, at the default N = 64 (130 x 130 matvecs in every RK4 step,
-# 258 x 258 eigensolves), one similarity step took 124 us with two threads
+# 130 x 130 eigensolves), one similarity step took 124 us with two threads
 # and 87 us with one, and `modulate` used twice the CPU time for a slower
-# wall time.  At larger N it pays less: `spectrum`, a 2(2N+1) square
-# eigensolve, took 0.97, 1.06 and 1.01 times its two-thread wall time at
-# N = 128, 256 and 384, on a fifth to a third less CPU.  Larger N was not
+# wall time.  At larger N it pays less: `spectrum`, a 2(N+1) square
+# eigensolve, took 0.97, 0.94 and 1.07 times its two-thread wall time at
+# N = 128, 256 and 384, on 14 to 23 % less CPU.  Larger N was not
 # measured.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -88,6 +88,13 @@ def _check_nonneg(name):
     return check
 
 
+def _check_tag(v):
+    # the tag is pasted into CSV file names in output_dir
+    if any(c and c in v for c in ("/", "\0", os.sep, os.altsep)):
+        raise ConfigError(f"tag must be a file-name part with no path "
+                          f"separator or NUL, got {v!r}")
+
+
 # key -> (python type, default, validator or None)
 _SCHEMA = {
     "p": (float, 0.75, _check_p),
@@ -103,7 +110,7 @@ _SCHEMA = {
     "lambda_re_max": (float, 3.0, None),
     "lambda_im_max": (float, 3.0, _check_nonneg("lambda_im_max")),
     "lambda_step": (float, 0.1, _positive("lambda_step")),
-    "tag": (str, "", None),
+    "tag": (str, "", _check_tag),
     "output_dir": (str, "out", None),
 }
 
@@ -355,10 +362,9 @@ def _run_spectrum(cfg: RunConfig) -> list:
     res = eigen_triple_residuals(p, N=N)
     grid = ChebGrid.make(N)
     rep = spectrum(p, grid)
-    rows = [(z.real, z.imag, r, int(fl))
-            for z, r, fl in zip(rep.eigenvalues, rep.residuals, rep.robust)]
+    lam = rep.eigenvalues
     write_csv(cfg.output_dir / f"spectrum_p{p:g}_N{N}.csv",
-              ["re", "im", "residual", "robust_flag"], rows)
+              ["re", "im", "residual"], zip(lam.real, lam.imag, rep.residuals))
 
     P0, r0, P1, r1, _ = riesz_projectors_for(p, grid)
     report = [f"p = {_fmt(p)}", f"N = {N}",

@@ -24,8 +24,6 @@ from .chebgrid import ChebGrid, cheb_diff, clenshaw_curtis_weights
 from .profiles import similarity_profile_q2
 
 DEFAULT_K = 4
-MATCH_TOL = 1e-5            # simple eigenvalue: relative move from N to 2N
-CLUSTER_MATCH_TOL = 0.025   # Jordan-type cluster: move of its mean
 CERT_DPS = 35               # eigen-triple certificate: decimal digits
 APPENDIXB_WINDOW = (1e-6, 1e-4)   # 1 - y range of the boundedness check
 APPENDIXB_RK4_STEPS = 1000        # RK4 steps of the dv1 ODE cross-check
@@ -262,82 +260,40 @@ def eigen_triple_residuals(p: float, N: int = 64) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# spectrum with two-resolution filtering
+# spectrum and gap
 
 @dataclass
 class SpectrumReport:
     eigenvalues: np.ndarray = field(repr=False)
     residuals: np.ndarray = field(repr=False)
-    robust: np.ndarray = field(repr=False)
     gap_omega0: float = float("nan")
     gap_raw: float = float("nan")
 
 
-def _eig_with_residuals(L: np.ndarray, grid: ChebGrid):
+def spectrum(p: float, grid: ChebGrid) -> SpectrumReport:
+    """Every eigenvalue of the collocation matrix, with its residual.
+
+    Residuals are ||S (L v - lam v)|| / ||S v|| in the DEFAULT_K energy
+    norm (S = seminorm_stack).  Left of that norm's continuum edge the
+    eigenvalues sample the continuum and are not isolated modes (README).
+    The gap reads the most slowly decaying eigenvalue off the discs of
+    radius 0.05 about the neutral modes 0 and 1.
+    """
+    L = assemble_Lp(p, grid)
     lam, V = np.linalg.eig(L)
     S = seminorm_stack(grid.N)
     R = S @ (L @ V - V * lam[None, :])
     Vn = S @ V
     res = np.linalg.norm(R, axis=0) / np.maximum(np.linalg.norm(Vn, axis=0), 1e-300)
-    return lam, res
-
-
-def _cluster(lam: np.ndarray, tol: float = 0.12):
-    """Greedy grouping of eigenvalues within tol; returns (means, sizes, labels)."""
-    order = np.lexsort((lam.imag, lam.real))
-    labels = -np.ones(len(lam), dtype=int)
-    means, sizes = [], []
-    for i in order:
-        placed = False
-        for c, m in enumerate(means):
-            if abs(lam[i] - m) < tol:
-                means[c] = (m * sizes[c] + lam[i]) / (sizes[c] + 1)
-                sizes[c] += 1
-                labels[i] = c
-                placed = True
-                break
-        if not placed:
-            means.append(lam[i])
-            sizes.append(1)
-            labels[i] = len(means) - 1
-    return np.asarray(means), np.asarray(sizes), labels
-
-
-def spectrum(p: float, grid: ChebGrid) -> SpectrumReport:
-    """Eigenvalues of the collocation matrix, filtered by agreement at 2N.
-
-    Simple eigenvalues must reappear at 2N within MATCH_TOL.  Near-degenerate
-    (Jordan-type) clusters split under roundoff by far more than their means
-    move, so clusters of size >= 2 are matched through their means with the
-    looser CLUSTER_MATCH_TOL.  Residuals are in the DEFAULT_K energy norm.
-    """
-    L = assemble_Lp(p, grid)
-    lam, res = _eig_with_residuals(L, grid)
-    grid2 = ChebGrid.make(2 * grid.N)
-    lam2 = np.linalg.eigvals(assemble_Lp(p, grid2))
-    means, sizes, labels = _cluster(lam)
-    means2, sizes2, _ = _cluster(lam2)
-    robust = np.zeros(len(lam), dtype=bool)
-    for i, z in enumerate(lam):
-        c = labels[i]
-        if sizes[c] == 1:
-            robust[i] = np.min(np.abs(lam2 - z)) <= MATCH_TOL * max(1.0, abs(z))
-        else:
-            j = np.argmin(np.abs(means2 - means[c]))
-            robust[i] = (abs(means2[j] - means[c]) <= CLUSTER_MATCH_TOL
-                         and sizes2[j] >= 2)
-    # gap: most slowly-decaying eigenvalue, robust or not, off the neutral discs
     away = lam[(np.abs(lam) > 0.05) & (np.abs(lam - 1.0) > 0.05)]
     if len(away) and np.max(away.real) < 0:
         gap_raw = -float(np.max(away.real))
     else:
         gap_raw = float("nan")
-    report = SpectrumReport(
-        eigenvalues=lam, residuals=res, robust=robust,
-        gap_raw=gap_raw,
+    return SpectrumReport(
+        eigenvalues=lam, residuals=res, gap_raw=gap_raw,
         gap_omega0=min(gap_raw, OMEGA0) if np.isfinite(gap_raw) else float("nan"),
     )
-    return report
 
 
 def measured_gap(p: float, N: int = 64) -> float:

@@ -122,10 +122,25 @@ def test_parse_config_is_total(key, raw):
     (["modulate", "--epsilon", "nan"], "key 'epsilon' must be finite"),
     (["evolve", "--x0=-inf"], "key 'x0' must be finite"),
     (["spectrum", "--N", "100000"], f"N must lie in [8, {cli.MAX_N}]"),
+    (["evolve", "--tag", "a/b"], "tag"),
+    (["modulate", "--tag", "../escaped"], "tag"),
 ])
 def test_non_finite_or_huge_value_exits_config(capsys, argv, message):
     assert main(argv) == EXIT_CONFIG
     assert message in capsys.readouterr().err
+
+
+def test_nul_tag_in_config_file_exits_config_before_any_command(tmp_path,
+                                                                capsys):
+    """The tag is part of CSV file names; a NUL byte, which only a config
+    file can carry, is a config error naming tag, and nothing runs."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tag = a\0b\n", encoding="utf-8")
+    code = main(["evolve", "--config", str(cfg),
+                 "--output-dir", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert "config error: tag must be a file-name part" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_unknown_command_rejected():
@@ -203,8 +218,7 @@ def test_unmeasured_gap_exit_code(tmp_path, capsys, monkeypatch):
     (exit 4); semigroup-check gates on OMEGA0 and measures no spectrum."""
     def no_gap(p, grid):
         return linop.SpectrumReport(eigenvalues=np.zeros(0),
-                                    residuals=np.zeros(0),
-                                    robust=np.zeros(0, bool))
+                                    residuals=np.zeros(0))
 
     monkeypatch.setattr(linop, "spectrum", no_gap)
     code = main(["spectrum", "--N", "32", "--output-dir", str(tmp_path)])
@@ -610,6 +624,15 @@ def test_spectrum_nan_eigen_triple_residual_fails(tmp_path, monkeypatch):
                         str(tmp_path)])
     checks = {name: ok for name, ok, _ in cli._run_spectrum(cfg)}
     assert checks["gap"] and checks["ranks"] and not checks["eigen_triples"]
+
+
+def test_spectrum_csv_lists_every_eigenvalue(tmp_path):
+    code = main(["spectrum", "--N", "32", "--output-dir", str(tmp_path)])
+    assert code == EXIT_PASS
+    with open(tmp_path / "spectrum_p0.75_N32.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["re", "im", "residual"]
+    assert len(rows) - 1 == 2 * (32 + 1)
 
 
 def test_instability_nan_slope_fails(tmp_path, monkeypatch):

@@ -37,6 +37,7 @@ from blowuplab.linop import (
     spectral_split,
     spectrum,
 )
+from blowuplab.modeanalysis import lorentz_frame_params
 
 GRID = ChebGrid.make(64)
 
@@ -138,10 +139,9 @@ def test_mp_grid_is_exact_at_working_precision():
 # spectrum and gap
 
 def test_spectrum_contains_symmetry_modes():
-    rep = spectrum(0.75, GRID)
-    rob = rep.eigenvalues[rep.robust]
-    assert np.min(np.abs(rob - 1.0)) < 1e-6
-    assert np.min(np.abs(rob)) < 0.03          # Jordan pair splits at roundoff
+    lam = spectrum(0.75, GRID).eigenvalues
+    assert np.min(np.abs(lam - 1.0)) < 1e-6
+    assert np.min(np.abs(lam)) < 0.03          # Jordan pair splits at roundoff
 
 
 def test_gap_in_range_and_resolution_robust():
@@ -161,12 +161,12 @@ _LADDER = ((1.0, 1), (0.0, 2), (-1.0, 2))
 @pytest.mark.parametrize("N", [48, 64, 96])
 @pytest.mark.parametrize("p", [0.5, 0.75, 0.9])
 def test_spectrum_matches_closed_form_ladder(p, N):
-    """The robust eigenvalues with Re > -1.5 are the closed-form zeros with
+    """The N-grid eigenvalues with Re > -1.5 are the closed-form zeros with
     their orders: cluster means within 2e-4, members within 1e-2, and
     gap_raw (the pair at -1) within 1e-2 of 1."""
     rep = spectrum(p, ChebGrid.make(N))
-    rob = rep.eigenvalues[rep.robust]
-    top = rob[rob.real > -1.5]
+    lam = rep.eigenvalues
+    top = lam[lam.real > -1.5]
     assert len(top) == sum(order for _, order in _LADDER)
     for zero, order in _LADDER:
         members = top[np.abs(top - zero) < 0.5]
@@ -176,11 +176,44 @@ def test_spectrum_matches_closed_form_ladder(p, N):
     assert abs(rep.gap_raw - 1.0) < 1e-2
 
 
-def test_spectrum_no_robust_unstable_modes():
-    rep = spectrum(0.5, GRID)
-    rob = rep.eigenvalues[rep.robust]
-    away = rob[(np.abs(rob) > 0.05) & (np.abs(rob - 1.0) > 0.05)]
+def test_spectrum_no_unstable_modes():
+    lam = spectrum(0.5, GRID).eigenvalues
+    away = lam[(np.abs(lam) > 0.05) & (np.abs(lam - 1.0) > 0.05)]
     assert np.all(away.real < 0)
+
+
+def _k_norm_smin(p, k, N, z):
+    """sigma_min(L_p - z) in the k-norm: with seminorm_stack(N, k) = Q R,
+    ||q||_k = ||R q||, so it is sigma_min(R (L_p - z) R^-1)."""
+    L = assemble_Lp(p, ChebGrid.make(N))
+    R = np.linalg.qr(seminorm_stack(N, k), mode="r")
+    M = np.linalg.solve(R.T, (R @ (L - z * np.eye(len(L)))).T).T
+    return np.linalg.svd(M, compute_uv=False)[-1]
+
+
+# (k, p) pairs whose continuum edge separates at N <= 64; at k = 2 with
+# p <= 0.5 the Jordan pair at -1 sets sigma_min on both sides of the edge
+@pytest.mark.parametrize("k,p", [(0, 0.5), (1, 0.75), (1, 0.9), (2, 0.9)])
+def test_continuum_edge_of_the_k_norm(k, p):
+    """On H^{k+1} x H^k every lambda with Re lambda < sigma_k =
+    1/2 + sqrt(1-p) - k is spectrum (README).  The non-smooth exponents
+    -lambda + U_p(+-1)/2 of the eigen-ODE are c - a - b at y = 1 and 1 - c
+    at y = -1 of the boosted frame; the branch (1+y)^(1-c) leaves H^{k+1}
+    exactly at the edge.  Left of it sigma_min(L_p - z) in the k-norm falls
+    as N doubles (it tends to 0); right of it it holds still."""
+    g = math.sqrt(1.0 - p)
+    U_plus, U_minus = potential(p, np.array([1.0, -1.0]))
+    for lam in (0.3, -1.2 + 0.7j, 2.5 - 1.1j):
+        a, b, c = lorentz_frame_params(p, lam)
+        assert abs(-lam + U_plus / 2 - (c - a - b)) < 1e-14
+        assert abs(-lam + U_minus / 2 - (1 - c)) < 1e-14
+        assert abs((1 - g - lam) - (c - a - b)) < 1e-14
+        assert abs((1 + g - lam) - (1 - c)) < 1e-14
+    sigma_k = 0.5 + g - k
+    below, above = [_k_norm_smin(p, k, 64, z) / _k_norm_smin(p, k, 32, z)
+                    for z in (sigma_k - 0.3 + 0.7j, sigma_k + 0.3 + 0.7j)]
+    assert below < 0.7
+    assert above > 0.85
 
 
 GAP_PROBE = textwrap.dedent("""
@@ -193,10 +226,10 @@ GAP_PROBE = textwrap.dedent("""
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_gap_read_at_large_N_on_either_thread_count(threads):
-    """At N = 128 and 192 the 2N grid can split the Jordan pair at -1, so
-    its members lose their robust flags, depending on the BLAS thread
-    count; the gap reads every eigenvalue off the neutral discs and stays
-    near 1 (the pair at -1) on one thread and on two."""
+    """At N = 128 and 192 the far eigenvalues move with the BLAS thread
+    count (they are pseudospectral), but the gap reads the most slowly
+    decaying eigenvalue off the neutral discs, the pair at -1, and stays
+    near 1 on one thread and on two."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src),
            "OPENBLAS_NUM_THREADS": threads}
@@ -527,9 +560,7 @@ def test_split_reads_L_alone(monkeypatch):
 
 def test_neutral_coordinates_where_gap_unmeasured(monkeypatch):
     """The split never consults the gap: with `spectrum` raising, the
-    neutral coordinates at N = 96 still give Phi V = I to 1e-9.  Near these
-    p the two-resolution gap is not measurable, at a p that moves with the
-    BLAS rounding."""
+    neutral coordinates at N = 96 still give Phi V = I to 1e-9."""
     def no_spectrum(*args, **kwargs):
         raise AssertionError("spectral_split measured the spectrum")
 
@@ -546,8 +577,7 @@ def test_measured_gap_raises_when_unmeasured(monkeypatch, gap):
     the spectrum it came from."""
     def report(p, grid):
         return linop.SpectrumReport(eigenvalues=np.zeros(0),
-                                    residuals=np.zeros(0),
-                                    robust=np.zeros(0, bool), gap_omega0=gap)
+                                    residuals=np.zeros(0), gap_omega0=gap)
 
     monkeypatch.setattr(linop, "spectrum", report)
     with pytest.raises(RuntimeError, match="could not measure"):
