@@ -7,10 +7,11 @@ in decay_eps{eps}_modulated.csv.  The fitted-parameter displacement should
 scale linearly with epsilon.
 
 The default amplitudes are 1e-5 and 1e-4, the range the acceptance gate
-(criterion 09) certifies.  At epsilon = 1e-3 the second trajectory of the
-fit's first iteration already blows up (the one-step guard of the
-similarity flow stops it with "similarity evolution unstable" and the run
-exits 3), so larger amplitudes are outside what the method covers.
+(criterion 09) certifies.  epsilon = 5e-4 also passes (fit and modulated
+decay, at p = 0.75, 0.9 and 0.99).  At epsilon = 1e-3 the fit's first
+trajectory already blows up (the one-step guard of the similarity flow
+stops it with "similarity evolution unstable" and the run exits 3), so
+larger amplitudes are outside what the method covers.
 """
 
 import argparse

@@ -512,9 +512,9 @@ def run(cfg: RunConfig) -> int:
     ConfigError if the output directory cannot be created."""
     try:
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:    # ValueError: a NUL in the path
         raise ConfigError(f"cannot create output directory {cfg.output_dir}: "
-                          f"{exc.strerror or exc}") from None
+                          f"{getattr(exc, 'strerror', None) or exc}") from None
     names = list(_DISPATCH) if cfg.command == "all" else [cfg.command]
     timings, checks = [], []
     for name in names:

@@ -10,9 +10,10 @@ matching blow-up parameters are adjusted: the initial-data operator
 measures the perturbation relative to a *trial* profile, and the correction
 functional (the unstable/neutral spectral content of the full nonlinear
 trajectory, as coordinates in {g0, f0, f1} from linop.neutral_coordinates)
-is driven to zero over (p, T, kappa) by a fixed-point iteration that adds
-the coordinates to the parameters.  The fixed point certifies that the
-perturbed data lies on the stable manifold of the trial profile.
+is driven to zero by one fixed-point iteration, joint over (p, T, kappa)
+and the nonlinear part of the correction, that adds the coordinates to the
+parameters.  The fixed point certifies that the perturbed data lies on the
+stable manifold of the trial profile.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from .linop import DEFAULT_K, energy_norm, neutral_coordinates
 
 FIT_TOL = 1e-8              # correction norm at which the fit has converged
 FIT_TAU_MAX = 12.0          # horizon of the trajectories the fit evaluates
-FIT_MAX_ITER = 30           # outer iterations of fit_parameters
-INNER_ITERS = 3             # self-consistency passes per outer iteration
+FIT_MAX_ITER = 30           # iterations of fit_parameters
 DECAY_TAU_MAX = 8.0         # horizon of modulated_decay
 
 
@@ -103,12 +103,12 @@ def _nonlinear_integrals(taus: np.ndarray, q2sq: np.ndarray) -> tuple:
 
 
 def correction_functional(Phi: np.ndarray, d: np.ndarray,
-                          q_traj: tuple | None = None) -> np.ndarray:
+                          q_traj: tuple) -> np.ndarray:
     """[l_g0, l_f0, l_f1]: coordinates of the correction in {g0, f0, f1}.
 
     Phi is the map of neutral_coordinates at the trial p and d = U(f) the
     flat data of initial_data_operator, both built once per parameter point;
-    q_traj = (taus, q2_squared_history), or None for the linear part alone.
+    q_traj = (taus, q2_squared_history) of the trajectory.
     The correction is P_p U(f) + P0 I[N] + L_p P0 I[-tau N] + P1 I[e^-tau N]
     with the Riesz projectors P0, P1 of riesz_projectors_for.  Its
     coordinates follow from Phi without forming either projector:
@@ -116,42 +116,13 @@ def correction_functional(Phi: np.ndarray, d: np.ndarray,
     and L_p acts on span{g0, f0} as L g0 = f0, L f0 = 0.  So with a, b, e the coordinates of the three
     integrals, the correction reads Phi d + (a_g0, a_f0 + b_g0, e_f1).
     """
-    ell = Phi @ d
-    if q_traj is not None:
-        taus, q2sq = q_traj
-        if q2sq.shape[0] != len(taus):
-            raise ValueError("trajectory shape mismatch")
-        # N(q) = (0, q2^2) has no q1 half
-        Phi2 = Phi[:, len(d) // 2:]
-        a, b, e = (Phi2 @ I for I in _nonlinear_integrals(taus, q2sq))
-        ell = ell + np.array([a[0], a[1] + b[0], e[2]])
-    return ell
-
-
-def _corrected_trajectory(p: float, T: float, kappa: float, f: np.ndarray,
-                          baseline: tuple, grid: ChebGrid):
-    """Self-consistent corrected flow: evolve U(f) - C, update C, repeat
-    (at most INNER_ITERS times).
-
-    Builds (Phi, V) and the data d = U_{p,T,kappa}(f) once for the
-    parameter point and reuses them in every inner iterate.  Returns
-    (ell, V, q_traj) at the last inner iterate, with q_traj = (taus,
-    q2^2 history) of the trajectory up to FIT_TAU_MAX; C = V ell.
-    """
-    Phi, V = neutral_coordinates(p, grid.N)
-    d = initial_data_operator(p, T, kappa, baseline, f, grid).ravel()
-    ell = correction_functional(Phi, d)
-    cfg = EvolveConfig(p=p, N=grid.N, tau_max=FIT_TAU_MAX)
-    traj = None
-    for _ in range(INNER_ITERS):
-        taus, Q = evolve_states(cfg, (d - V @ ell).reshape(2, -1), grid)
-        traj = (taus, Q[:, 1] ** 2)
-        ell_new = correction_functional(Phi, d, traj)
-        if np.max(np.abs(ell - ell_new)) < 1e-15:
-            ell = ell_new
-            break
-        ell = ell_new
-    return ell, V, traj
+    taus, q2sq = q_traj
+    if q2sq.shape[0] != len(taus):
+        raise ValueError("trajectory shape mismatch")
+    # N(q) = (0, q2^2) has no q1 half
+    Phi2 = Phi[:, len(d) // 2:]
+    a, b, e = (Phi2 @ I for I in _nonlinear_integrals(taus, q2sq))
+    return Phi @ d + np.array([a[0], a[1] + b[0], e[2]])
 
 
 def fit_parameters(f: np.ndarray, baseline: tuple,
@@ -159,24 +130,38 @@ def fit_parameters(f: np.ndarray, baseline: tuple,
     """Solve l_{p,T,kappa} = 0 for the modulation parameters, for data f of
     shape (2, N+1).
 
-    At most FIT_MAX_ITER steps of p += l_g0, kappa += l_f0,
-    T += T0 sqrt(1-p) l_f1 (to first order, each unit step lowers its
-    coordinate by one), each evaluating the correction on a self-consistently
-    corrected trajectory; converged once its DEFAULT_K energy norm is below
-    FIT_TOL.
+    At most FIT_MAX_ITER steps, each evolving one trajectory at the trial
+    point from d - V C, with d = U(f) and C = Phi d + nl, where nl is the
+    nonlinear part (ell - Phi d) of the previous step's correction ell and
+    zero at the first step.  ell is read off that trajectory, and the
+    parameters move by p += l_g0, kappa += l_f0, T += T0 sqrt(1-p) l_f1 (to
+    first order, each unit step lowers its coordinate by one).  Converged
+    once the DEFAULT_K energy norms of both V ell and V C are below
+    FIT_TOL: the certifying trajectory then started from d itself, to
+    within FIT_TOL.
     """
     T0 = baseline[1]
     grid = ChebGrid.make(N)
     p, T, kappa = baseline
+    nl = np.zeros(3)
     history = []
     for it in range(1, FIT_MAX_ITER + 1):
-        ell, V, _ = _corrected_trajectory(p, T, kappa, f, baseline, grid)
+        Phi, V = neutral_coordinates(p, N)
+        d = initial_data_operator(p, T, kappa, baseline, f, grid).ravel()
+        lin = Phi @ d
+        C = lin + nl
+        cfg = EvolveConfig(p=p, N=N, tau_max=FIT_TAU_MAX)
+        taus, Q = evolve_states(cfg, (d - V @ C).reshape(2, -1), grid)
+        ell = correction_functional(Phi, d, (taus, Q[:, 1] ** 2))
+        del Q   # free this trajectory before the next one is evolved
         cnorm = energy_norm(DEFAULT_K, V @ ell, grid)
         history.append((it, p, T, kappa, *ell, cnorm))
-        if cnorm < FIT_TOL:
+        if (cnorm < FIT_TOL
+                and energy_norm(DEFAULT_K, V @ C, grid) < FIT_TOL):
             return ModulationState(p_star=p, T_star=T, kappa_star=kappa,
                                    correction_norm=cnorm, iterations=it,
                                    converged=True, history=history)
+        nl = ell - lin
         p, T, kappa = (float(p + ell[0]),
                        float(T + T0 * math.sqrt(1.0 - p) * ell[2]),
                        float(kappa + ell[1]))

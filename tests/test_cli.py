@@ -201,6 +201,21 @@ def test_uncreatable_output_dir_exits_config(tmp_path, capsys, monkeypatch,
     assert not ran
 
 
+def test_nul_output_dir_in_config_file_exits_config(tmp_path, capsys,
+                                                    monkeypatch):
+    """An output_dir with a NUL byte, which only a config file can carry,
+    is a config error naming the directory, and no file is written."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("output_dir = a\0b\n", encoding="utf-8")
+    monkeypatch.delenv("BLOWUPLAB_OUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert main(["appendixB", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: cannot create output directory a\0b: " in err
+    assert "Traceback" not in err
+    assert [f.name for f in tmp_path.iterdir()] == ["run.cfg"]
+
+
 def test_numerical_value_error_exit_code(tmp_path, monkeypatch):
     # a ValueError raised while computing is a numerical failure, not a
     # configuration error
@@ -282,6 +297,17 @@ def test_modulate_unconverged_fit_exits_acceptance(tmp_path, capsys,
     assert code == EXIT_ACCEPTANCE
     assert "FAIL modulation_converged: iters=1 " in capsys.readouterr().out
     assert not list(tmp_path.glob("decay_*_modulated.csv"))
+
+
+@pytest.mark.parametrize("p", [0.75, 0.9, 0.99])
+def test_modulate_passes_at_five_times_the_default_epsilon(tmp_path, capsys,
+                                                           p):
+    """At epsilon = 5e-4 the fitted point's trajectory starts from the data
+    modulated_decay evolves, so the modulated data decay at the gap rate."""
+    code = main(["modulate", "--epsilon", "5e-4", "--p", str(p),
+                 "--output-dir", str(tmp_path)])
+    assert code == EXIT_PASS, capsys.readouterr().out
+    assert "PASS modulated_decay" in capsys.readouterr().out
 
 
 def test_non_numerical_error_propagates(tmp_path, monkeypatch):

@@ -8,11 +8,13 @@ import pytest
 
 from blowuplab import modulation
 from blowuplab.chebgrid import ChebGrid
-from blowuplab.linop import (energy_norm, f0_state, f1_state, g0_state,
-                             neutral_coordinates, riesz_projectors_for)
+from blowuplab.evolve import EvolveConfig, evolve_states
+from blowuplab.linop import (DEFAULT_K, energy_norm, f0_state, f1_state,
+                             g0_state, neutral_coordinates,
+                             riesz_projectors_for)
 from blowuplab.modulation import (
     FIT_TAU_MAX,
-    _corrected_trajectory,
+    FIT_TOL,
     _nonlinear_integrals,
     _simpson,
     correction_functional,
@@ -36,6 +38,25 @@ def _legendre_f(eps):
     return np.stack([
         eps * np.polynomial.legendre.legval(GRID.y, (0.0, 1.0, 1.0, 0.5)),
         eps * np.polynomial.legendre.legval(GRID.y, (0.5, 1.0, 1.0, 0.0))])
+
+
+def _q2_squared(p, start):
+    """(taus, q2^2 history) of the fit's trajectory at p from flat data."""
+    cfg = EvolveConfig(p=p, N=GRID.N, tau_max=FIT_TAU_MAX)
+    taus, Q = evolve_states(cfg, start.reshape(2, -1), GRID)
+    return taus, Q[:, 1] ** 2
+
+
+def _three_pass_correction(p, T, kappa, f):
+    """Oracle: the correction at one fixed parameter point, made
+    self-consistent by three passes of evolving d - V ell and reading ell
+    off the trajectory, starting from ell = Phi d."""
+    Phi, V = neutral_coordinates(p, GRID.N)
+    d = initial_data_operator(p, T, kappa, BASELINE, f, GRID).ravel()
+    ell = Phi @ d
+    for _ in range(3):
+        ell = correction_functional(Phi, d, _q2_squared(p, d - V @ ell))
+    return ell
 
 
 # ---------------------------------------------------------------------------
@@ -114,13 +135,15 @@ def test_initial_data_operator_matches_extended_precision(p0, p, T, kappa):
 # correction functional
 
 def test_correction_zero_for_trivial_data():
-    ell = correction_functional(*_coordinates_and_data(ZERO))
+    Phi, d = _coordinates_and_data(ZERO)
+    ell = Phi @ d
     assert max(abs(x) for x in ell) < 1e-10
 
 
 def test_correction_scales_linearly_in_epsilon():
-    e1 = correction_functional(*_coordinates_and_data(_legendre_f(1e-5)))
-    e2 = correction_functional(*_coordinates_and_data(_legendre_f(1e-4)))
+    Phi, d1 = _coordinates_and_data(_legendre_f(1e-5))
+    _, d2 = _coordinates_and_data(_legendre_f(1e-4))
+    e1, e2 = Phi @ d1, Phi @ d2
     # the coordinate map (norm ~5e4) amplifies input roundoff through heavy
     # cancellation, so linearity holds to well below 1e-5 relative, not 1e-15
     for a, b in zip(e1, e2):
@@ -157,9 +180,10 @@ def test_simpson_matches_scipy_on_fit_grid():
     weights of the correction, and is exact on a cubic."""
     from scipy.integrate import simpson
 
-    # the corrected trajectory of the fit's first iteration
-    _, _, (taus, q2sq) = _corrected_trajectory(*BASELINE, _legendre_f(1e-4),
-                                               BASELINE, GRID)
+    # the trajectory of the fit's first iteration, from d - V Phi d
+    Phi, d = _coordinates_and_data(_legendre_f(1e-4))
+    _, V = neutral_coordinates(BASELINE[0], GRID.N)
+    taus, q2sq = _q2_squared(BASELINE[0], d - V @ (Phi @ d))
     assert taus.shape == (241,) and q2sq.shape == (241, 65)
     assert taus[-1] == FIT_TAU_MAX
     h = taus[1] - taus[0]
@@ -195,7 +219,7 @@ def test_fit_stops_unconverged_after_max_iterations(monkeypatch):
 
 def test_fit_evaluates_each_point_once(monkeypatch):
     """One parameter point builds the coordinate map and the data once,
-    however many inner iterates reuse them."""
+    for its one trajectory and the correction read off it."""
     calls = {"neutral_coordinates": 0, "initial_data_operator": 0}
     for name in calls:
         def counted(*args, _fn=getattr(modulation, name), _name=name):
@@ -205,6 +229,46 @@ def test_fit_evaluates_each_point_once(monkeypatch):
     st = fit_parameters(ZERO, BASELINE)
     assert st.iterations == 1
     assert calls == {"neutral_coordinates": 1, "initial_data_operator": 1}
+
+
+def test_fit_evolves_one_trajectory_per_iteration(monkeypatch):
+    """`modulate` data at the defaults: every iteration evolves exactly one
+    trajectory, five in all."""
+    calls = []
+
+    def counted(cfg, q0, grid):
+        calls.append(cfg.p)
+        return evolve_states(cfg, q0, grid)
+
+    monkeypatch.setattr(modulation, "evolve_states", counted)
+    st = fit_parameters(_legendre_f(1e-4), BASELINE)
+    assert st.converged and st.iterations == 5
+    assert len(calls) == 5
+
+
+def test_fit_waits_for_the_trajectory_to_start_from_the_data(monkeypatch):
+    """A correction below FIT_TOL does not stop the fit while the data the
+    trajectory started from, d - V C, is more than FIT_TOL away from d: with
+    a zero correction the first trajectory starts from d - V Phi d, and
+    only the second, from d itself, certifies the point."""
+    starts = []
+
+    def recorded(cfg, q0, grid):
+        starts.append(q0.ravel().copy())
+        return np.zeros(1), np.zeros((1, 2, grid.N + 1))
+
+    monkeypatch.setattr(modulation, "evolve_states", recorded)
+    monkeypatch.setattr(modulation, "correction_functional",
+                        lambda Phi, d, q_traj: np.zeros(3))
+    Phi, d = _coordinates_and_data(_legendre_f(1e-4))
+    _, V = neutral_coordinates(BASELINE[0], GRID.N)
+    assert energy_norm(DEFAULT_K, V @ (Phi @ d), GRID) > FIT_TOL
+    st = fit_parameters(_legendre_f(1e-4), BASELINE)
+    assert st.converged and st.iterations == 2
+    assert st.history[0][-1] == 0.0 < FIT_TOL
+    assert (st.p_star, st.T_star, st.kappa_star) == BASELINE
+    np.testing.assert_array_equal(starts[0], d - V @ (Phi @ d))
+    np.testing.assert_array_equal(starts[1], d)
 
 
 def test_fit_rejects_non_finite_data(monkeypatch):
@@ -241,8 +305,7 @@ def test_fit_converges_and_is_idempotent():
     assert disp < 50 * 1e-4
     # idempotency: at the fitted point (same baseline) the correction is
     # below tolerance, so one more evaluation leaves the parameters fixed
-    ell, _, _ = _corrected_trajectory(st.p_star, st.T_star, st.kappa_star, f,
-                                      BASELINE, GRID)
+    ell = _three_pass_correction(st.p_star, st.T_star, st.kappa_star, f)
     p_next = st.p_star + ell[0]
     T_next = st.T_star + BASELINE[1] * math.sqrt(1.0 - st.p_star) * ell[2]
     assert abs(p_next - st.p_star) < 1e-7
