@@ -407,8 +407,8 @@ def _run_evolve(cfg: RunConfig) -> list:
 
     dt = cfg["dt"] if cfg["dt"] > 0 else None
     ecfg = EvolveConfig(p=cfg["p"], kappa=cfg["kappa"], T=cfg["T"],
-                        x0=cfg["x0"], N=cfg["N"], dt=dt,
-                        tau_max=cfg["tau_max"], epsilon=cfg["epsilon"])
+                        N=cfg["N"], dt=dt, tau_max=cfg["tau_max"],
+                        epsilon=cfg["epsilon"])
     fit = evolve_perturbation(ecfg)
     tag = cfg["tag"]
     write_csv(cfg.output_dir / f"decay_{tag}.csv",
@@ -517,23 +517,24 @@ def run(cfg: RunConfig) -> int:
                           f"{getattr(exc, 'strerror', None) or exc}") from None
     names = list(_DISPATCH) if cfg.command == "all" else [cfg.command]
     timings, checks = [], []
-    for name in names:
-        t0 = time.perf_counter()
-        try:
-            checks.extend(_DISPATCH[name](cfg))
-        except (ValueError, RuntimeError, ArithmeticError) as exc:
-            # LinAlgError is a ValueError; anything else (a missing module,
-            # a programming error) is not a numerical result and propagates
-            _write_manifest(cfg, timings, checks)
-            print(f"numerical failure in {name}: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
-        except Exception:
-            _write_manifest(cfg, timings, checks)
-            raise
-        timings.append((name, time.perf_counter() - t0))
-    _write_manifest(cfg, timings, checks)
-    for name, ok, detail in checks:
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+    try:
+        for name in names:
+            t0 = time.perf_counter()
+            try:
+                new = _DISPATCH[name](cfg)
+            except (ValueError, RuntimeError, ArithmeticError) as exc:
+                # LinAlgError is a ValueError; anything else (a missing
+                # module, a programming error) is not a numerical result
+                # and propagates
+                print(f"numerical failure in {name}: {exc}", file=sys.stderr)
+                return EXIT_NUMERICAL
+            timings.append((name, time.perf_counter() - t0))
+            checks.extend(new)
+            # printed as each command returns, so a later failure keeps them
+            for check, ok, detail in new:
+                print(f"{'PASS' if ok else 'FAIL'} {check}: {detail}")
+    finally:
+        _write_manifest(cfg, timings, checks)
     return EXIT_PASS if all(ok for _, ok, _ in checks) else EXIT_ACCEPTANCE
 
 

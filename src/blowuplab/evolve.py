@@ -52,15 +52,13 @@ class EvolveConfig:
     p: float
     kappa: float = 0.0
     T: float = 1.0
-    x0: float = 0.0
     N: int = 64
     dt: float | None = None
     tau_max: float = 12.0
     epsilon: float = 1e-4
-    k: int = DEFAULT_K
 
     def __post_init__(self):
-        ProfileParams(p=self.p, kappa=self.kappa, T=self.T, x0=self.x0)
+        ProfileParams(p=self.p, kappa=self.kappa, T=self.T)
         if not 0.0 < self.tau_max <= TAU_MAX_CAP:
             raise ValueError(f"tau_max must lie in (0, {TAU_MAX_CAP:g}]")
         if self.dt is not None and not self.dt > 0:
@@ -78,7 +76,23 @@ class DecayFit:
     norms: np.ndarray
     fitted_rate: float
     r_squared: float
-    l2_norms: np.ndarray = field(default=None, repr=False)
+    l2_norms: np.ndarray = field(repr=False)
+
+    @classmethod
+    def of(cls, taus: np.ndarray, Q: np.ndarray, k: int,
+           grid: ChebGrid) -> DecayFit:
+        """The decay of the trajectory (taus, Q) of evolve_states: the
+        order-k energy norms and the L2 norms of its states, and the
+        log-slope of the k-norms fitted over DECAY_FIT_WINDOW.  The window
+        starts after the initial multi-mode transient and ends before an
+        unstable remnant (grown like e^tau from roundoff, or from the
+        correction floor of modulated data) re-emerges."""
+        norms = np.array([energy_norm(k, q, grid) for q in Q])
+        l2s = [math.sqrt(grid.integrate(q1 ** 2) + grid.integrate(q2 ** 2))
+               for q1, q2 in Q]
+        rate, r2 = fit_log_slope(taus, norms, DECAY_FIT_WINDOW)
+        return cls(taus=taus, norms=norms, fitted_rate=rate, r_squared=r2,
+                   l2_norms=np.array(l2s))
 
     def decays_at(self) -> bool:
         """True when the fit is exponential (r^2 >= DECAY_R2_MIN) and
@@ -189,32 +203,17 @@ def evolve_states(cfg: EvolveConfig, q0: np.ndarray,
     return h * np.arange(nsteps + 1), Q
 
 
-def evolve_perturbation(cfg: EvolveConfig, project_out_unstable: bool = True,
-                        q0: np.ndarray | None = None) -> DecayFit:
-    """Run the similarity evolution and fit the exponential decay rate.
-
-    With project_out_unstable the neutral/unstable spectral components are
-    removed at tau = 0: u - V Phi u, with (Phi, V) from neutral_coordinates,
-    is (I - P0 - P1) u for the Riesz projectors P0 and P1.  The remaining
-    flow should decay at the spectral-gap rate.  The fit window,
-    DECAY_FIT_WINDOW, starts after the initial multi-mode transient and ends
-    before the unstable remnant (grown like e^tau from roundoff, or from the
-    correction floor of modulated data) re-emerges.
-    """
+def evolve_perturbation(cfg: EvolveConfig) -> DecayFit:
+    """The decay, in the DEFAULT_K energy norm, of the initial perturbation
+    with its neutral/unstable spectral components removed at tau = 0:
+    u - V Phi u, with (Phi, V) from neutral_coordinates, is (I - P0 - P1) u
+    for the Riesz projectors P0 and P1.  The remaining flow should decay at
+    the spectral-gap rate."""
     grid = ChebGrid.make(cfg.N)
-    if q0 is None:
-        q0 = initial_perturbation(cfg, grid)
-    if project_out_unstable:
-        Phi, V = neutral_coordinates(cfg.p, cfg.N)
-        u = q0.ravel()
-        q0 = (u - V @ (Phi @ u)).reshape(2, -1)
-    taus, Q = evolve_states(cfg, q0, grid)
-    norms = np.array([energy_norm(cfg.k, q, grid) for q in Q])
-    l2s = [math.sqrt(grid.integrate(q1 ** 2) + grid.integrate(q2 ** 2))
-           for q1, q2 in Q]
-    rate, r2 = fit_log_slope(taus, norms, DECAY_FIT_WINDOW)
-    return DecayFit(taus=taus, norms=norms, fitted_rate=rate, r_squared=r2,
-                    l2_norms=np.array(l2s))
+    Phi, V = neutral_coordinates(cfg.p, cfg.N)
+    u = initial_perturbation(cfg, grid).ravel()
+    taus, Q = evolve_states(cfg, (u - V @ (Phi @ u)).reshape(2, -1), grid)
+    return DecayFit.of(taus, Q, DEFAULT_K, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +295,8 @@ def ode_blowup_instability(p: float, kappa: float = 0.0) -> dict:
 def _physical_sections(cfg: EvolveConfig, q0: np.ndarray, grid: ChebGrid,
                        intervals: int = CROSSCHECK_INTERVALS) -> list:
     """[(y, u)] on the cone sections t = CROSSCHECK_T_SAMPLES * T, with
-    y = (x - x0) / (T - t), from the profile plus q0 at t = 0.
+    y = (x - x0) / (T - t) for any blow-up point x0 (the lattice works in
+    y), from the profile plus q0 at t = 0.
 
     w+- = u_t +- u_x obey (d_t -+ d_x) w+- = s^2, s = (w+ + w-)/2, so on the
     cone's lattice dx = dt w+ comes from node j+1 and w- from node j-1, and

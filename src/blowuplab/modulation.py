@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chebgrid import ChebGrid
-from .evolve import EvolveConfig, evolve_perturbation, evolve_states
+from .evolve import DecayFit, EvolveConfig, evolve_states
 from .linop import DEFAULT_K, energy_norm, neutral_coordinates
 
 FIT_TOL = 1e-8              # correction norm at which the fit has converged
@@ -156,34 +156,30 @@ def fit_parameters(f: np.ndarray, baseline: tuple,
         del Q   # free this trajectory before the next one is evolved
         cnorm = energy_norm(DEFAULT_K, V @ ell, grid)
         history.append((it, p, T, kappa, *ell, cnorm))
-        if (cnorm < FIT_TOL
-                and energy_norm(DEFAULT_K, V @ C, grid) < FIT_TOL):
-            return ModulationState(p_star=p, T_star=T, kappa_star=kappa,
-                                   correction_norm=cnorm, iterations=it,
-                                   converged=True, history=history)
+        converged = bool(cnorm < FIT_TOL and
+                         energy_norm(DEFAULT_K, V @ C, grid) < FIT_TOL)
+        if converged:
+            break
         nl = ell - lin
         p, T, kappa = (float(p + ell[0]),
                        float(T + T0 * math.sqrt(1.0 - p) * ell[2]),
                        float(kappa + ell[1]))
     return ModulationState(p_star=p, T_star=T, kappa_star=kappa,
-                           correction_norm=cnorm, iterations=FIT_MAX_ITER,
-                           converged=False, history=history)
+                           correction_norm=cnorm, iterations=it,
+                           converged=converged, history=history)
 
 
 def modulated_decay(f: np.ndarray, baseline: tuple, state: ModulationState,
                     N: int = 64):
-    """Unprojected decay of the data prepared with the fitted parameters,
-    up to DECAY_TAU_MAX and fitted over evolve.DECAY_FIT_WINDOW.
+    """Unprojected decay, in the k = 0 energy norm (DecayFit.of), of the
+    data prepared with the fitted parameters, up to DECAY_TAU_MAX.
 
     After modulation the neutral/unstable content of U_{p*,T*,kappa*}(f) is
     reduced to the size of the final correction norm, so the raw nonlinear
-    flow should decay at the spectral-gap rate without any projection.  The
-    window starts after the multi-mode interference transient settles and
-    stops before the residual unstable remnant (which grows like e^tau from
-    the correction-norm floor) re-emerges.
+    flow should decay at the spectral-gap rate without any projection.
     """
     grid = ChebGrid.make(N)
     d = initial_data_operator(state.p_star, state.T_star, state.kappa_star,
                               baseline, f, grid)
-    cfg = EvolveConfig(p=state.p_star, N=N, tau_max=DECAY_TAU_MAX, k=0)
-    return evolve_perturbation(cfg, project_out_unstable=False, q0=d)
+    cfg = EvolveConfig(p=state.p_star, N=N, tau_max=DECAY_TAU_MAX)
+    return DecayFit.of(*evolve_states(cfg, d, grid), 0, grid)

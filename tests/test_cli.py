@@ -228,6 +228,27 @@ def test_numerical_value_error_exit_code(tmp_path, monkeypatch):
     assert (tmp_path / "manifest.txt").exists()
 
 
+def test_numerical_failure_keeps_earlier_check_lines(tmp_path, capsys,
+                                                    monkeypatch):
+    """Under `all` each command's check lines are printed as it returns, so
+    a later numerical failure (exit 3) keeps them on stdout, and the
+    manifest records them."""
+    def passes(cfg):
+        return [("stub", True, "ran")]
+
+    def fails(cfg):
+        raise ValueError("trajectory diverged")
+
+    monkeypatch.setattr(cli, "_DISPATCH", {"first": passes, "second": fails})
+    assert main(["all", "--output-dir", str(tmp_path)]) == EXIT_NUMERICAL
+    out, err = capsys.readouterr()
+    assert out == "PASS stub: ran\n"
+    assert "numerical failure in second: trajectory diverged" in err
+    manifest = (tmp_path / "manifest.txt").read_text()
+    assert "check_stub = pass (ran)" in manifest
+    assert "timing_first_s" in manifest and "timing_second_s" not in manifest
+
+
 def test_unmeasured_gap_exit_code(tmp_path, capsys, monkeypatch):
     """A gap the spectrum cannot measure fails the `spectrum` gap check
     (exit 4); semigroup-check gates on OMEGA0 and measures no spectrum."""

@@ -10,6 +10,7 @@ from blowuplab.chebgrid import ChebGrid, exponential_filter
 from blowuplab.evolve import (
     IF_STEP,
     MAX_SIMILARITY_STEPS,
+    DecayFit,
     EvolveConfig,
     bump,
     evolve_perturbation,
@@ -21,7 +22,7 @@ from blowuplab.evolve import (
     smallness_functional,
     step_similarity,
 )
-from blowuplab.linop import (assemble_Lp, energy_norm, f1_state,
+from blowuplab.linop import (DEFAULT_K, assemble_Lp, energy_norm, f1_state,
                              neutral_coordinates)
 from blowuplab.profiles import ProfileParams, eval_profile
 
@@ -282,13 +283,34 @@ def test_decay_check_fails_growing_trajectory():
     """The evolve decay check passes the projected data and fails the
     unprojected data, whose unstable component regrows like e^tau."""
     p, N = 0.75, 64
+    grid = ChebGrid.make(N)
     cfg = EvolveConfig(p=p, N=N)
     projected = evolve_perturbation(cfg)
     assert projected.decays_at()
     assert projected.r_squared >= 0.98
-    raw = evolve_perturbation(cfg, project_out_unstable=False)
+    raw = DecayFit.of(*evolve_states(cfg, initial_perturbation(cfg, grid),
+                                     grid), DEFAULT_K, grid)
     assert not raw.decays_at()
     assert raw.r_squared < 0.98
+
+
+def test_decay_fit_reads_one_trajectory_at_any_order():
+    """evolve_perturbation is DecayFit.of at DEFAULT_K on the projected
+    trajectory, bit for bit; that one trajectory read at k = 0 shares its
+    taus and L2 norms and differs in the k-norms."""
+    cfg = EvolveConfig(p=0.75, N=32)
+    grid = ChebGrid.make(cfg.N)
+    fit = evolve_perturbation(cfg)
+    taus, Q = evolve_states(cfg, _projected_data(cfg, grid), grid)
+    at_k = DecayFit.of(taus, Q, DEFAULT_K, grid)
+    for name in ("taus", "norms", "l2_norms"):
+        assert np.array_equal(getattr(at_k, name), getattr(fit, name)), name
+    assert (at_k.fitted_rate, at_k.r_squared) == (fit.fitted_rate,
+                                                  fit.r_squared)
+    at_0 = DecayFit.of(taus, Q, 0, grid)
+    assert at_0.taus is at_k.taus
+    assert np.array_equal(at_0.l2_norms, at_k.l2_norms)
+    assert not np.allclose(at_0.norms, at_k.norms)
 
 
 def test_trajectory_guard_raises_on_blowup():
@@ -380,10 +402,11 @@ def test_crosscheck_steps_at_config_dt(monkeypatch):
 
 def _exact_oracle_error(p, intervals):
     """max |u - u_exact| over both cone sections of the unperturbed data,
-    away from (T, x0, kappa) = (1, 0, 0), against eval_profile."""
+    away from (T, x0, kappa) = (1, 0, 0), against eval_profile; the lattice
+    works in y = (x - x0) / (T - t), so x0 enters only the exact side."""
     T, x0, kappa = 1.7, 0.2, 0.3
     params = ProfileParams(p=p, T=T, x0=x0, kappa=kappa)
-    cfg = EvolveConfig(p=p, T=T, x0=x0, kappa=kappa, N=32, epsilon=0.0)
+    cfg = EvolveConfig(p=p, T=T, kappa=kappa, N=32, epsilon=0.0)
     sections = evolve._physical_sections(cfg, np.zeros((2, 33)),
                                          ChebGrid.make(32), intervals)
     err = 0.0

@@ -216,6 +216,64 @@ def test_continuum_edge_of_the_k_norm(k, p):
     assert above > 0.85
 
 
+def _branch_residuals(p, lam, s):
+    """(indicial residual, relative ODE residuals at t = 0.05 and 0.1) of
+    the Frobenius series t^s sum a_n t^n, t = 1 + y, of the eigen-ODE
+    (1 - y^2) q'' - y (2 lam + 2 - U_p) q' - lam (lam + 1 - U_p) q = 0.
+    Times (1 + g y) the ODE reads A q'' + B q' + C q = 0 with A, B and C
+    polynomials in t (A(0) = 0), so the a_n follow a three-term recurrence;
+    the residual takes the ODE as written, by mp.diff of the summed series."""
+    import mpmath as mp
+
+    g = mp.sqrt(1 - p)
+    A = {1: 2 * (1 - g), 2: 3 * g - 1, 3: -g}
+    b0, b1 = (2 * lam + 2) * (1 - g) - 2 * p, (2 * lam + 2) * g
+    B = {0: b0, 1: b1 - b0, 2: -b1}
+    C = {0: -lam * ((lam + 1) * (1 - g) - 2 * p), 1: -lam * (lam + 1) * g}
+
+    def coef(n, j):
+        """Factor of a_n in the equation of the power t^(n + j + s - 1)."""
+        r = n + s
+        return (r * (r - 1) * A.get(j + 1, 0) + r * B.get(j, 0)
+                + C.get(j - 1, 0))
+
+    a = [mp.mpc(1)]
+    for m in range(1, 100):
+        a.append(-sum(a[n] * coef(n, m - n) for n in (m - 2, m - 1) if n >= 0)
+                 / coef(m, 0))
+
+    def q(y):
+        return sum(an * (1 + y) ** (n + s) for n, an in enumerate(a))
+
+    out = [abs(coef(0, 0))]
+    for t in (mp.mpf("0.05"), mp.mpf("0.1")):
+        y = t - 1
+        U = 2 * p / (1 + g * y)
+        terms = [(1 - y ** 2) * mp.diff(q, y, 2),
+                 -y * (2 * lam + 2 - U) * mp.diff(q, y, 1),
+                 -lam * (lam + 1 - U) * q(y)]
+        out.append(abs(sum(terms)) / sum(abs(v) for v in terms))
+    return out
+
+
+@pytest.mark.parametrize("p,lam", [(0.75, 0.3), (0.5, -1.2 + 0.7j),
+                                   (0.9, 2.5 - 1.1j)])
+def test_singular_branch_solves_the_eigen_ode(p, lam):
+    """(1 + y)^(1 + g - lam), g = sqrt(1 - p), leads a local solution of
+    the eigen-ODE at y = -1: the branch whose H^{k+1} membership sets the
+    continuum edge.  Its series solves the ODE to 1e-12 at 40 digits; with
+    the exponent moved by 1e-3 the residual is above 1e-6."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        p, lam = mp.mpf(p), mp.mpc(lam)
+        s = 1 + mp.sqrt(1 - p) - lam
+        indicial, *res = _branch_residuals(p, lam, s)
+        assert indicial < mp.mpf("1e-30")
+        assert max(res) < 1e-12
+        assert min(_branch_residuals(p, lam, s + mp.mpf("1e-3"))[1:]) > 1e-6
+
+
 GAP_PROBE = textwrap.dedent("""
     from blowuplab.chebgrid import ChebGrid
     from blowuplab.linop import spectrum
