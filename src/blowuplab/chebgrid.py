@@ -3,8 +3,9 @@
 Standard differentiation matrix (Trefethen, Spectral Methods in MATLAB,
 chap. 6) together with Clenshaw-Curtis quadrature weights.  Nodes are
 y_n = cos(pi*n/N), n = 0..N, i.e. ordered from +1 down to -1.  Both are
-functions of the node array alone, so the float64 grid and the mpmath grid
-of the eigen-triple certificate (linop._mp_cheb) share one formula each.
+functions of the node array alone, in its number type: the float64 grid
+and the tests' mpmath oracle share one formula each, and the double-double
+grid of the eigen-triple certificate (linop._dd_cheb) repeats them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ TRUNCATE_FRACTION = 2.0 / 3.0  # share of the modes truncate_modes keeps
 
 def cheb_diff(y: np.ndarray) -> np.ndarray:
     """The (N+1)x(N+1) differentiation matrix on the nodes y_n = cos(pi*n/N),
-    in their number type: float64, or mpmath objects."""
+    in their number type: float64, or mpmath objects in the tests."""
     N = len(y) - 1
     c = np.hstack([2.0, np.ones(N - 1), 2.0]) * (-1.0) ** np.arange(N + 1)
     D = np.outer(c, 1.0 / c) / (np.subtract.outer(y, y) + np.eye(N + 1))

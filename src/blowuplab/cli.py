@@ -126,6 +126,8 @@ class RunConfig:
     output_dir: Path = Path("out")
     # keys the config file or the command line set, as opposed to defaults
     given: frozenset = frozenset()
+    # keys a command read through cfg[key], recorded for the manifest
+    read: set = field(default_factory=set, compare=False, repr=False)
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -133,7 +135,9 @@ class RunConfig:
                               f"expected one of {', '.join(COMMANDS)}")
 
     def __getitem__(self, key):
-        return self.parameters[key]
+        value = self.parameters[key]
+        self.read.add(key)
+        return value
 
 
 def _coerce(key: str, raw: str) -> object:
@@ -283,6 +287,10 @@ def _write_manifest(cfg: RunConfig, timings: list, checks: list) -> None:
     lines = [f"command = {cfg.command}"]
     for key in sorted(cfg.parameters):
         lines.append(f"{key} = {_fmt(cfg.parameters[key])}")
+    # keys no command of the run read: output_dir is the run's own, not a
+    # command's (BLOWUPLAB_OUT may override it)
+    unread = sorted(cfg.parameters.keys() - cfg.read - {"output_dir"})
+    lines.append(f"unread_keys = {', '.join(unread) or 'none'}")
     lines.append(f"version = {__version__}")
     lines.append("rng = philox")
     lines += _environment()

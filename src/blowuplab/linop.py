@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chebgrid import ChebGrid, cheb_diff, clenshaw_curtis_weights
+from .chebgrid import ChebGrid
 from .profiles import similarity_profile_q2
 
 DEFAULT_K = 4
-CERT_DPS = 35               # eigen-triple certificate: decimal digits
 APPENDIXB_WINDOW = (1e-6, 1e-4)   # 1 - y range of the boundedness check
 APPENDIXB_RK4_STEPS = 1000        # RK4 steps of the dv1 ODE cross-check
 NEUTRAL_COND_LIMIT = 1e10   # largest cond(Wh V) neutral_coordinates accepts
@@ -181,38 +180,181 @@ def free_wave_dissipativity_check(grid: ChebGrid, trials: int = 200,
 
 
 # ---------------------------------------------------------------------------
-# extended-precision eigen-triple residuals
+# double-double eigen-triple residuals
 #
-# Measuring a k=4 energy norm through five collocation derivatives at N=64
-# amplifies roundoff by ~N^(2k+2); double precision bottoms out near 1e-4
-# relative.  The identities L f0 = 0, L f1 = f1, L g0 = f0, L^2 g0 = 0 are
-# therefore certified with arbitrary-precision arithmetic (mpmath), applying
-# the same collocation operator and quadrature.
+# In float64 the identities L f0 = 0, L f1 = f1, L g0 = f0, L^2 g0 = 0 leave
+# res_L2g0 at 3.5e-8 to 6.2e-8 for p in [0.25, 0.9] at N = 64, rounding
+# amplified by the collocation derivatives: within 3x of the 1e-7
+# certification level.  They are therefore certified in double-double
+# arithmetic (~32 digits), applying the same collocation operator and
+# quadrature.  A dd value is a (hi, lo) pair of float64 arrays
+# with |lo| <= ulp(hi)/2: the error-free TwoSum and TwoProduct (Dekker,
+# Numer. Math. 18:224, 1971; Ogita, Rump & Oishi, SIAM J. Sci. Comput.
+# 26:1955, 2005), and the add, mul, div and sqrt of the QD library (Hida,
+# Li & Bailey, 2001).  Only the transcendental inputs cos(pi n/N),
+# sqrt(1-p) and log1p(y g) are taken from the decimal module, at
+# _DEC_PREC digits.  decimal is imported where it is used: it adds about
+# 2 ms and 0.3 MB to a process, and most processes that import linop
+# never certify.
 
-def _mp_cheb(N: int):
-    """Chebyshev nodes, differentiation matrix and Clenshaw-Curtis weights as
-    mpmath object arrays at the working precision in force: chebgrid's
-    formulas applied to the mpmath nodes."""
-    import mpmath as mp
-
-    y = np.frompyfunc(mp.cos, 1, 1)(mp.pi * np.arange(N + 1) / N)
-    return y, cheb_diff(y), clenshaw_curtis_weights(y)
-
-
-def _mp_matvec(D: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """D @ q for mpmath object arrays, one mp.fdot per row."""
-    import mpmath as mp
-
-    return np.array([mp.fdot(row, q) for row in D], dtype=object)
+_DEC_PREC = 40
+# pi to 50 digits: the decimal module has no trigonometry
+_DEC_PI = "3.1415926535897932384626433832795028841971693993751"
+_SPLITTER = 134217729.0     # 2**27 + 1: Dekker's split of a float64
 
 
-def _mp_energy_norm(q: tuple, D: np.ndarray, w: np.ndarray):
-    """The order-0 energy norm of seminorm_stack, in mpmath."""
-    import mpmath as mp
+def _two_sum(a, b):
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
 
+
+def _fast_two_sum(a, b):
+    """TwoSum for |a| >= |b|."""
+    s = a + b
+    return s, b - (s - a)
+
+
+def _split(a):
+    t = _SPLITTER * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _two_prod(a, b):
+    """a*b = p + e exactly, by Dekker's split: numpy has no fma."""
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dd_add(x, y):
+    s, e = _two_sum(x[0], y[0])
+    t, f = _two_sum(x[1], y[1])
+    s, e = _fast_two_sum(s, e + t)
+    return _fast_two_sum(s, e + f)
+
+
+def _dd_neg(x):
+    return -x[0], -x[1]
+
+
+def _dd_sub(x, y):
+    return _dd_add(x, _dd_neg(y))
+
+
+def _dd_mul(x, y):
+    p, e = _two_prod(x[0], y[0])
+    return _fast_two_sum(p, e + (x[0] * y[1] + x[1] * y[0]))
+
+
+def _dd_div(x, y):
+    q1 = x[0] / y[0]
+    r = _dd_sub(x, _dd_mul(y, (q1, 0.0)))
+    q2 = r[0] / y[0]
+    r = _dd_sub(r, _dd_mul(y, (q2, 0.0)))
+    s, e = _fast_two_sum(q1, q2)
+    return _dd_add((s, e), (r[0] / y[0], 0.0))
+
+
+def _dd_sqrt(x):
+    """One Newton step from the float64 root: s + (x - s^2) / (2 s); the
+    root of 0 is 0."""
+    s = np.sqrt(x[0])
+    r = _dd_sub(x, _two_prod(s, s))
+    return _fast_two_sum(s, r[0] / (2.0 * np.where(s > 0.0, s, 1.0)))
+
+
+def _dd_sum(x):
+    """Pairwise sum along the last axis: the halves are added until one
+    term is left."""
+    hi, lo = x
+    while hi.shape[-1] > 1:
+        m = hi.shape[-1] // 2
+        s = _dd_add((hi[..., :m], lo[..., :m]),
+                    (hi[..., m:2 * m], lo[..., m:2 * m]))
+        hi = np.concatenate([s[0], hi[..., 2 * m:]], axis=-1)
+        lo = np.concatenate([s[1], lo[..., 2 * m:]], axis=-1)
+    return hi[..., 0], lo[..., 0]
+
+
+def _dd_matvec(D, q):
+    """D @ q; the row products are summed pairwise."""
+    return _dd_sum(_dd_mul(D, q))
+
+
+def _dd_from_decimal(values):
+    """Each Decimal split into hi + lo, both float64."""
+    import decimal
+
+    hi = np.array([float(v) for v in values])
+    lo = np.array([float(v - decimal.Decimal(h)) for v, h in zip(values, hi)])
+    return hi, lo
+
+
+def _dec_cos(x):
+    """cos(x) by its Taylor series, with 5 guard digits for the
+    cancellation of the alternating terms at |x| <= pi."""
+    import decimal
+
+    with decimal.localcontext() as ctx:
+        ctx.prec += 5
+        term = total = decimal.Decimal(1)
+        k = 0
+        while True:
+            k += 2
+            term *= -x * x / (k * (k - 1))
+            if total + term == total:
+                return total
+            total += term
+
+
+@functools.lru_cache(maxsize=None)
+def _dd_cheb(N: int):
+    """Nodes cos(pi n/N) as Decimals, and the nodes, the differentiation
+    matrix and the Clenshaw-Curtis weights in dd: chebgrid's cheb_diff
+    (off-diagonal formula, negative-sum diagonal) and Waldvogel weights.
+    Built once per N; the arrays are read-only."""
+    import decimal
+
+    with decimal.localcontext(decimal.Context(prec=_DEC_PREC)):
+        pi = decimal.Decimal(_DEC_PI)
+        y_dec = tuple(_dec_cos(pi * n / N) for n in range(N + 1))
+        y = _dd_from_decimal(y_dec)
+    n = np.arange(N + 1)
+    c = np.hstack([2.0, np.ones(N - 1), 2.0]) * (-1.0) ** n
+    diff = _dd_sub((y[0][:, None], y[1][:, None]), y)
+    eye = np.eye(N + 1)
+    D = _dd_div((np.outer(c, 1.0 / c) * (1.0 - eye), 0.0),
+                (diff[0] + eye, diff[1]))
+    diag = _dd_neg(_dd_sum(D))
+    D = (D[0] + np.diag(diag[0]), D[1] + np.diag(diag[1]))
+    k = np.arange(1, N // 2 + 1)[:, None]
+    m = 2 * k * n[1:N] % (2 * N)
+    m = np.minimum(m, 2 * N - m)
+    fac = np.where(2 * k == N, 1.0, 2.0)
+    terms = _dd_div((fac * y[0][m], fac * y[1][m]), (4.0 * k * k - 1.0, 0.0))
+    v = _dd_sub((1.0, 0.0), _dd_sum((terms[0].T, terms[1].T)))
+    w_hi, w_lo = np.empty(N + 1), np.empty(N + 1)
+    w_hi[1:N], w_lo[1:N] = _dd_div((2.0 * v[0], 2.0 * v[1]), (float(N), 0.0))
+    w_hi[[0, N]], w_lo[[0, N]] = _dd_div(
+        (1.0, 0.0), (float(N * N - 1 if N % 2 == 0 else N * N), 0.0))
+    w = (w_hi, w_lo)
+    for a in (*y, *D, *w):
+        a.flags.writeable = False
+    return y_dec, y, D, w
+
+
+def _dd_energy_norm(q, D, w):
+    """The order-0 energy norm of seminorm_stack, in dd: the integrals of
+    (q1')^2 and q2^2 and the square of the y = -1 trace q1[-1]."""
     q1, q2 = q
-    dq1 = _mp_matvec(D, q1)
-    return mp.sqrt(w @ (dq1 * dq1) + q1[-1] ** 2 + w @ (q2 * q2))
+    dq1 = _dd_matvec(D, q1)
+    sq = _dd_add(_dd_sum(_dd_mul(w, _dd_mul(dq1, dq1))),
+                 _dd_sum(_dd_mul(w, _dd_mul(q2, q2))))
+    return _dd_sqrt(_dd_add(sq, _dd_mul((q1[0][-1], q1[1][-1]),
+                                        (q1[0][-1], q1[1][-1]))))
 
 
 def eigen_triple_residuals(p: float, N: int = 64) -> dict:
@@ -220,43 +362,51 @@ def eigen_triple_residuals(p: float, N: int = 64) -> dict:
     that low order keeps the collocation tail of the slowly-resolved states
     at small p from swamping the 1e-7 certification level.  ValueError
     unless p < 1, where g0 exists."""
-    import mpmath as mp
+    import decimal
 
     _require_g0(p)
-    with mp.workdps(CERT_DPS):
-        y, D, w = _mp_cheb(N)
-        pm = mp.mpf(p)
-        g = mp.sqrt(1 - pm)
-        d = 1 + y * g
-        U = 2 * pm / d
+    y_dec, y, D, w = _dd_cheb(N)
+    with decimal.localcontext(decimal.Context(prec=_DEC_PREC)):
+        g_dec = (1 - decimal.Decimal(p)).sqrt()
+        g = _dd_from_decimal([g_dec])
+        log1p = _dd_from_decimal([(1 + yn * g_dec).ln() for yn in y_dec])
+    d = _dd_add((1.0, 0.0), _dd_mul(y, g))
+    d2 = _dd_mul(d, d)
+    U_minus_1 = _dd_sub(_dd_div((2.0 * p, 0.0), d), (1.0, 0.0))
 
-        def Lp(q):
-            q1, q2 = q
-            dq1 = _mp_matvec(D, q1)
-            return (-y * dq1 + q2,
-                    _mp_matvec(D, dq1) - y * _mp_matvec(D, q2) + (U - 1) * q2)
+    def Lp(q):
+        q1, q2 = q
+        dq1 = _dd_matvec(D, q1)
+        r2 = _dd_sub(_dd_matvec(D, dq1), _dd_mul(y, _dd_matvec(D, q2)))
+        return (_dd_sub(q2, _dd_mul(y, dq1)),
+                _dd_add(r2, _dd_mul(U_minus_1, q2)))
 
-        def norm(q):
-            return _mp_energy_norm(q, D, w)
+    def norm(q):
+        return _dd_energy_norm(q, D, w)
 
-        zero = np.array([mp.mpf(0)] * (N + 1), dtype=object)
-        f0 = (zero + 1, zero.copy())
-        f1 = (-pm * g / d, -pm * g / d**2)
-        g0 = (np.array([-mp.log1p(yi * g) for yi in y], dtype=object)
-              - pm / (2 * (1 - pm)) / d,
-              ((2 - pm) * y + 2 * g) / (2 * g * d**2))
+    def ratio(a, b):
+        return float(_dd_div(a, b)[0])
 
-        Lf0 = Lp(f0)
-        Lf1 = Lp(f1)
-        Lg0 = Lp(g0)
-        LLg0 = Lp(Lg0)
-        out = {
-            "res_f0": float(norm(Lf0) / norm(f0)),
-            "res_f1": float(norm((Lf1[0] - f1[0], Lf1[1] - f1[1])) / norm(f1)),
-            "res_g0": float(norm((Lg0[0] - f0[0], Lg0[1] - f0[1])) / norm(g0)),
-            "res_L2g0": float(norm(LLg0) / norm(g0)),
-        }
-    return out
+    def minus(q, r):
+        return tuple(_dd_sub(a, b) for a, b in zip(q, r))
+
+    zero = (np.zeros(N + 1), np.zeros(N + 1))
+    f0 = ((np.ones(N + 1), np.zeros(N + 1)), zero)
+    pg = _dd_neg(_dd_mul((p, 0.0), g))
+    f1 = (_dd_div(pg, d), _dd_div(pg, d2))
+    two_g = (2.0 * g[0], 2.0 * g[1])
+    c = _dd_div((p, 0.0), _two_sum(2.0, -2.0 * p))    # p / (2 (1 - p))
+    g0 = (_dd_sub(_dd_neg(log1p), _dd_div(c, d)),
+          _dd_div(_dd_add(_dd_mul(_two_sum(2.0, -p), y), two_g),
+                  _dd_mul(two_g, d2)))
+
+    Lg0 = Lp(g0)
+    return {
+        "res_f0": ratio(norm(Lp(f0)), norm(f0)),
+        "res_f1": ratio(norm(minus(Lp(f1), f1)), norm(f1)),
+        "res_g0": ratio(norm(minus(Lg0, f0)), norm(g0)),
+        "res_L2g0": ratio(norm(Lp(Lg0)), norm(g0)),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -529,6 +529,29 @@ def test_manifest_contains_resolved_config_and_seed(tmp_path):
     assert "timing_profile-check_s" in text
 
 
+def _manifest(out_dir) -> dict:
+    return dict(line.split(" = ", 1) for line in
+                (out_dir / "manifest.txt").read_text().splitlines())
+
+
+def test_manifest_lists_the_config_keys_no_command_read(tmp_path):
+    """`unread_keys` names the keys no command of the run read: x0 at
+    `evolve`, which has no shift, but not at `profile-check`, which
+    evaluates the profile at x0.  Every key stays in the manifest."""
+    assert main(["evolve", "--x0", "0.5",
+                 "--output-dir", str(tmp_path / "evolve")]) == EXIT_PASS
+    manifest = _manifest(tmp_path / "evolve")
+    assert manifest["x0"] == "0.5"
+    assert manifest["unread_keys"].split(", ") == [
+        "lambda_im_max", "lambda_re_max", "lambda_re_min", "lambda_step",
+        "seed", "x0"]
+    assert run(parse_config(["profile-check", "--output-dir",
+                             str(tmp_path / "profile")])) == EXIT_PASS
+    unread = _manifest(tmp_path / "profile")["unread_keys"].split(", ")
+    assert "x0" not in unread and "seed" not in unread
+    assert "N" in unread and "x0" in _manifest(tmp_path / "profile")
+
+
 def test_manifest_records_environment(tmp_path):
     # a fresh process, so that sys.modules holds only what mode-scan loaded;
     # OPENBLAS_NUM_THREADS unset, so the manifest shows the CLI's default

@@ -1,8 +1,8 @@
 """Import side effects: importing the package, running a mode scan at any
 p or building the similarity propagators loads no scipy at all, and
 importing the CLI leaves BLAS on one thread.  The layering: the sibling
-imports under src/blowuplab form no cycle, and the linear semigroup check
-runs without the nonlinear layer."""
+imports under src/blowuplab form no cycle, the linear semigroup check
+runs without the nonlinear layer, and no module imports mpmath."""
 
 import ast
 import graphlib
@@ -23,6 +23,8 @@ PROBE = textwrap.dedent("""
     for mod in pkgutil.iter_modules(blowuplab.__path__):
         importlib.import_module(f"blowuplab.{mod.name}")
     assert "scipy.linalg" not in sys.modules
+    # only the eigen-triple certificate needs decimal, and imports it
+    assert "decimal" not in sys.modules
     from blowuplab.evolve import _step_operators, ode_blowup_instability
     from blowuplab.modeanalysis import mode_scan
     from blowuplab.modulation import _nonlinear_integrals
@@ -45,7 +47,7 @@ def test_fresh_process_loads_no_integrate_or_interpolate():
     """Importing every module, running mode scans with and without
     degenerate points (p = 0.5, 0.75, 1), the closed-form instability check,
     the Simpson integrals and the step propagators expm(h L_p / 2) loads no
-    scipy module at all."""
+    scipy module at all, and importing every module loads no decimal."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", PROBE], env=env, check=True,
                          capture_output=True, text=True).stdout
@@ -161,3 +163,40 @@ def test_semigroup_check_loads_no_evolve():
     out = subprocess.run([sys.executable, "-c", SEMIGROUP_PROBE], env=env,
                          check=True, capture_output=True, text=True).stdout
     assert out.split() == ["False"]
+
+
+def _imported_names(tree: ast.AST) -> set:
+    """Every module name an `import` or `from ... import` in tree names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+    return names
+
+
+def test_no_module_imports_mpmath():
+    """numpy is the only run-time dependency: mpmath is the tests' oracle."""
+    offenders = [name for name, path in sorted(MODULES.items())
+                 if any(n.split(".")[0] == "mpmath" for n in _imported_names(
+                     ast.parse(path.read_text(encoding="utf-8"))))]
+    assert offenders == []
+
+
+SPECTRUM_PROBE = textwrap.dedent("""
+    import sys
+    from blowuplab.cli import main
+
+    print(main(["spectrum"]), "mpmath" in sys.modules)
+""")
+
+
+def test_spectrum_run_loads_no_mpmath(tmp_path):
+    """`blowuplab spectrum`, eigen-triple certificate included, runs in a
+    fresh process without loading mpmath."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), BLOWUPLAB_OUT=str(tmp_path))
+    out = subprocess.run([sys.executable, "-c", SPECTRUM_PROBE], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split()[-2:] == ["0", "False"]
+    assert (tmp_path / "spectral_report.txt").exists()

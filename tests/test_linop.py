@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,16 @@ from blowuplab import linop
 from blowuplab.chebgrid import ChebGrid
 from blowuplab.linop import (
     _appendixB_ode_solution,
-    _mp_cheb,
-    _mp_energy_norm,
+    _dd_cheb,
+    _dd_div,
+    _dd_energy_norm,
+    _dd_matvec,
+    _dd_mul,
+    _dd_sub,
+    _dd_sum,
     _random_cheb_state,
+    _two_prod,
+    _two_sum,
     appendixB_dv1,
     appendixB_no_second_jordan_block,
     assemble_Lp,
@@ -101,38 +109,106 @@ def test_eigen_triple_residuals_certified(p):
     assert max(res.values()) < 1e-7
 
 
-def test_certificate_norm_is_the_k0_energy_norm():
-    """The certificate's mpmath norm is the norm of seminorm_stack at k = 0,
-    each term counted once."""
-    import mpmath as mp
+# zero and float64 values whose exponents differ widely: products stay far
+# from overflow and keep their rounding error above the subnormal range
+WIDE_FLOATS = st.just(0.0) | st.builds(
+    lambda sign, m, e: sign * math.ldexp(m, e), st.sampled_from([1.0, -1.0]),
+    st.floats(1.0, 2.0, exclude_max=True), st.integers(-400, 400))
 
+
+@settings(max_examples=300, deadline=None)
+@given(WIDE_FLOATS, WIDE_FLOATS)
+def test_two_sum_and_two_prod_are_error_free(a, b):
+    """a + b = s + e and a * b = p + e hold exactly, s and p the rounded
+    float64 sum and product."""
+    fa, fb = Fraction(a), Fraction(b)
+    s, e = _two_sum(np.float64(a), np.float64(b))
+    assert s == a + b and Fraction(s) + Fraction(e) == fa + fb
+    p, e = _two_prod(np.float64(a), np.float64(b))
+    assert p == a * b and Fraction(p) + Fraction(e) == fa * fb
+
+
+def test_certificate_norm_is_the_k0_energy_norm():
+    """The certificate's dd norm is the norm of seminorm_stack at k = 0."""
     N = 32
     grid = ChebGrid.make(N)
     q = _random_cheb_state(np.random.Generator(np.random.Philox(3)), grid, N // 2)
-    with mp.workdps(35):
-        _, D, w = _mp_cheb(N)
-        halves = [np.array([mp.mpf(float(v)) for v in part], dtype=object)
-                  for part in (q[:N + 1], q[N + 1:])]
-        mp_norm = float(_mp_energy_norm(halves, D, w))
-    assert mp_norm == pytest.approx(np.linalg.norm(seminorm_stack(N, 0) @ q),
-                                    rel=1e-12)
+    zero = np.zeros(N + 1)
+    _, _, D, w = _dd_cheb(N)
+    dd_norm = _dd_energy_norm(((q[:N + 1], zero), (q[N + 1:], zero)), D, w)
+    assert float(dd_norm[0]) == pytest.approx(
+        np.linalg.norm(seminorm_stack(N, 0) @ q), rel=1e-12)
 
 
-def test_mp_grid_is_exact_at_working_precision():
-    """chebgrid's D and weights on mpmath nodes stay in mpmath: D
-    differentiates and w integrates polynomials of degree < N to 1e-30, far
-    below double precision, and every entry is an mpf."""
+def test_dd_grid_is_exact_at_working_precision():
+    """The dd D and weights, built from the decimal nodes, differentiate and
+    integrate polynomials of degree < N far below double precision: D to
+    1e-28 and w to 1e-30."""
+    N = 16
+    _, y, D, w = _dd_cheb(N)
+    one = (np.ones(N + 1), np.zeros(N + 1))
+    powers = [one]                                  # y**deg, deg = 0..N-1
+    for _ in range(N - 1):
+        powers.append(_dd_mul(powers[-1], y))
+    for deg, y_deg in enumerate(powers):
+        exact = _dd_div((2.0 * (deg % 2 == 0), 0.0), (deg + 1.0, 0.0))
+        assert abs(_dd_sub(_dd_sum(_dd_mul(w, y_deg)), exact)[0]) < 1e-30
+        dv = _dd_mul((float(deg), 0.0), powers[deg - 1]) if deg else (0.0, 0.0)
+        err = _dd_sub(_dd_matvec(D, y_deg), dv)
+        assert np.max(np.abs(err[0])) < 1e-28
+
+
+def _mp_eigen_triple_residuals(p, N):
+    """The four residuals of eigen_triple_residuals in 35-digit mpmath, from
+    chebgrid's D and weights applied to mpmath nodes."""
     import mpmath as mp
 
-    N = 16
+    from blowuplab.chebgrid import cheb_diff, clenshaw_curtis_weights
+
     with mp.workdps(35):
-        y, D, w = _mp_cheb(N)
-        assert all(isinstance(v, mp.mpf) for v in (*y, *D.ravel(), *w))
-        for deg in range(N):
-            exact = mp.mpf(2) / (deg + 1) if deg % 2 == 0 else 0
-            assert abs(w @ y ** deg - exact) < mp.mpf(10) ** -30
-            dv = deg * y ** (deg - 1) if deg else 0 * y
-            assert max(abs(a - b) for a, b in zip(D @ y ** deg, dv)) < mp.mpf(10) ** -28
+        y = np.frompyfunc(mp.cos, 1, 1)(mp.pi * np.arange(N + 1) / N)
+        D, w = cheb_diff(y), clenshaw_curtis_weights(y)
+
+        def matvec(q):
+            return np.array([mp.fdot(row, q) for row in D], dtype=object)
+
+        def norm(q):
+            dq1 = matvec(q[0])
+            return mp.sqrt(w @ (dq1 * dq1) + q[0][-1] ** 2 + w @ (q[1] * q[1]))
+
+        def Lp(q):
+            dq1 = matvec(q[0])
+            return (-y * dq1 + q[1],
+                    matvec(dq1) - y * matvec(q[1]) + (U - 1) * q[1])
+
+        pm = mp.mpf(p)
+        g = mp.sqrt(1 - pm)
+        d = 1 + y * g
+        U = 2 * pm / d
+        zero = np.array([mp.mpf(0)] * (N + 1), dtype=object)
+        f0 = (zero + 1, zero.copy())
+        f1 = (-pm * g / d, -pm * g / d**2)
+        g0 = (np.array([-mp.log1p(yi * g) for yi in y], dtype=object)
+              - pm / (2 * (1 - pm)) / d,
+              ((2 - pm) * y + 2 * g) / (2 * g * d**2))
+        Lf1, Lg0 = Lp(f1), Lp(g0)
+        return {
+            "res_f0": float(norm(Lp(f0)) / norm(f0)),
+            "res_f1": float(norm((Lf1[0] - f1[0], Lf1[1] - f1[1])) / norm(f1)),
+            "res_g0": float(norm((Lg0[0] - f0[0], Lg0[1] - f0[1])) / norm(g0)),
+            "res_L2g0": float(norm(Lp(Lg0)) / norm(g0)),
+        }
+
+
+@pytest.mark.parametrize("p", [0.1, 0.25, 0.5, 0.6, 0.75, 0.9, 0.99])
+def test_dd_residuals_match_mpmath(p):
+    """Every dd residual lies within 1e-22 of the 35-digit mpmath one: they
+    agree wherever mpmath reads above that, from 3e-2 at p = 0.1 down."""
+    dd = eigen_triple_residuals(p, 64)
+    oracle = _mp_eigen_triple_residuals(p, 64)
+    assert dd.keys() == oracle.keys()
+    for key, value in oracle.items():
+        assert abs(dd[key] - value) < 1e-22, key
 
 
 # ---------------------------------------------------------------------------
