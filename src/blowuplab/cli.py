@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
@@ -223,6 +224,7 @@ def parse_config(argv) -> RunConfig:
                 f"tau_max = {tau_max:g}; at most MAX_SIMILARITY_STEPS = "
                 f"{MAX_SIMILARITY_STEPS}")
     out_dir = os.environ.get("BLOWUPLAB_OUT") or params["output_dir"]
+    params["output_dir"] = out_dir     # so the manifest names the dir used
     if not params["tag"]:
         params["tag"] = ns.command
     return RunConfig(command=ns.command, parameters=params,
@@ -287,8 +289,7 @@ def _write_manifest(cfg: RunConfig, timings: list, checks: list) -> None:
     lines = [f"command = {cfg.command}"]
     for key in sorted(cfg.parameters):
         lines.append(f"{key} = {_fmt(cfg.parameters[key])}")
-    # keys no command of the run read: output_dir is the run's own, not a
-    # command's (BLOWUPLAB_OUT may override it)
+    # keys no command of the run read; output_dir is the run's own
     unread = sorted(cfg.parameters.keys() - cfg.read - {"output_dir"})
     lines.append(f"unread_keys = {', '.join(unread) or 'none'}")
     lines.append(f"version = {__version__}")
@@ -306,23 +307,20 @@ def _write_manifest(cfg: RunConfig, timings: list, checks: list) -> None:
 # subcommand implementations; each returns a list of (name, ok, detail)
 
 def _run_profile_check(cfg: RunConfig) -> list:
-    from .profiles import (ProfileParams, eval_profile, pde_residual,
+    from .profiles import (ProfileParams, pde_residual, profile_increment,
                            sample_interior_cone_points)
 
     rng = np.random.Generator(np.random.Philox(cfg["seed"]))
     # order is fitted on the larger steps, where truncation dominates the
-    # FD roundoff floor (~eps/h^2, i.e. ~1e-10 already at h = 1e-3)
+    # FD roundoff floor (~eps/h on exact increments, ~1e-11 at h = 1e-3)
     hs = (3.2e-2, 1.6e-2, 8e-3, 1e-3)
     rows, checks = [], []
     for p in (0.25, 0.5, 0.75, 1.0):
         params = ProfileParams(p=p, T=cfg["T"], kappa=cfg["kappa"],
                                x0=cfg["x0"])
-
-        def u(x, t, _pr=params):
-            return eval_profile(_pr, x, t)[0]
-
+        du = functools.partial(profile_increment, params)
         x, t = sample_interior_cone_points(params, 500, rng)
-        worst = {h: float(np.max(pde_residual(u, x, t, h))) for h in hs}
+        worst = {h: float(np.max(pde_residual(du, x, t, h))) for h in hs}
         order = math.log(worst[hs[0]] / worst[hs[2]]) / math.log(hs[0] / hs[2])
         for h in hs:
             rows.append((p, h, worst[h]))

@@ -602,6 +602,21 @@ def _split_basis(grid: ChebGrid, p: float) -> np.ndarray:
     return np.column_stack([h0, f0_state(grid, p).ravel(), h1])
 
 
+def _exact_product(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A @ X by the error-free split of Ozaki, Ogita, Oishi & Rump (2012):
+    rows of A and columns of X are cut on the grid 2^beta above their largest
+    entry, beta = ceil((53 + log2 n) / 2), so BLAS sums A1 @ X1 exactly and
+    rounds only the rest A1 @ X2 + A2 @ X, of relative size 2^(beta - 54)."""
+    beta = math.ceil((53 + math.log2(A.shape[1])) / 2)
+
+    def cut(M, axis):
+        s = np.ldexp(1.0, np.frexp(abs(M).max(axis, keepdims=True))[1] + beta)
+        return (M + s) - s
+
+    A1, X1 = cut(A, 1), cut(X, 0)
+    return A1 @ X1 + (A1 @ (X - X1) + (A - A1) @ X)
+
+
 def _invariant_subspace(B: np.ndarray,
                         X: np.ndarray) -> tuple[np.ndarray, ...]:
     """(Q, A): Q = [Q1, Q2] orthogonal with Q1 spanning the invariant
@@ -612,19 +627,17 @@ def _invariant_subspace(B: np.ndarray,
     (_sylvester3) and takes the QR factor of Q1 + Q2 Y (Stewart 1973).
     Steps run until ||A21|| <= SPLIT_DEFECT_TOL ||B|| (Frobenius norms), at
     least one and at most SPLIT_NEWTON_MAX; ValueError if they do not get
-    there.  A21 is summed in np.longdouble: sep(A11, A22) is 6e-7 at N = 64
-    and 2.5e-7 at N = 96, and with A21 in double precision the subspace
-    moved by 2e-6 under rounding at N = 96, which made the semigroup
-    check's P0 error a readout of rounding.  Where np.longdouble is plain
-    double (Windows, for one) this falls back to that.
+    there.  The residual B Q1 - Q1 A11 behind A21 is an error-free product
+    (_exact_product): sep(A11, A22) is 6e-7 at N = 64 and 2.5e-7 at N = 96,
+    and in double precision rounding moved the subspace by 2e-6 at N = 96.
     """
     norm_B = np.linalg.norm(B)
-    B_ld = B.astype(np.longdouble)
     for step in range(SPLIT_NEWTON_MAX + 1):
         Q = np.linalg.qr(X, mode="complete")[0]
         A = Q.T @ B @ Q
-        Q1_ld = Q[:, :3].astype(np.longdouble)
-        A21 = Q[:, 3:].T @ (B_ld @ Q1_ld - Q1_ld @ A[:3, :3]).astype(float)
+        Q1 = Q[:, :3]
+        A21 = Q[:, 3:].T @ _exact_product(np.hstack([B, -Q1]),
+                                          np.vstack([Q1, A[:3, :3]]))
         defect = np.linalg.norm(A21) / norm_B
         if step and defect <= SPLIT_DEFECT_TOL or step == SPLIT_NEWTON_MAX:
             break

@@ -8,10 +8,10 @@ The family is taken in the form
 with p in (0,1], q in {-1,+1}.  The +p log T normalisation makes
 u(x0, 0) = kappa; dropping it only shifts kappa, and all checks here are
 insensitive to that shift.  Points are passed as arrays x and t: the
-sampler returns them, eval_profile and pde_residual evaluate every point
-in one pass.  The denominators p_c (exact self-similar ansatz) and h_c
-(generalised family) change sign on (-1, 1); their bisected roots are the
-non-existence witnesses.
+sampler returns them, eval_profile, profile_increment and pde_residual
+evaluate every point in one pass.  The denominators p_c (exact
+self-similar ansatz) and h_c (generalised family) change sign on (-1, 1);
+their bisected roots are the non-existence witnesses.
 """
 
 from __future__ import annotations
@@ -67,6 +67,19 @@ def eval_profile(params: ProfileParams, x, t):
     return u, u_t, u_x
 
 
+def profile_increment(params: ProfileParams, x, t, dx, dt):
+    """u(x + dx, t + dt) - u(x, t) = -p log1p((q g dx - dt) / d), exact to
+    rounding as the log argument d is affine in (x, t); ValueError if (x, t)
+    or (x + dx, t + dt) lies outside the domain.  Arguments broadcast."""
+    d = _log_arg(params, x, t)
+    if np.any(np.asarray(d) <= 0.0):
+        raise ValueError("point outside the domain of the profile (log argument <= 0)")
+    z = (params.q * params.root_1mp * dx - dt) / d
+    if np.any(z <= -1.0):
+        raise ValueError("increment leaves the domain of the profile")
+    return -params.p * np.log1p(z)
+
+
 def similarity_profile(p: float, y, kappa: float = 0.0):
     """Static part Ũ_{p,1,kappa}(y) = -p log(1 + y sqrt(1-p)) + kappa."""
     g = math.sqrt(1.0 - p)
@@ -109,24 +122,18 @@ def _fd4(u, h, order):
     return np.tensordot(w, u, axes=1) / 12 / h**order
 
 
-def pde_residual(u_eval, x, t, h: float):
-    """|u_tt - u_xx - u_t^2| at every point (x, t) via centered 4th-order
-    stencils of u_eval(x, t); x and t broadcast together.
-
-    u_eval is called twice, on the x- and on the t-stencil, each an array
-    of shape (5,) + the points' shape, in np.longdouble: the stencils divide
-    rounding by h^2, and in float64 that floor (~eps/h^2) reaches 1e-9 at
-    h = 1e-3.  The residual is returned in float64.
-    """
+def pde_residual(du, x, t, h: float):
+    """|u_tt - u_xx - u_t^2| at the points (x, t), which broadcast together,
+    by centered 4th-order stencils on increments du(x, t, dx, dt) = u(x + dx,
+    t + dt) - u(x, t), dx and dt of shape (5,) + (1,) * ndim.  Their weights
+    sum to 0, so exact increments lower the rounding floor to eps/h."""
     if h <= 0:
         raise ValueError("h must be positive")
-    x, t = np.broadcast_arrays(np.asarray(x, dtype=np.longdouble),
-                               np.asarray(t, dtype=np.longdouble))
+    x, t = np.broadcast_arrays(x, t)
     k = (_OFFS * h).reshape((5,) + (1,) * x.ndim)
-    ux = u_eval(*np.broadcast_arrays(x + k, t))
-    ut = u_eval(*np.broadcast_arrays(x, t + k))
+    ux, ut = du(x, t, k, 0 * k), du(x, t, 0 * k, k)
     u_t = _fd4(ut, h, 1)
-    return np.abs(_fd4(ut, h, 2) - _fd4(ux, h, 2) - u_t * u_t).astype(float)
+    return np.abs(_fd4(ut, h, 2) - _fd4(ux, h, 2) - u_t * u_t)
 
 
 # ---------------------------------------------------------------------------

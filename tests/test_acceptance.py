@@ -21,7 +21,8 @@ def report(capsys, name, ok, detail):
 
 def test_criterion_01_profile_fd_residuals(capsys):
     """4th-order FD residual of the blow-up family at 500 random cone points."""
-    from blowuplab.profiles import (ProfileParams, eval_profile, pde_residual,
+    from blowuplab.profiles import (ProfileParams, pde_residual,
+                                    profile_increment,
                                     sample_interior_cone_points)
 
     t0 = time.perf_counter()
@@ -31,11 +32,11 @@ def test_criterion_01_profile_fd_residuals(capsys):
     for p in (0.25, 0.5, 0.75, 1.0):
         params = ProfileParams(p=p, T=1.0, kappa=0.3, x0=0.1)
 
-        def u(x, t, _pr=params):
-            return eval_profile(_pr, x, t)[0]
+        def du(x, t, dx, dt, _pr=params):
+            return profile_increment(_pr, x, t, dx, dt)
 
         x, t = sample_interior_cone_points(params, 500, rng)
-        worst = {h: float(np.max(pde_residual(u, x, t, h))) for h in hs}
+        worst = {h: float(np.max(pde_residual(du, x, t, h))) for h in hs}
         order = math.log(worst[hs[0]] / worst[hs[2]]) / math.log(hs[0] / hs[2])
         worst_order = min(worst_order, order)
         worst_small = max(worst_small, worst[1e-3])

@@ -552,6 +552,19 @@ def test_manifest_lists_the_config_keys_no_command_read(tmp_path):
     assert "N" in unread and "x0" in _manifest(tmp_path / "profile")
 
 
+def test_manifest_names_the_directory_blowuplab_out_chose(tmp_path,
+                                                          monkeypatch):
+    """Under BLOWUPLAB_OUT the manifest's output_dir is the directory the
+    run wrote its manifest and CSVs to, not the flag's."""
+    env_out = tmp_path / "env_out"
+    monkeypatch.setenv("BLOWUPLAB_OUT", str(env_out))
+    assert main(["appendixB", "--output-dir",
+                 str(tmp_path / "flag_out")]) == EXIT_PASS
+    assert _manifest(env_out)["output_dir"] == str(env_out)
+    assert (env_out / "appendixB.csv").exists()
+    assert not (tmp_path / "flag_out").exists()
+
+
 def test_manifest_records_environment(tmp_path):
     # a fresh process, so that sys.modules holds only what mode-scan loaded;
     # OPENBLAS_NUM_THREADS unset, so the manifest shows the CLI's default

@@ -2,7 +2,8 @@
 p or building the similarity propagators loads no scipy at all, and
 importing the CLI leaves BLAS on one thread.  The layering: the sibling
 imports under src/blowuplab form no cycle, the linear semigroup check
-runs without the nonlinear layer, and no module imports mpmath."""
+runs without the nonlinear layer, no module imports mpmath, and none
+names np.longdouble."""
 
 import ast
 import graphlib
@@ -181,6 +182,15 @@ def test_no_module_imports_mpmath():
     offenders = [name for name, path in sorted(MODULES.items())
                  if any(n.split(".")[0] == "mpmath" for n in _imported_names(
                      ast.parse(path.read_text(encoding="utf-8"))))]
+    assert offenders == []
+
+
+def test_no_module_names_longdouble():
+    """src/ computes alike on every platform: the C long double, 80-bit on
+    x86-64 Linux and plain double on Windows and macOS arm64, is not used.
+    The tests' own extended-precision oracle may use it."""
+    offenders = [name for name, path in sorted(MODULES.items())
+                 if "longdouble" in path.read_text(encoding="utf-8")]
     assert offenders == []
 
 

@@ -1,5 +1,6 @@
 """Linearised operator: states, energy norms, spectrum, projectors, semigroup."""
 
+import inspect
 import math
 import os
 import subprocess
@@ -531,6 +532,88 @@ def test_balance_is_a_power_of_two_similarity():
     assert np.array_equal(B * d[:, None] / d, L)
     assert np.linalg.norm(L, 2) > 1e6
     assert np.linalg.norm(B, 2) < 5e3
+
+
+def _cancelling_pair():
+    """[P, -P] and [Y; Y + dY]: rows of P and columns of Y scaled by 2^-60
+    to 2^60, entries within a row or column spread over 2^-4 to 2^4, and a
+    product whose terms cancel to about 2^-12 of their size."""
+    rng = np.random.Generator(np.random.Philox(3))
+    P = (rng.standard_normal((6, 5)) * np.exp2(rng.integers(-4, 5, (6, 5)))
+         * np.exp2(rng.integers(-60, 61, (6, 1))))
+    Y = (rng.standard_normal((5, 3)) * np.exp2(rng.integers(-4, 5, (5, 3)))
+         * np.exp2(rng.integers(-60, 61, (1, 3))))
+    dY = 2.0**-12 * Y * rng.standard_normal((5, 3))
+    return np.hstack([P, -P]), np.vstack([Y, Y + dY])
+
+
+def _max_ulps(product, A, X):
+    """Largest distance, in ulps of the result, of product(A, X) from the
+    correctly rounded exact product, taken in fractions.Fraction."""
+    exact = np.array([[float(sum(Fraction(a) * Fraction(x)
+                                 for a, x in zip(row, col)))
+                       for col in X.T] for row in A])
+    return np.max(np.abs(product(A, X) - exact) / np.spacing(np.abs(exact)))
+
+
+def _split_residual_error(p, product, N=64):
+    """Largest distance of the split's residual [B, -Q1] [Q1; A11], taken by
+    product, from its pairwise double-double sum, and the residual's size;
+    Q1 and A11 are _invariant_subspace's at the balanced L_p."""
+    grid = ChebGrid.make(N)
+    L = assemble_Lp(p, grid)
+    d = linop._balance(L)
+    B = L * d / d[:, None]
+    Q, A = linop._invariant_subspace(B, linop._split_basis(grid, p)
+                                     / d[:, None])
+    left = np.hstack([B, -Q[:, :3]])
+    right = np.vstack([Q[:, :3], A[:3, :3]])
+    zero = np.zeros(left.shape[:1] + right.shape[::-1])
+    hi, lo = _dd_sum(_dd_mul((left[:, None, :] + zero, zero),
+                             (right.T[None, :, :] + zero, zero)))
+    ref = hi + lo
+    return np.max(np.abs(product(left, right) - ref)), np.max(np.abs(ref))
+
+
+def _without_rest():
+    """linop._exact_product with its rest A1 @ X2 + A2 @ X dropped."""
+    src = inspect.getsource(linop._exact_product)
+    mutated = src.replace(" + (A1 @ (X - X1) + (A - A1) @ X)", "")
+    assert mutated != src
+    namespace = dict(vars(linop))
+    exec(mutated, namespace)
+    return namespace["_exact_product"]
+
+
+def test_exact_product_is_correctly_rounded():
+    """On a pair with entries from 2^-33 to 2^54 whose product cancels, the
+    split's product lies within 1 ulp of the correctly rounded exact
+    product (it reads 0 ulps); plain float64 BLAS is 3e4 ulps off."""
+    A, X = _cancelling_pair()
+    assert _max_ulps(linop._exact_product, A, X) <= 1.0
+    assert _max_ulps(np.matmul, A, X) > 1e3
+
+
+@pytest.mark.parametrize("p", [0.5, 0.75, 1.0])
+def test_split_residual_matches_double_double(p):
+    """The split's residual at N = 64 against the pairwise double-double
+    sum of _dd_mul products: measured 3.6e-19, 1.9e-18 and 8.7e-18 at
+    p = 0.5, 0.75 and 1 on residuals of 1.1e-13, 7.6e-14 and 3.0e-14;
+    np.longdouble read 2.1e-17, 1.0e-17 and 1.3e-17, float64 1e-13."""
+    err, size = _split_residual_error(p, linop._exact_product)
+    assert size > 1e-14 and err < 2e-17
+
+
+def test_exact_product_checks_see_a_dropped_rest(monkeypatch):
+    """A copy of _exact_product without the rest A1 @ X2 + A2 @ X fails both
+    checks above; monkeypatched into linop, the split's Newton steps stall."""
+    mutant = _without_rest()
+    assert _max_ulps(mutant, *_cancelling_pair()) > 1e3
+    err, size = _split_residual_error(0.75, mutant)
+    assert err > 1e3 * size
+    monkeypatch.setattr(linop, "_exact_product", mutant)
+    with pytest.raises(ValueError, match="not refined"):
+        _split_residual_error(0.75, mutant)
 
 
 def _near_jordan(rng):

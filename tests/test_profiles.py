@@ -17,6 +17,7 @@ from blowuplab.profiles import (
     find_general_denominator_zero,
     general_riccati_denominator,
     pde_residual,
+    profile_increment,
     sample_interior_cone_points,
 )
 
@@ -54,6 +55,35 @@ def test_eval_profile_outside_domain():
         eval_profile(params, x, np.full(4, 0.99))
 
 
+def test_profile_increment_matches_value_differences():
+    """u(x + dx, t + dt) - u(x, t) from eval_profile, for both signs of q."""
+    for q in (-1, 1):
+        params = ProfileParams(p=0.6, q=q, kappa=0.2, T=1.5, x0=0.3)
+        x, t = sample_interior_cone_points(params, 50, RNG)
+        dx, dt = 0.01 * np.array([[-2.0], [1.0], [3.0]]), 0.02
+        diff = (eval_profile(params, x + dx, t + dt)[0]
+                - eval_profile(params, x, t)[0])
+        inc = profile_increment(params, x, t, dx, dt)
+        assert inc.shape == (3, 50)
+        assert np.max(np.abs(inc - diff)) < 1e-14
+
+
+def test_profile_increment_outside_domain():
+    """A stencil point past the lateral boundary raises ValueError, as
+    eval_profile does, instead of a NaN or a log warning; so does a base
+    point outside the domain."""
+    params = ProfileParams(p=0.75, T=1.0)   # d = 1 - t + x / 2
+    x, t = np.array([0.0, -0.02]), np.array([0.0, 0.98])   # d = 1, 0.01
+    assert np.all(np.isfinite(profile_increment(params, x, t, 0.0, 0.005)))
+    for dx, dt in ((0.0, 0.05), (-0.05, 0.0), (0.0, 1.0)):
+        with pytest.raises(ValueError):
+            profile_increment(params, x, t, dx, dt)
+    with pytest.raises(ValueError):
+        profile_increment(params, -10.0, 0.99, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        pde_residual(lambda *a: profile_increment(params, *a), x, t, 0.02)
+
+
 # ---------------------------------------------------------------------------
 # interior sampler
 
@@ -81,46 +111,46 @@ def test_pde_residual_exact_profile():
     params = ProfileParams(p=0.75, T=1.0)
     x, t = sample_interior_cone_points(params, 200, RNG)
 
-    def u(x, t):
-        return eval_profile(params, x, t)[0]
+    def du(x, t, dx, dt):
+        return profile_increment(params, x, t, dx, dt)
 
-    res = pde_residual(u, x, t, 1e-3)
+    res = pde_residual(du, x, t, 1e-3)
     assert res.shape == x.shape
     assert np.all(res < 1e-9)
 
 
 def test_pde_residual_ode_solution():
-    def u(x, t):
-        return -np.log(1.0 - t)
+    def du(x, t, dx, dt):     # u = -log(1 - t)
+        return -np.log1p(-dt / (1.0 - t))
 
     x, t = np.meshgrid(np.linspace(-0.3, 0.3, 4), np.linspace(0.0, 0.4, 3))
-    res = pde_residual(u, x, t, 1e-3)
+    res = pde_residual(du, x, t, 1e-3)
     assert res.shape == (3, 4)
     assert np.all(res < 1e-9)
 
 
 def test_pde_residual_non_solution():
-    def u(x, t):
-        return x * x
+    def du(x, t, dx, dt):     # u = x^2, by differences of values
+        return (x + dx) ** 2 - x ** 2 + 0 * dt
 
     x = np.array([0.1, -0.4, 2.0])
-    res = pde_residual(u, x, 0.1, 1e-4)
+    res = pde_residual(du, x, 0.1, 1e-4)
     assert res.shape == x.shape
     assert res == pytest.approx(2.0, abs=1e-5)
     for h in (0.0, -1e-3):
         with pytest.raises(ValueError):
-            pde_residual(u, x, 0.1, h)
+            pde_residual(du, x, 0.1, h)
 
 
 def test_pde_residual_fourth_order():
     params = ProfileParams(p=0.5, T=1.0)
 
-    def u(x, t):
-        return eval_profile(params, x, t)[0]
+    def du(x, t, dx, dt):
+        return profile_increment(params, x, t, dx, dt)
 
     x, t = sample_interior_cone_points(params, 50, RNG)
     hs = (3.2e-2, 8e-3)
-    worst = {h: np.max(pde_residual(u, x, t, h)) for h in hs}
+    worst = {h: np.max(pde_residual(du, x, t, h)) for h in hs}
     order = math.log(worst[hs[0]] / worst[hs[1]]) / math.log(hs[0] / hs[1])
     assert order >= 3.5
 
@@ -128,17 +158,18 @@ def test_pde_residual_fourth_order():
 def test_profile_check_gate_holds_over_seeds():
     """The points `blowuplab profile-check --seed s` draws at its defaults
     (T = 1, kappa = 0, x0 = 0) pass the res(h = 1e-3) < 1e-9 gate for
-    s = 0..299.  In float64 the residual sat at the FD roundoff floor
-    (~eps/h^2) and seed 186 read 1.006e-9 at p = 0.75; in long double the
-    worst reads 2.8e-11."""
+    s = 0..299.  On float64 values the residual sat at the FD roundoff
+    floor (~eps/h^2) and seed 186 read 1.006e-9 at p = 0.75; on exact
+    increments (floor ~eps/h) the worst reads 2.84e-11 (seed 249, p = 0.5)."""
     worst = []
     for seed in range(300):
         rng = np.random.Generator(np.random.Philox(seed))
         for p in (0.25, 0.5, 0.75, 1.0):
             params = ProfileParams(p=p)
             x, t = sample_interior_cone_points(params, 500, rng)
-            res = pde_residual(lambda x, t: eval_profile(params, x, t)[0],
-                               x, t, 1e-3)
+            res = pde_residual(
+                lambda x, t, dx, dt: profile_increment(params, x, t, dx, dt),
+                x, t, 1e-3)
             worst.append(np.max(res))
     assert np.max(worst) < 1e-9
 
