@@ -3,15 +3,16 @@
 Standard differentiation matrix (Trefethen, Spectral Methods in MATLAB,
 chap. 6) together with Clenshaw-Curtis quadrature weights.  Nodes are
 y_n = cos(pi*n/N), n = 0..N, i.e. ordered from +1 down to -1.  Both are
-functions of the node array alone, in its number type: the float64 grid
-and the tests' mpmath oracle share one formula each, and the double-double
-grid of the eigen-triple certificate (linop._dd_cheb) repeats them.
+functions of the node array alone, in its number type, and use integer
+constants only: one formula serves the float64 grid, the 34-digit Decimal
+grid of the eigen-triple certificate (linop._dec_grid) and the tests'
+mpmath oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -22,10 +23,13 @@ TRUNCATE_FRACTION = 2.0 / 3.0  # share of the modes truncate_modes keeps
 
 def cheb_diff(y: np.ndarray) -> np.ndarray:
     """The (N+1)x(N+1) differentiation matrix on the nodes y_n = cos(pi*n/N),
-    in their number type: float64, or mpmath objects in the tests."""
+    in their number type: float64, Decimal or mpmath objects.  The weights
+    c are integers, so Decimal, which refuses floats, passes; c_j is +-1 or
+    +-2, so c_j (y_i - y_j) is exact in float64 and c_i / (c_j (y_i - y_j))
+    rounds once."""
     N = len(y) - 1
-    c = np.hstack([2.0, np.ones(N - 1), 2.0]) * (-1.0) ** np.arange(N + 1)
-    D = np.outer(c, 1.0 / c) / (np.subtract.outer(y, y) + np.eye(N + 1))
+    c = np.hstack([2, np.ones(N - 1, dtype=int), 2]) * (-1) ** np.arange(N + 1)
+    D = c[:, None] / (c * (np.subtract.outer(y, y) + np.eye(N + 1, dtype=int)))
     D -= np.diag(D.sum(axis=1))
     return D
 
@@ -51,12 +55,17 @@ class ChebGrid:
 
     N: int
     y: np.ndarray = field(repr=False)
-    D: np.ndarray = field(repr=False)
     w: np.ndarray = field(repr=False)
 
     @classmethod
     def make(cls, N: int) -> "ChebGrid":
         return _make_grid(N)
+
+    @cached_property
+    def D(self) -> np.ndarray:
+        """Differentiation matrix, built on first use: quadrature-only grids
+        never build it."""
+        return cheb_diff(self.y)
 
     @property
     def D2(self) -> np.ndarray:
@@ -80,7 +89,7 @@ class ChebGrid:
 @lru_cache(maxsize=None)
 def _make_grid(N: int) -> ChebGrid:
     y = np.cos(np.pi * np.arange(N + 1) / N)
-    return ChebGrid(N=N, y=y, D=cheb_diff(y), w=clenshaw_curtis_weights(y))
+    return ChebGrid(N=N, y=y, w=clenshaw_curtis_weights(y))
 
 
 @lru_cache(maxsize=None)
@@ -104,9 +113,16 @@ def cheb_coeffs(vals: np.ndarray) -> np.ndarray:
 
 def cheb_vals(coeffs: np.ndarray) -> np.ndarray:
     """Nodal values from Chebyshev coefficients (inverse of cheb_coeffs)."""
-    N = len(coeffs) - 1
+    return _cos_matrix(len(coeffs) - 1) @ coeffs
+
+
+@lru_cache(maxsize=None)
+def _cos_matrix(N: int) -> np.ndarray:
+    """cos(pi m n / N), m, n = 0..N: built once per N and read-only."""
     n = np.arange(N + 1)
-    return np.cos(np.pi * np.outer(n, n) / N) @ coeffs
+    C = np.cos(np.pi * np.outer(n, n) / N)
+    C.flags.writeable = False
+    return C
 
 
 def exponential_filter(vals: np.ndarray) -> np.ndarray:

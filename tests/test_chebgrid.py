@@ -1,10 +1,14 @@
 """Chebyshev collocation: differentiation, quadrature, interpolation, modes."""
 
+import decimal
+from decimal import Decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blowuplab import chebgrid
 from blowuplab.chebgrid import (
     ChebGrid,
     cheb_coeffs,
@@ -145,3 +149,43 @@ def test_truncate_modes_zeroes_tail():
 def test_cheb_diff_rows_sum_to_zero():
     D = cheb_diff(np.cos(np.pi * np.arange(21) / 20))
     assert np.max(np.abs(D.sum(axis=1))) < 1e-10
+
+
+def _cheb_diff_float_constants(y):
+    """cheb_diff with float weights, c_i / c_j taken before the division."""
+    N = len(y) - 1
+    c = np.hstack([2.0, np.ones(N - 1), 2.0]) * (-1.0) ** np.arange(N + 1)
+    D = np.outer(c, 1.0 / c) / (np.subtract.outer(y, y) + np.eye(N + 1))
+    D -= np.diag(D.sum(axis=1))
+    return D
+
+
+@pytest.mark.parametrize("N", [8, 16, 64, 400])
+def test_cheb_diff_matches_float_constant_formula_bitwise(N):
+    """Integer weights leave the float64 matrix bitwise as it was: c_j is
+    +-1 or +-2, so both orders round c_i / (c_j (y_i - y_j)) once."""
+    y = ChebGrid.make(N).y
+    D = cheb_diff(y)
+    assert D.dtype == np.float64
+    assert D.tobytes() == _cheb_diff_float_constants(y).tobytes()
+
+
+def test_grid_formulas_accept_decimal_nodes():
+    """cheb_diff and clenshaw_curtis_weights run on Decimal object arrays,
+    which refuse to mix with float, and agree with the float64 grid."""
+    grid = ChebGrid.make(8)
+    with decimal.localcontext(decimal.Context(prec=34)):
+        y = np.frompyfunc(Decimal, 1, 1)(grid.y)
+        D, w = cheb_diff(y), clenshaw_curtis_weights(y)
+    assert all(isinstance(v, Decimal) for v in (*D.ravel(), *w))
+    assert np.max(np.abs(D.astype(float) - grid.D)) < 1e-12
+    assert np.max(np.abs(w.astype(float) - grid.w)) < 1e-15
+
+
+def test_quadrature_grid_builds_no_differentiation_matrix():
+    """ChebGrid.D is built on first use and then kept (an uncached grid, so
+    that no other test has read its D)."""
+    grid = chebgrid._make_grid.__wrapped__(12)
+    grid.integrate(grid.y)
+    assert "D" not in vars(grid)
+    assert grid.D is grid.D and "D" in vars(grid)

@@ -1,11 +1,13 @@
 """Linearised operator: states, energy norms, spectrum, projectors, semigroup."""
 
+import decimal
 import inspect
 import math
 import os
 import subprocess
 import sys
 import textwrap
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,16 +20,9 @@ from blowuplab import linop
 from blowuplab.chebgrid import ChebGrid
 from blowuplab.linop import (
     _appendixB_ode_solution,
-    _dd_cheb,
-    _dd_div,
-    _dd_energy_norm,
-    _dd_matvec,
-    _dd_mul,
-    _dd_sub,
-    _dd_sum,
+    _dec_energy_norm,
+    _dec_grid,
     _random_cheb_state,
-    _two_prod,
-    _two_sum,
     appendixB_dv1,
     appendixB_no_second_jordan_block,
     assemble_Lp,
@@ -110,53 +105,30 @@ def test_eigen_triple_residuals_certified(p):
     assert max(res.values()) < 1e-7
 
 
-# zero and float64 values whose exponents differ widely: products stay far
-# from overflow and keep their rounding error above the subnormal range
-WIDE_FLOATS = st.just(0.0) | st.builds(
-    lambda sign, m, e: sign * math.ldexp(m, e), st.sampled_from([1.0, -1.0]),
-    st.floats(1.0, 2.0, exclude_max=True), st.integers(-400, 400))
-
-
-@settings(max_examples=300, deadline=None)
-@given(WIDE_FLOATS, WIDE_FLOATS)
-def test_two_sum_and_two_prod_are_error_free(a, b):
-    """a + b = s + e and a * b = p + e hold exactly, s and p the rounded
-    float64 sum and product."""
-    fa, fb = Fraction(a), Fraction(b)
-    s, e = _two_sum(np.float64(a), np.float64(b))
-    assert s == a + b and Fraction(s) + Fraction(e) == fa + fb
-    p, e = _two_prod(np.float64(a), np.float64(b))
-    assert p == a * b and Fraction(p) + Fraction(e) == fa * fb
-
-
 def test_certificate_norm_is_the_k0_energy_norm():
-    """The certificate's dd norm is the norm of seminorm_stack at k = 0."""
+    """The certificate's Decimal norm is the norm of seminorm_stack at k = 0."""
     N = 32
     grid = ChebGrid.make(N)
     q = _random_cheb_state(np.random.Generator(np.random.Philox(3)), grid, N // 2)
-    zero = np.zeros(N + 1)
-    _, _, D, w = _dd_cheb(N)
-    dd_norm = _dd_energy_norm(((q[:N + 1], zero), (q[N + 1:], zero)), D, w)
-    assert float(dd_norm[0]) == pytest.approx(
+    _, D, w = _dec_grid(N)
+    dec_norm = _dec_energy_norm(np.frompyfunc(Decimal, 1, 1)(q.reshape(2, -1)),
+                                D, w)
+    assert float(dec_norm) == pytest.approx(
         np.linalg.norm(seminorm_stack(N, 0) @ q), rel=1e-12)
 
 
-def test_dd_grid_is_exact_at_working_precision():
-    """The dd D and weights, built from the decimal nodes, differentiate and
+def test_decimal_grid_is_exact_at_working_precision():
+    """chebgrid's D and weights on the Decimal nodes differentiate and
     integrate polynomials of degree < N far below double precision: D to
     1e-28 and w to 1e-30."""
     N = 16
-    _, y, D, w = _dd_cheb(N)
-    one = (np.ones(N + 1), np.zeros(N + 1))
-    powers = [one]                                  # y**deg, deg = 0..N-1
-    for _ in range(N - 1):
-        powers.append(_dd_mul(powers[-1], y))
-    for deg, y_deg in enumerate(powers):
-        exact = _dd_div((2.0 * (deg % 2 == 0), 0.0), (deg + 1.0, 0.0))
-        assert abs(_dd_sub(_dd_sum(_dd_mul(w, y_deg)), exact)[0]) < 1e-30
-        dv = _dd_mul((float(deg), 0.0), powers[deg - 1]) if deg else (0.0, 0.0)
-        err = _dd_sub(_dd_matvec(D, y_deg), dv)
-        assert np.max(np.abs(err[0])) < 1e-28
+    y, D, w = _dec_grid(N)
+    with decimal.localcontext(decimal.Context(prec=linop._DEC_PREC)):
+        for deg in range(N):
+            exact = Decimal(2 * (deg % 2 == 0)) / (deg + 1)
+            assert abs(w @ y ** deg - exact) < Decimal("1e-30")
+            dv = deg * y ** (deg - 1) if deg else 0
+            assert max(abs(D @ y ** deg - dv)) < Decimal("1e-28")
 
 
 def _mp_eigen_triple_residuals(p, N):
@@ -202,14 +174,15 @@ def _mp_eigen_triple_residuals(p, N):
 
 
 @pytest.mark.parametrize("p", [0.1, 0.25, 0.5, 0.6, 0.75, 0.9, 0.99])
-def test_dd_residuals_match_mpmath(p):
-    """Every dd residual lies within 1e-22 of the 35-digit mpmath one: they
-    agree wherever mpmath reads above that, from 3e-2 at p = 0.1 down."""
-    dd = eigen_triple_residuals(p, 64)
+def test_certificate_residuals_match_mpmath(p):
+    """Every certificate residual lies within 1e-22 of the 35-digit mpmath
+    one: they agree wherever mpmath reads above that, from 3e-2 at p = 0.1
+    down."""
+    res = eigen_triple_residuals(p, 64)
     oracle = _mp_eigen_triple_residuals(p, 64)
-    assert dd.keys() == oracle.keys()
+    assert res.keys() == oracle.keys()
     for key, value in oracle.items():
-        assert abs(dd[key] - value) < 1e-22, key
+        assert abs(res[key] - value) < 1e-22, key
 
 
 # ---------------------------------------------------------------------------
@@ -547,18 +520,22 @@ def _cancelling_pair():
     return np.hstack([P, -P]), np.vstack([Y, Y + dY])
 
 
+def _rounded_exact_product(A, X):
+    """A @ X summed exactly in fractions.Fraction, then rounded to float64."""
+    to_fraction = np.frompyfunc(Fraction, 1, 1)
+    return (to_fraction(A) @ to_fraction(X)).astype(float)
+
+
 def _max_ulps(product, A, X):
     """Largest distance, in ulps of the result, of product(A, X) from the
-    correctly rounded exact product, taken in fractions.Fraction."""
-    exact = np.array([[float(sum(Fraction(a) * Fraction(x)
-                                 for a, x in zip(row, col)))
-                       for col in X.T] for row in A])
+    correctly rounded exact product."""
+    exact = _rounded_exact_product(A, X)
     return np.max(np.abs(product(A, X) - exact) / np.spacing(np.abs(exact)))
 
 
 def _split_residual_error(p, product, N=64):
     """Largest distance of the split's residual [B, -Q1] [Q1; A11], taken by
-    product, from its pairwise double-double sum, and the residual's size;
+    product, from the correctly rounded exact one, and the residual's size;
     Q1 and A11 are _invariant_subspace's at the balanced L_p."""
     grid = ChebGrid.make(N)
     L = assemble_Lp(p, grid)
@@ -568,10 +545,7 @@ def _split_residual_error(p, product, N=64):
                                      / d[:, None])
     left = np.hstack([B, -Q[:, :3]])
     right = np.vstack([Q[:, :3], A[:3, :3]])
-    zero = np.zeros(left.shape[:1] + right.shape[::-1])
-    hi, lo = _dd_sum(_dd_mul((left[:, None, :] + zero, zero),
-                             (right.T[None, :, :] + zero, zero)))
-    ref = hi + lo
+    ref = _rounded_exact_product(left, right)
     return np.max(np.abs(product(left, right) - ref)), np.max(np.abs(ref))
 
 
@@ -595,11 +569,11 @@ def test_exact_product_is_correctly_rounded():
 
 
 @pytest.mark.parametrize("p", [0.5, 0.75, 1.0])
-def test_split_residual_matches_double_double(p):
-    """The split's residual at N = 64 against the pairwise double-double
-    sum of _dd_mul products: measured 3.6e-19, 1.9e-18 and 8.7e-18 at
-    p = 0.5, 0.75 and 1 on residuals of 1.1e-13, 7.6e-14 and 3.0e-14;
-    np.longdouble read 2.1e-17, 1.0e-17 and 1.3e-17, float64 1e-13."""
+def test_split_residual_matches_exact_product(p):
+    """The split's residual at N = 64 against the correctly rounded exact
+    product: measured 3.6e-19, 1.9e-18 and 8.7e-18 at p = 0.5, 0.75 and 1
+    on residuals of 1.1e-13, 7.6e-14 and 3.0e-14; np.longdouble read
+    2.1e-17, 1.0e-17 and 1.3e-17, float64 1e-13."""
     err, size = _split_residual_error(p, linop._exact_product)
     assert size > 1e-14 and err < 2e-17
 
