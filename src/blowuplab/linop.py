@@ -23,7 +23,10 @@ import numpy as np
 from .chebgrid import ChebGrid, cheb_diff, clenshaw_curtis_weights
 from .profiles import similarity_profile_q2
 
-DEFAULT_K = 4
+# working energy order: the continuum edge sigma_k = 1/2 + sqrt(1-p) - k of
+# H^{k+1} x H^k lies left of -OMEGA0 at every p in (0, 1] from k = 2 on
+# (sigma_2 = sqrt(1-p) - 3/2), and each order above costs conditioning
+DEFAULT_K = 2
 APPENDIXB_WINDOW = (1e-6, 1e-4)   # 1 - y range of the boundedness check
 APPENDIXB_RK4_STEPS = 1000        # RK4 steps of the dv1 ODE cross-check
 NEUTRAL_COND_LIMIT = 1e10   # largest cond(Wh V) neutral_coordinates accepts

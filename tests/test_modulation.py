@@ -233,7 +233,7 @@ def test_fit_evaluates_each_point_once(monkeypatch):
 
 def test_fit_evolves_one_trajectory_per_iteration(monkeypatch):
     """`modulate` data at the defaults: every iteration evolves exactly one
-    trajectory, five in all."""
+    trajectory, four in all."""
     calls = []
 
     def counted(cfg, q0, grid):
@@ -242,8 +242,8 @@ def test_fit_evolves_one_trajectory_per_iteration(monkeypatch):
 
     monkeypatch.setattr(modulation, "evolve_states", counted)
     st = fit_parameters(_legendre_f(1e-4), BASELINE)
-    assert st.converged and st.iterations == 5
-    assert len(calls) == 5
+    assert st.converged and st.iterations == 4
+    assert len(calls) == st.iterations
 
 
 def test_fit_waits_for_the_trajectory_to_start_from_the_data(monkeypatch):
