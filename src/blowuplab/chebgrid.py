@@ -4,9 +4,8 @@ Standard differentiation matrix (Trefethen, Spectral Methods in MATLAB,
 chap. 6) together with Clenshaw-Curtis quadrature weights.  Nodes are
 y_n = cos(pi*n/N), n = 0..N, i.e. ordered from +1 down to -1.  Both are
 functions of the node array alone, in its number type, and use integer
-constants only: one formula serves the float64 grid, the 34-digit Decimal
-grid of the eigen-triple certificate (linop._dec_grid) and the tests'
-mpmath oracle.
+constants only: one formula serves the float64 grid and the tests'
+35-digit mpmath oracle.
 """
 
 from __future__ import annotations
@@ -67,9 +66,14 @@ class ChebGrid:
         never build it."""
         return cheb_diff(self.y)
 
-    @property
-    def D2(self) -> np.ndarray:
-        return _deriv_pow(self.N, 2)
+    @cached_property
+    def integral_matrix(self) -> np.ndarray:
+        """Matrix of v -> int_{-1}^{y_n} of the interpolant of v, on the
+        nodes, from its Chebyshev series (the degree-(N+1) term is kept)."""
+        cheb = np.polynomial.chebyshev
+        return np.column_stack([
+            cheb.chebval(self.y, cheb.chebint(cheb_coeffs(e), lbnd=-1))
+            for e in np.eye(self.N + 1)])
 
     def deriv_pow(self, k: int) -> np.ndarray:
         """k-th power of the differentiation matrix (cached)."""

@@ -1,8 +1,9 @@
 """Nonlinear evolution of the perturbation in similarity variables.
 
-The perturbation q = (q1, q2) of the blow-up profile obeys
+The perturbation of the blow-up profile, as the state u = (c, v, q2) of
+`linop` (c = q1(-1), v = q1'), obeys
 
-    d q / d tau = L_p q + (0, q2^2),
+    d u / d tau = L_p u + (0, 0, q2^2),
 
 discretised with the Chebyshev collocation operator from `linop` (no boundary
 rows: the principal coefficient degenerates at y = ±1 and characteristics
@@ -10,8 +11,8 @@ leave the interval).  Lawson's integrating-factor RK4 in tau (Lawson 1967,
 SIAM J. Numer. Anal. 4:372) at the fixed step IF_STEP: the linear part is
 propagated exactly by expm(h L_p / 2) (linop._expm) and its square, so the
 step is set by accuracy and not by the stiff spectrum of L_p.  A mild
-exponential filter on the top third of the Chebyshev modes after each step
-keeps endpoint noise below truncation level.
+exponential filter on the top third of the Chebyshev modes of v and q2
+after each step keeps endpoint noise below truncation level.
 
 Also here: the closed-form divergence of the blow-up family from the
 spatially homogeneous ODE solution as p -> 1, and a physical-space (x, t)
@@ -27,10 +28,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chebgrid import (ChebGrid, cheb_coeffs, exponential_filter,
-                       truncate_modes)
+from .chebgrid import ChebGrid, exponential_filter, truncate_modes
 from .linop import (DEFAULT_K, OMEGA0, _expm, assemble_Lp, energy_norm,
-                    fit_log_slope, neutral_coordinates)
+                    fit_log_slope, neutral_coordinates, q1_values, to_state)
 from .profiles import (ProfileParams, _log_arg, eval_profile,
                        similarity_profile, similarity_profile_q2)
 
@@ -86,13 +86,14 @@ class DecayFit:
         log-slope of the k-norms fitted over DECAY_FIT_WINDOW.  The window
         starts after the initial multi-mode transient and ends before an
         unstable remnant (grown like e^tau from roundoff, or from the
-        correction floor of modulated data) re-emerges."""
-        norms = np.array([energy_norm(k, q, grid) for q in Q])
-        l2s = [math.sqrt(grid.integrate(q1 ** 2) + grid.integrate(q2 ** 2))
-               for q1, q2 in Q]
+        correction floor of modulated data) re-emerges.  The L2 norms read
+        q1 = c + int v (linop.q1_values)."""
+        norms = np.array([energy_norm(k, u, grid) for u in Q])
+        l2s = np.sqrt(q1_values(Q, grid) ** 2 @ grid.w
+                      + Q[:, -(grid.N + 1):] ** 2 @ grid.w)
         rate, r2 = fit_log_slope(taus, norms, DECAY_FIT_WINDOW)
         return cls(taus=taus, norms=norms, fitted_rate=rate, r_squared=r2,
-                   l2_norms=np.array(l2s))
+                   l2_norms=l2s)
 
     def decays_at(self) -> bool:
         """True when the fit is exponential (r^2 >= DECAY_R2_MIN) and
@@ -108,46 +109,45 @@ def _step_operators(p: float, N: int, h: float) -> tuple[np.ndarray, ...]:
     and squares), that one step of step_similarity reads, read-only; one
     cache entry, since callers run all their steps at one (p, N, h).
 
-    N(u) = (0, q2^2) has no q1 half, so a propagator acting on a stage
-    value needs only its q2 columns, and the stages need only the q2 rows
-    of their inputs.  P = [half[n:]; full[n:]] gives the q2 rows of half u
-    and full u; H2 and H1 are the q2-q2 block of half times h / 2 and h.
-    M maps [u, a1, a2 + a3, a4], with a_i the q2 halves of the stages, to
-    the next state: full, then h / 6 full, h / 3 half and h / 6 times the
-    identity on their q2 columns, each column filtered (exponential_filter)
-    as a state, since the filter is linear.
+    N(u) = (0, 0, q2^2) lives on the q2 block, the last n = N + 1 entries,
+    so a propagator acting on a stage value needs only its q2 columns, and
+    the stages need only the q2 rows of their inputs.  P = [half[-n:];
+    full[-n:]] gives the q2 rows of half u and full u; H2 and H1 are the
+    q2-q2 block of half times h / 2 and h.  M maps [u, a1, a2 + a3, a4],
+    with a_i the q2 blocks of the stages, to the next state: full, then
+    h / 6 full, h / 3 half and h / 6 times the identity on their q2
+    columns, with the v and q2 blocks of each column filtered
+    (exponential_filter), since the filter is linear; c is a number.
     """
     half = _expm(0.5 * h * assemble_Lp(p, ChebGrid.make(N)))
     full = half @ half
     n = N + 1
-    lift = np.zeros((2 * n, n))
-    lift[n:] = np.eye(n)
-    M = np.hstack([full, (h / 6.0) * full[:, n:], (h / 3.0) * half[:, n:],
+    lift = np.zeros((2 * n + 1, n))
+    lift[-n:] = np.eye(n)
+    M = np.hstack([full, (h / 6.0) * full[:, -n:], (h / 3.0) * half[:, -n:],
                    (h / 6.0) * lift])
-    M = np.ascontiguousarray(
-        exponential_filter(M.T.reshape(-1, 2, n)).reshape(-1, 2 * n).T)
-    ops = (np.vstack([half[n:], full[n:]]), (0.5 * h) * half[n:, n:],
-           h * half[n:, n:], M)
+    M[1:] = exponential_filter(M[1:].T.reshape(-1, 2, n)).reshape(-1, 2 * n).T
+    ops = (np.vstack([half[-n:], full[-n:]]), (0.5 * h) * half[-n:, -n:],
+           h * half[-n:, -n:], M)
     for a in ops:
         a.flags.writeable = False
     return ops
 
 
-def step_similarity(q: np.ndarray, p: float, h: float,
+def step_similarity(u: np.ndarray, p: float, h: float,
                     grid: ChebGrid) -> np.ndarray:
     """One filtered integrating-factor RK4 step of the perturbation system,
-    from the state q, shape (2, N+1), to the next: the stages
-    k_i = (0, a_i) on the q2 blocks of the propagators (_step_operators)."""
+    from the state u to the next: the stages k_i = (0, 0, a_i) on the q2
+    blocks of the propagators (_step_operators)."""
     P, H2, H1, M = _step_operators(p, grid.N, h)
     n = grid.N + 1
-    u = q.ravel()
-    a1 = u[n:] ** 2
-    v = P @ u
-    half_u, full_u = v[:n], v[n:]
+    a1 = u[-n:] ** 2
+    w = P @ u
+    half_u, full_u = w[:n], w[n:]
     a2 = (half_u + H2 @ a1) ** 2
     a3 = (half_u + (0.5 * h) * a2) ** 2
     a4 = (full_u + H1 @ a3) ** 2
-    return (M @ np.concatenate([u, a1, a2 + a3, a4])).reshape(2, n)
+    return M @ np.concatenate([u, a1, a2 + a3, a4])
 
 
 def bump(y: np.ndarray) -> np.ndarray:
@@ -161,31 +161,32 @@ def bump(y: np.ndarray) -> np.ndarray:
 
 
 def initial_perturbation(cfg: EvolveConfig, grid: ChebGrid) -> np.ndarray:
-    """epsilon * (bump, bump / 2), with the unresolved coefficient tail
-    chopped; see truncate_modes."""
+    """The state of the data epsilon * (bump, bump / 2), with the unresolved
+    coefficient tail chopped; see truncate_modes."""
     b = bump(grid.y)
-    return np.stack([truncate_modes(cfg.epsilon * b),
-                     truncate_modes(cfg.epsilon * 0.5 * b)])
+    return to_state(np.stack([truncate_modes(cfg.epsilon * b),
+                              truncate_modes(cfg.epsilon * 0.5 * b)]), grid)
 
 
 def evolve_states(cfg: EvolveConfig, q0: np.ndarray,
                   grid: ChebGrid) -> tuple[np.ndarray, np.ndarray]:
     """(taus, Q): the trajectory from the state q0 in equal steps of about
     cfg.dt (IF_STEP by default) that end at cfg.tau_max, at least one step;
-    Q[j], shape (2, N+1), is the state at taus[j].
+    Q[j], 2N + 3 values, is the state at taus[j].
 
-    ValueError unless q0 is a finite (2, N+1) array.  RuntimeError when the
-    k = 0 energy norm grows 1e3-fold in one step (loose: the non-normal
-    discretisation shows genuine one-step transients on stable trajectories,
-    while a q2^2 runaway crosses three orders of magnitude within a step or
-    two) or 1e6-fold over the trajectory.
+    ValueError unless q0 is a finite state of 2N + 3 values.  RuntimeError
+    when the k = 0 energy norm grows 1e3-fold in one step (loose: the
+    non-normal discretisation shows genuine one-step transients on stable
+    trajectories, while a q2^2 runaway crosses three orders of magnitude
+    within a step or two) or 1e6-fold over the trajectory.
     """
-    if np.shape(q0) != (2, grid.N + 1) or not np.all(np.isfinite(q0)):
-        raise ValueError(f"q0 must be a finite (2, {grid.N + 1}) array")
+    size = 2 * grid.N + 3
+    if np.shape(q0) != (size,) or not np.all(np.isfinite(q0)):
+        raise ValueError(f"q0 must be a finite state of {size} values")
     h = cfg.dt if cfg.dt is not None else IF_STEP
     nsteps = max(1, int(math.ceil(cfg.tau_max / h - 1e-12)))
     h = cfg.tau_max / nsteps
-    Q = np.empty((nsteps + 1, 2, grid.N + 1))
+    Q = np.empty((nsteps + 1, size))
     Q[0] = q0
     norm = energy_norm(0, Q[0], grid)
     bound = 1e6 * max(norm, 1e-300)
@@ -211,8 +212,8 @@ def evolve_perturbation(cfg: EvolveConfig) -> DecayFit:
     the spectral-gap rate."""
     grid = ChebGrid.make(cfg.N)
     Phi, V = neutral_coordinates(cfg.p, cfg.N)
-    u = initial_perturbation(cfg, grid).ravel()
-    taus, Q = evolve_states(cfg, (u - V @ (Phi @ u)).reshape(2, -1), grid)
+    u = initial_perturbation(cfg, grid)
+    taus, Q = evolve_states(cfg, u - V @ (Phi @ u), grid)
     return DecayFit.of(taus, Q, DEFAULT_K, grid)
 
 
@@ -296,7 +297,8 @@ def _physical_sections(cfg: EvolveConfig, q0: np.ndarray, grid: ChebGrid,
                        intervals: int = CROSSCHECK_INTERVALS) -> list:
     """[(y, u)] on the cone sections t = CROSSCHECK_T_SAMPLES * T, with
     y = (x - x0) / (T - t) for any blow-up point x0 (the lattice works in
-    y), from the profile plus q0 at t = 0.
+    y), from the profile plus the state q0 at t = 0: u = q1, u_y = v and
+    u_tau = q2 there, each read by its Chebyshev series.
 
     w+- = u_t +- u_x obey (d_t -+ d_x) w+- = s^2, s = (w+ + w-)/2, so on the
     cone's lattice dx = dt w+ comes from node j+1 and w- from node j-1, and
@@ -308,11 +310,11 @@ def _physical_sections(cfg: EvolveConfig, q0: np.ndarray, grid: ChebGrid,
     """
     p, T, g = cfg.p, cfg.T, math.sqrt(1.0 - cfg.p)
     y = np.linspace(-1.0, 1.0, intervals + 1)
-    cheb = np.polynomial.chebyshev
-    u0 = similarity_profile(p, y, cfg.kappa) + grid.interpolate(q0[0], y)
-    u_t = (similarity_profile_q2(p, y) + grid.interpolate(q0[1], y)) / T
-    u_x = (-p * g / (1.0 + g * y)
-           + cheb.chebval(y, cheb.chebder(cheb_coeffs(q0[0])))) / T
+    n = grid.N + 1
+    u0 = (similarity_profile(p, y, cfg.kappa)
+          + grid.interpolate(q1_values(q0, grid), y))
+    u_t = (similarity_profile_q2(p, y) + grid.interpolate(q0[-n:], y)) / T
+    u_x = (-p * g / (1.0 + g * y) + grid.interpolate(q0[1:n + 1], y)) / T
     lattices = []
     for r in (2, 1):
         u, w_plus, w_minus = u0[::r], (u_t + u_x)[::r], (u_t - u_x)[::r]
@@ -348,7 +350,8 @@ def physical_space_crosscheck(cfg: EvolveConfig) -> dict:
     flow runs evolve_states from one cone section to the next, in steps of
     at most cfg.dt (IF_STEP by default).  Returns the max |u_phys - u_sim|
     over the lattice nodes of the sections t = CROSSCHECK_T_SAMPLES * T,
-    reading q1 there by its Chebyshev series.
+    reading q1 = c + int v (linop.q1_values) there by its Chebyshev
+    series.
     """
     p, T = cfg.p, cfg.T
     # one set of initial data for both solvers, from the truncated expansion
@@ -363,7 +366,7 @@ def physical_space_crosscheck(cfg: EvolveConfig) -> dict:
         q = evolve_states(replace(cfg, tau_max=tau_t - tau), q, grid)[1][-1]
         tau = tau_t
         u_sim = (similarity_profile(p, y, cfg.kappa) + p * tau
-                 + grid.interpolate(q[0], y))
+                 + grid.interpolate(q1_values(q, grid), y))
         report["t"].append(ts)
         report["max_abs_err"].append(float(np.max(np.abs(u_phys - u_sim))))
     report["max_discrepancy"] = float(np.max(report["max_abs_err"]))

@@ -1,14 +1,19 @@
 """Linearised operator about the self-similar profile, as a first-order system.
 
-q = (q1, q2), an array of shape (2, N+1), with q2 = eta_tau + y eta_y.
-The generator is
+The perturbation (q1, q2), with q2 = eta_tau + y eta_y, obeys
 
-    L_p q = ( -y q1' + q2 ,  q1'' - y q2' + (U_p(y) - 1) q2 ),
-    U_p(y) = 2p / (1 + y sqrt(1-p)),
+    (q1, q2)_tau = ( -y q1' + q2 ,  q1'' - y q2' + (U_p(y) - 1) q2 ),
+    U_p(y) = 2p / (1 + y sqrt(1-p)).
+
+The energy norm of H^{k+1} x H^k reads q1 only through q1' and the trace
+q1(-1), so the state is u = (c, v, q2) with c = q1(-1) and v = q1', a flat
+float vector of 2N + 3 values: c, then v and q2 on the N + 1 nodes.  The
+generator has first derivatives only,
+
+    L_p u = ( v(-1) + q2(-1),  -v - y v' + q2',  v' - y q2' + (U_p - 1) q2 ),
 
 discretized by Chebyshev collocation with no boundary rows (the endpoints
-are characteristic).  Energy inner products carry a boundary trace at
-y = -1 so that constants are seen by the norm.
+are characteristic).  Data (q1, q2) enter the state through to_state.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chebgrid import ChebGrid, cheb_diff, clenshaw_curtis_weights
+from .chebgrid import ChebGrid
 from .profiles import similarity_profile_q2
 
 # working energy order: the continuum edge sigma_k = 1/2 + sqrt(1-p) - k of
@@ -34,7 +39,6 @@ SPLIT_RADIUS0 = 0.25        # spectral_split: radius of the disc about 0
 SPLIT_RADIUS1 = 0.5         # spectral_split: radius of the disc about 1
 SPLIT_DEFECT_TOL = 1e-15    # spectral_split: largest ||A21|| / ||B|| accepted
 SPLIT_NEWTON_MAX = 6        # spectral_split: most Newton steps on the subspace
-BALANCE_SWEEPS = 10         # _balance: damped Jacobi sweeps
 # rate the decay gates read and the cap of the reported gap: the free-wave
 # dissipativity bound (free_wave_dissipativity_check), below gap_raw ~ 1
 OMEGA0 = 0.5
@@ -45,17 +49,35 @@ def potential(p: float, y: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the state (c, v, q2)
+
+def _state(c: float, v: np.ndarray, q2: np.ndarray) -> np.ndarray:
+    return np.concatenate([[c], v, q2])
+
+
+def to_state(q: np.ndarray, grid: ChebGrid) -> np.ndarray:
+    """The state of data q = (q1, q2) on the nodes: c = q1(-1), v = D q1."""
+    q1, q2 = q
+    return _state(q1[-1], grid.D @ q1, q2)
+
+
+def q1_values(u: np.ndarray, grid: ChebGrid) -> np.ndarray:
+    """q1 = c + int_{-1}^y v on the nodes, of a state or of each row of a
+    stack of states."""
+    return u[..., :1] + u[..., 1:grid.N + 2] @ grid.integral_matrix.T
+
+
+# ---------------------------------------------------------------------------
 # energy geometry
 
 @functools.lru_cache(maxsize=None)
 def seminorm_stack(N: int, k: int = DEFAULT_K) -> np.ndarray:
-    """Tall matrix S with <q,r>_k = (S r)^H (S q) on flattened states.
+    """Tall matrix S with <u,r>_k = (S r)^H (S u) on states.
 
-    Rows: sqrt(w) d^{k+1} and sqrt(w) d and the y=-1 trace on q1;
-    sqrt(w) d^k and sqrt(w) id on q2.  Working with S q (never the Gram
-    matrix S^T S itself) avoids catastrophic cancellation in the huge
-    entries of the high-derivative blocks.  Built once per (N, k) and
-    returned read-only.
+    Rows: the trace c, then sqrt(w) id and sqrt(w) d^k on v and on q2.
+    Working with S u (never the Gram matrix S^T S itself) avoids
+    catastrophic cancellation in the large entries of the derivative
+    blocks.  Built once per (N, k) and returned read-only.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -64,46 +86,39 @@ def seminorm_stack(N: int, k: int = DEFAULT_K) -> np.ndarray:
     grid = ChebGrid.make(N)
     n = N + 1
     sw = np.sqrt(grid.w)[:, None]
-    blocks_q1 = [sw * grid.D]
-    blocks_q2 = [sw * np.eye(n)]
+    rows = sw * np.eye(n)
     if k >= 1:
-        blocks_q1.append(sw * grid.deriv_pow(k + 1))
-        blocks_q2.append(sw * grid.deriv_pow(k))
-    trace = np.zeros((1, n))
-    trace[0, -1] = 1.0  # q1 at y = -1 (last node)
-    blocks_q1.append(trace)
-    S = np.zeros((sum(b.shape[0] for b in blocks_q1)
-                  + sum(b.shape[0] for b in blocks_q2), 2 * n))
-    r = 0
-    for b in blocks_q1:
-        S[r:r + b.shape[0], :n] = b
-        r += b.shape[0]
-    for b in blocks_q2:
-        S[r:r + b.shape[0], n:] = b
-        r += b.shape[0]
+        rows = np.vstack([rows, sw * grid.deriv_pow(k)])
+    m = len(rows)
+    S = np.zeros((1 + 2 * m, 2 * n + 1))
+    S[0, 0] = 1.0
+    S[1:m + 1, 1:n + 1] = rows
+    S[m + 1:, n + 1:] = rows
     S.flags.writeable = False
     return S
 
 
-def energy_norm(k: int, q: np.ndarray, grid: ChebGrid) -> float:
-    """||q||_k of a real state, shape (2, N+1), or of its flat form;
-    sqrt(v @ v) is what np.linalg.norm(v) computes on a real vector."""
-    v = seminorm_stack(grid.N, k) @ np.ravel(q)
-    return math.sqrt(v @ v)
+def energy_norm(k: int, u: np.ndarray, grid: ChebGrid) -> float:
+    """||u||_k of a real state; sqrt(s @ s) is what np.linalg.norm(s)
+    computes on a real vector."""
+    s = seminorm_stack(grid.N, k) @ u
+    return math.sqrt(s @ s)
 
 
 # ---------------------------------------------------------------------------
 # exact eigen-triple
 
 def f0_state(grid: ChebGrid, p: float) -> np.ndarray:
-    y = grid.y
-    return np.stack([np.ones_like(y), np.zeros_like(y)])
+    """q1 = 1, q2 = 0: the state (1, 0, 0), with L_p f0 = 0 exactly."""
+    zero = np.zeros_like(grid.y)
+    return _state(1.0, zero, zero)
 
 
 def f1_state(grid: ChebGrid, p: float) -> np.ndarray:
+    """q1 = -p g / d, q2 = -p g / d^2, d = 1 + g y, g = sqrt(1 - p)."""
     g = math.sqrt(1.0 - p)
     d = 1.0 + grid.y * g
-    return np.stack([-p * g / d, -p * g / d**2])
+    return _state(-p * g / (1.0 - g), p * g**2 / d**2, -p * g / d**2)
 
 
 def _require_g0(p: float) -> None:
@@ -113,28 +128,32 @@ def _require_g0(p: float) -> None:
 
 
 def g0_state(grid: ChebGrid, p: float) -> np.ndarray:
-    """Generalised eigenvector, L_p g0 = f0; ValueError unless p < 1."""
+    """Generalised eigenvector, L_p g0 = f0; ValueError unless p < 1.
+    q1 = -log(d) - a / d with a = p / (2 (1 - p)), q2 = ((2 - p) y + 2 g)
+    / (2 g d^2)."""
     _require_g0(p)
     g = math.sqrt(1.0 - p)
-    y = grid.y
-    d = 1.0 + y * g
-    q1 = -np.log1p(y * g) - p / (2.0 * (1.0 - p)) / d
-    q2 = ((2.0 - p) * y + 2.0 * g) / (2.0 * g * d**2)
-    return np.stack([q1, q2])
+    a = p / (2.0 * (1.0 - p))
+    d = 1.0 + grid.y * g
+    q2 = ((2.0 - p) * grid.y + 2.0 * g) / (2.0 * g * d**2)
+    return _state(-math.log1p(-g) - a / (1.0 - g), -g / d + a * g / d**2, q2)
 
 
 # ---------------------------------------------------------------------------
 # operator assembly
 
 def _assemble(grid: ChebGrid, U: np.ndarray) -> np.ndarray:
-    """Collocation matrix of q -> (-y q1' + q2, q1'' - y q2' + (U - 1) q2)."""
+    """Collocation matrix of u -> (v(-1) + q2(-1), -v - y v' + q2',
+    v' - y q2' + (U - 1) q2); its column of c is zero."""
     n = grid.N + 1
+    v, q2 = slice(1, n + 1), slice(n + 1, 2 * n + 1)
     YD = grid.y[:, None] * grid.D
-    L = np.zeros((2 * n, 2 * n))
-    L[:n, :n] = -YD
-    L[:n, n:] = np.eye(n)
-    L[n:, :n] = grid.D2
-    L[n:, n:] = -YD + np.diag(U - 1.0)
+    L = np.zeros((2 * n + 1, 2 * n + 1))
+    L[0, n] = L[0, 2 * n] = 1.0   # v and q2 at y = -1, the last nodes
+    L[v, v] = -YD - np.eye(n)
+    L[v, q2] = grid.D
+    L[q2, v] = grid.D
+    L[q2, q2] = -YD + np.diag(U - 1.0)
     return L
 
 
@@ -145,30 +164,29 @@ def assemble_Lp(p: float, grid: ChebGrid) -> np.ndarray:
 
 
 def assemble_free_modified(grid: ChebGrid) -> np.ndarray:
-    """Free-wave generator with the boundary trace q1(-1) subtracted in row 1.
-
-    Ltilde q = (-y q1' + q2 - q1(-1), q1'' - y q2' - q2); dissipative up to
-    -1/2 in the k-energy inner product.
-    """
+    """Free-wave generator with the boundary trace q1(-1) subtracted from
+    q1_tau: Ltilde u = (v(-1) + q2(-1) - c, -v - y v' + q2', v' - y q2' - q2);
+    dissipative up to -1/2 in the k-energy inner product."""
     L = _assemble(grid, np.zeros_like(grid.y))
-    L[:grid.N + 1, grid.N] -= 1.0  # q1 at y = -1, the last node
+    L[0, 0] = -1.0
     return L
 
 
 def _random_cheb_state(rng: np.random.Generator, grid: ChebGrid,
                        degree: int) -> np.ndarray:
-    """Flat state whose halves are Chebyshev series of the given degree with
-    standard-normal coefficients, drawn for q1 first."""
+    """The state of data whose halves q1, q2 are Chebyshev series of the
+    given degree with standard-normal coefficients, drawn for q1 first."""
+    cheb = np.polynomial.chebyshev
     c1 = rng.standard_normal(degree + 1)
     c2 = rng.standard_normal(degree + 1)
-    return np.concatenate([np.polynomial.chebyshev.chebval(grid.y, c1),
-                           np.polynomial.chebyshev.chebval(grid.y, c2)])
+    return to_state(np.stack([cheb.chebval(grid.y, c1),
+                              cheb.chebval(grid.y, c2)]), grid)
 
 
 def free_wave_dissipativity_check(grid: ChebGrid, trials: int = 200,
                                   seed: int = 0) -> float:
     """max over random states of Re<Ltilde q, q>_k / ||q||_k^2 (k = DEFAULT_K),
-    each half a Chebyshev series of degree N/2."""
+    each half of their data a Chebyshev series of degree N/2."""
     rng = np.random.Generator(np.random.Philox(seed))
     Lt = assemble_free_modified(grid)
     S = seminorm_stack(grid.N)
@@ -183,106 +201,35 @@ def free_wave_dissipativity_check(grid: ChebGrid, trials: int = 200,
 
 
 # ---------------------------------------------------------------------------
-# eigen-triple residuals in 34-digit decimal
+# eigen-triple residuals
 #
-# In float64 the identities L f0 = 0, L f1 = f1, L g0 = f0, L^2 g0 = 0 leave
-# res_L2g0 at 3.5e-8 to 6.2e-8 for p in [0.25, 0.9] at N = 64, rounding
-# amplified by the collocation derivatives: within 3x of the 1e-7
-# certification level.  They are therefore certified in decimal.Decimal
-# arithmetic at _DEC_PREC digits, on numpy object arrays: chebgrid's own
-# cheb_diff and clenshaw_curtis_weights, run on Decimal nodes, give the
-# same collocation operator and quadrature.  decimal is imported where it
-# is used: it adds about 2 ms and 0.3 MB to a process, and most processes
-# that import linop never certify.
-
-# 34 digits keep every residual within 1e-22 of 35-digit mpmath; 28 do not
-# (res_L2g0 reads 7e-20 at p = 0.75)
-_DEC_PREC = 34
-# pi to 50 digits: the decimal module has no trigonometry
-_DEC_PI = "3.1415926535897932384626433832795028841971693993751"
-
-
-def _dec_cos(x):
-    """cos(x) by its Taylor series, with 5 guard digits for the
-    cancellation of the alternating terms at |x| <= pi."""
-    import decimal
-
-    with decimal.localcontext() as ctx:
-        ctx.prec += 5
-        term = total = decimal.Decimal(1)
-        k = 0
-        while True:
-            k += 2
-            term *= -x * x / (k * (k - 1))
-            if total + term == total:
-                return total
-            total += term
-
-
-@functools.lru_cache(maxsize=None)
-def _dec_grid(N: int):
-    """The nodes cos(pi n/N), with _dec_cos's guard digits, and cheb_diff
-    and clenshaw_curtis_weights on them: Decimal object arrays, at
-    _DEC_PREC digits.  Built once per N; the arrays are read-only."""
-    import decimal
-
-    with decimal.localcontext(decimal.Context(prec=_DEC_PREC)):
-        pi = decimal.Decimal(_DEC_PI)
-        y = np.array([_dec_cos(pi * n / N) for n in range(N + 1)],
-                     dtype=object)
-        D, w = cheb_diff(y), clenshaw_curtis_weights(y)
-    for a in (y, D, w):
-        a.flags.writeable = False
-    return y, D, w
-
-
-def _dec_energy_norm(q, D, w):
-    """The order-0 energy norm of seminorm_stack on a Decimal state, shape
-    (2, N+1): the integrals of (q1')^2 and q2^2 and the square of the
-    y = -1 trace q1[-1]."""
-    q1, q2 = q
-    dq1 = D @ q1
-    return (w @ (dq1 * dq1) + w @ (q2 * q2) + q1[-1] * q1[-1]).sqrt()
-
+# The identities L f0 = 0, L f1 = f1, L g0 = f0, L^2 g0 = 0 in float64.  With
+# first derivatives only (||L_p||_1 ~ N^2, not N^4), rounding leaves res_L2g0
+# at 8e-12 to 2.2e-10 for p in [0.5, 0.9] at N = 64, where the exact residual
+# is below 1e-18, and the discretisation error sets it to 4.3e-10 at
+# p = 0.25: 230 times below the 1e-7 certification level at the worst p.
+# The second-order form, with D^2, left 3.5e-8 to 6.2e-8 in float64.
 
 def eigen_triple_residuals(p: float, N: int = 64) -> dict:
     """Relative residuals of the four identities in the order-0 energy norm;
     that low order keeps the collocation tail of the slowly-resolved states
     at small p from swamping the 1e-7 certification level.  ValueError
     unless p < 1, where g0 exists."""
-    import decimal
-
     _require_g0(p)
-    y, D, w = _dec_grid(N)
-    with decimal.localcontext(decimal.Context(prec=_DEC_PREC)):
-        p = decimal.Decimal(p)
-        g = (1 - p).sqrt()
-        d = 1 + y * g
-        U_minus_1 = 2 * p / d - 1
+    grid = ChebGrid.make(N)
+    L = assemble_Lp(p, grid)
+    f0, f1, g0 = (s(grid, p) for s in (f0_state, f1_state, g0_state))
 
-        def Lp(q):
-            q1, q2 = q
-            dq1 = D @ q1
-            return np.stack([q2 - y * dq1,
-                             D @ dq1 - y * (D @ q2) + U_minus_1 * q2])
+    def norm(u):
+        return energy_norm(0, u, grid)
 
-        def norm(q):
-            return _dec_energy_norm(q, D, w)
-
-        f0 = np.zeros((2, N + 1), dtype=object)
-        f0[0] = 1
-        f1 = np.stack([-p * g / d, -p * g / (d * d)])
-        log1p = np.array([(1 + yn * g).ln() for yn in y], dtype=object)
-        g0 = np.stack([-log1p - p / (2 * (1 - p)) / d,
-                       ((2 - p) * y + 2 * g) / (2 * g * d * d)])
-        Lg0, norm_g0 = Lp(g0), norm(g0)
-        res = {
-            "res_f0": norm(Lp(f0)) / norm(f0),
-            "res_f1": norm(Lp(f1) - f1) / norm(f1),
-            "res_g0": norm(Lg0 - f0) / norm_g0,
-            "res_L2g0": norm(Lp(Lg0)) / norm_g0,
-        }
-    return {key: float(value) for key, value in res.items()}
+    Lg0, norm_g0 = L @ g0, norm(g0)
+    return {
+        "res_f0": norm(L @ f0) / norm(f0),
+        "res_f1": norm(L @ f1 - f1) / norm(f1),
+        "res_g0": norm(Lg0 - f0) / norm_g0,
+        "res_L2g0": norm(L @ Lg0) / norm_g0,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +325,6 @@ def _expm(A: np.ndarray) -> np.ndarray:
 
     X is solved from (V - U)^T X^T = (V + U)^T, as scipy's C code does by
     handing C-ordered arrays to LAPACK; U and V commute, so X is the same.
-    On h L_p (cond(V - U) ~ 4e6 at N = 64) the untransposed solve is 20 to
-    110 times less accurate against an extended-precision Pade-13.
     """
     A2 = A @ A
     A4 = A2 @ A2
@@ -418,21 +363,6 @@ def fit_log_slope(taus: np.ndarray, norms: np.ndarray,
 # ---------------------------------------------------------------------------
 # Riesz projections, neutral-mode coordinates and semigroup checks
 
-def _balance(A: np.ndarray) -> np.ndarray:
-    """Powers of two d with B = D^-1 A D, D = diag(d), whose off-diagonal
-    row and column 1-norms nearly agree: Parlett & Reinsch (1969) balancing
-    without permutation.  Every index takes half its own equalising step at
-    once, a damped Jacobi sweep in place of the sequential one.  A must have
-    no zero off-diagonal row or column."""
-    A1 = np.abs(A)
-    np.fill_diagonal(A1, 0.0)
-    e = np.zeros(len(A))
-    for _ in range(BALANCE_SWEEPS):
-        B1 = A1 * np.exp2(e[None, :] - e[:, None])
-        e += 0.25 * np.log2(B1.sum(axis=1) / B1.sum(axis=0))
-    return np.exp2(np.round(e))
-
-
 def _sylvester3(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
     """X with A X - X B = C for a 3 x 3 B, by one shifted solve in m = len(A)
     unknowns and one Kronecker solve in 2 m (Golub, Nash & Van Loan 1979).
@@ -465,17 +395,19 @@ def _sylvester3(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 
 def _split_basis(grid: ChebGrid, p: float) -> np.ndarray:
-    """Flat columns spanning {g0, f0, f1} for p < 1, finite through p = 1:
-    g g0 + p / (2 g) f0, f0 and f1 / g, with g = sqrt(1 - p).  At p = 1
-    they are (y / 2, y / 2), f0 and (-1, -1): the split Jordan pair at 0
-    and the mode at 1."""
+    """State columns spanning {g0, f0, f1} for p < 1, finite through p = 1:
+    g g0 + p / (2 g) f0, f0 and f1 / g, with g = sqrt(1 - p).  Their data
+    are q1 = -g log(d) + p y / (2 d) and -p / d, d = 1 + g y; at p = 1 they
+    are (y / 2, y / 2), f0 and (-1, -1): the split Jordan pair at 0 and the
+    mode at 1."""
     g = math.sqrt(1.0 - p)
     y = grid.y
     d = 1.0 + y * g
-    h0 = np.concatenate([-g * np.log1p(y * g) + p * y / (2.0 * d),
-                         ((2.0 - p) * y + 2.0 * g) / (2.0 * d**2)])
-    h1 = np.concatenate([-p / d, -p / d**2])
-    return np.column_stack([h0, f0_state(grid, p).ravel(), h1])
+    h0 = _state(-g * math.log1p(-g) - p / (2.0 * (1.0 - g)),
+                -g**2 / d + p / (2.0 * d**2),
+                ((2.0 - p) * y + 2.0 * g) / (2.0 * d**2))
+    h1 = _state(-p / (1.0 - g), p * g / d**2, -p / d**2)
+    return np.column_stack([h0, f0_state(grid, p), h1])
 
 
 def _exact_product(A: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -504,8 +436,9 @@ def _invariant_subspace(B: np.ndarray,
     Steps run until ||A21|| <= SPLIT_DEFECT_TOL ||B|| (Frobenius norms), at
     least one and at most SPLIT_NEWTON_MAX; ValueError if they do not get
     there.  The residual B Q1 - Q1 A11 behind A21 is an error-free product
-    (_exact_product): sep(A11, A22) is 6e-7 at N = 64 and 2.5e-7 at N = 96,
-    and in double precision rounding moved the subspace by 2e-6 at N = 96.
+    (_exact_product): sep(A11, A22) / ||L_p|| is 6.9e-7 at N = 64 and
+    1.7e-7 at N = 96 (p = 0.75), and a float64 residual moves P0 by 1.5e-11
+    and 3.8e-11 there.
     """
     norm_B = np.linalg.norm(B)
     for step in range(SPLIT_NEWTON_MAX + 1):
@@ -531,23 +464,21 @@ def spectral_split(p: float, N: int) -> tuple[np.ndarray, ...]:
     read-only.
 
     The maths gives the invariant subspace, span{g0, f0, f1}, in closed
-    form, so no Schur form is taken.  L = D B D^-1 is balanced (_balance),
-    and Newton steps refine D^-1 [g0, f0, f1] (_split_basis) to the
-    invariant subspace Q1 of B, with A = Q^T B Q (_invariant_subspace).  The
-    same steps on B^T, started from Q1, give the left invariant subspace
-    Ql.  The first of them is the Sylvester solve of A11 R - R A22 = A12
+    form, so no Schur form is taken.  Newton steps refine [g0, f0, f1]
+    (_split_basis) to the invariant subspace Q1 of L, with A = Q^T L Q
+    (_invariant_subspace).  The same steps on L^T, started from Q1, give
+    the left invariant subspace Ql.  The first of them is the Sylvester solve of A11 R - R A22 = A12
     for the left factor Wh = Q1^T + R Q2^T (Stewart 1973); that system has
     condition ~1e10, and the next step takes out the rounding it leaves.
-    Then Wh = (Ql^T Q1)^-1 Ql^T, so Wh Q1 = I and Wh B = A11 Wh.
+    Then Wh = (Ql^T Q1)^-1 Ql^T, so Wh Q1 = I and Wh L = A11 Wh.
 
     Inside the 3 x 3 block A11 = Q1^T B Q1 the left eigenvector u of the
     eigenvalue near 1 splits 0 from 1: with G orthogonal and G e3 = u / |u|,
     T = G^T A11 G has T[2, :2] = 0, and the 2 x 1 solve T[:2, :2] r -
     r T[2, 2] = T[:2, 2] gives Wb0 = Gh[:2] + r Gh[2], Zb1 = Z3 [-r; 1] / nu
     and Wb1 = nu Gh[2], with Z3 = Q1 G, Gh = G^T Wh and nu the norm of
-    [-r; 1] (Golub & Van Loan 7.6).  Balancing is undone as Z_k R_k = D Zb_k,
-    a thin QR, and W_k = R_k Wb_k D^-1, so Z0 and Z1 have orthonormal
-    columns.
+    [-r; 1] (Golub & Van Loan 7.6).  Z3 has orthonormal columns, so Z0 =
+    Z3[:, :2] and the unit vector Z1 = Zb1 have too.
 
     The two discs, about 0 with radius SPLIT_RADIUS0 and about 1 with
     radius SPLIT_RADIUS1, are fixed constants, so the split reads L_p
@@ -564,11 +495,9 @@ def spectral_split(p: float, N: int) -> tuple[np.ndarray, ...]:
     if (m, m0) != (3, 2):
         raise ValueError(f"{m} eigenvalues near 0 and 1 at p = {p}, {m0} of "
                          "them near 0; expected 3 and 2")
-    d = _balance(L)
-    B = L * d / d[:, None]
-    Q, A = _invariant_subspace(B, _split_basis(grid, p) / d[:, None])
+    Q, A = _invariant_subspace(L, _split_basis(grid, p))
     Q1, A11 = Q[:, :3], A[:3, :3]
-    Ql = _invariant_subspace(B.T, Q1)[0][:, :3]
+    Ql = _invariant_subspace(L.T, Q1)[0][:, :3]
     Wh = np.linalg.solve(Ql.T @ Q1, Ql.T)
     mu, U = np.linalg.eig(A11.T)
     u = U[:, np.argmin(np.abs(mu - 1.0))].real
@@ -579,14 +508,10 @@ def spectral_split(p: float, N: int) -> tuple[np.ndarray, ...]:
     r = np.linalg.solve(T[:2, :2] - T[2, 2] * np.eye(2), T[:2, 2:])
     x1 = np.vstack([-r, [[1.0]]])
     nu = np.linalg.norm(x1)
-    factors = []
-    for Zb, Wb in ((Z3[:, :2], Gh[:2] + r @ Gh[2:]),
-                   (Z3 @ x1 / nu, nu * Gh[2:])):
-        Zk, Rk = np.linalg.qr(d[:, None] * Zb)
-        factors += [Zk, Rk @ Wb / d]
+    factors = (Z3[:, :2], Gh[:2] + r @ Gh[2:], Z3 @ x1 / nu, nu * Gh[2:])
     for a in factors:
         a.flags.writeable = False
-    return tuple(factors)
+    return factors
 
 
 def riesz_projectors_for(p: float, grid: ChebGrid):
@@ -604,11 +529,11 @@ def riesz_projectors_for(p: float, grid: ChebGrid):
 def neutral_coordinates(p: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     """(Phi, V): coordinates in the neutral/unstable modes of L_p.
 
-    V = [g0, f0, f1] holds the closed-form modes as flat states, and
+    V = [g0, f0, f1] holds the closed-form modes as states, and
     Phi = (Wh V)^-1 Wh, with Wh = [W0; W1] the left factors of
     spectral_split.  Phi d are the coordinates in V of the spectral
-    projection (P0 + P1) d, computed without forming the projectors (norm
-    ~6e5) and without a least-squares fit in V (Stewart 1973).  Phi V = I up
+    projection (P0 + P1) d, computed without forming the projectors and
+    without a least-squares fit in V (Stewart 1973).  Phi V = I up
     to rounding; Phi L V = M with M the Jordan block L g0 = f0, L f0 = 0,
     L f1 = f1.  Raises ValueError when the split fails or Wh V is nearly
     singular.
@@ -616,8 +541,7 @@ def neutral_coordinates(p: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     grid = ChebGrid.make(N)
     _, W0, _, W1 = spectral_split(p, N)
     Wh = np.vstack([W0, W1])
-    V = np.column_stack([g0_state(grid, p).ravel(), f0_state(grid, p).ravel(),
-                         f1_state(grid, p).ravel()])
+    V = np.column_stack([s(grid, p) for s in (g0_state, f0_state, f1_state)])
     WV = Wh @ V
     cond = np.linalg.cond(WV)
     if not cond < NEUTRAL_COND_LIMIT:

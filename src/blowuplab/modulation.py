@@ -25,7 +25,7 @@ import numpy as np
 
 from .chebgrid import ChebGrid
 from .evolve import DecayFit, EvolveConfig, evolve_states
-from .linop import DEFAULT_K, energy_norm, neutral_coordinates
+from .linop import DEFAULT_K, energy_norm, neutral_coordinates, to_state
 
 FIT_TOL = 1e-8              # correction norm at which the fit has converged
 FIT_TAU_MAX = 12.0          # horizon of the trajectories the fit evaluates
@@ -106,9 +106,9 @@ def correction_functional(Phi: np.ndarray, d: np.ndarray,
                           q_traj: tuple) -> np.ndarray:
     """[l_g0, l_f0, l_f1]: coordinates of the correction in {g0, f0, f1}.
 
-    Phi is the map of neutral_coordinates at the trial p and d = U(f) the
-    flat data of initial_data_operator, both built once per parameter point;
-    q_traj = (taus, q2_squared_history) of the trajectory.
+    Phi is the map of neutral_coordinates at the trial p and d the state of
+    the data U(f) of initial_data_operator, both built once per parameter
+    point; q_traj = (taus, q2_squared_history) of the trajectory.
     The correction is P_p U(f) + P0 I[N] + L_p P0 I[-tau N] + P1 I[e^-tau N]
     with the Riesz projectors P0, P1 of riesz_projectors_for.  Its
     coordinates follow from Phi without forming either projector:
@@ -119,8 +119,8 @@ def correction_functional(Phi: np.ndarray, d: np.ndarray,
     taus, q2sq = q_traj
     if q2sq.shape[0] != len(taus):
         raise ValueError("trajectory shape mismatch")
-    # N(q) = (0, q2^2) has no q1 half
-    Phi2 = Phi[:, len(d) // 2:]
+    # N(u) = (0, 0, q2^2) lives on the q2 block, the last N + 1 entries
+    Phi2 = Phi[:, -q2sq.shape[1]:]
     a, b, e = (Phi2 @ I for I in _nonlinear_integrals(taus, q2sq))
     return Phi @ d + np.array([a[0], a[1] + b[0], e[2]])
 
@@ -131,11 +131,12 @@ def fit_parameters(f: np.ndarray, baseline: tuple,
     shape (2, N+1).
 
     At most FIT_MAX_ITER steps, each evolving one trajectory at the trial
-    point from d - V C, with d = U(f) and C = Phi d + nl, where nl is the
-    nonlinear part (ell - Phi d) of the previous step's correction ell and
-    zero at the first step.  ell is read off that trajectory, and the
-    parameters move by p += l_g0, kappa += l_f0, T += T0 sqrt(1-p) l_f1 (to
-    first order, each unit step lowers its coordinate by one).  Converged
+    point from d - V C, with d the state of U(f) and C = Phi d + nl, where
+    nl is the nonlinear part (ell - Phi d) of the previous step's
+    correction ell and zero at the first step.  ell is read off that
+    trajectory, and the parameters move by p += l_g0, kappa += l_f0,
+    T += T0 sqrt(1-p) l_f1 (to first order, each unit step lowers its
+    coordinate by one).  Converged
     once the DEFAULT_K energy norms of both V ell and V C are below
     FIT_TOL: the certifying trajectory then started from d itself, to
     within FIT_TOL.
@@ -147,12 +148,13 @@ def fit_parameters(f: np.ndarray, baseline: tuple,
     history = []
     for it in range(1, FIT_MAX_ITER + 1):
         Phi, V = neutral_coordinates(p, N)
-        d = initial_data_operator(p, T, kappa, baseline, f, grid).ravel()
+        d = to_state(initial_data_operator(p, T, kappa, baseline, f, grid),
+                     grid)
         lin = Phi @ d
         C = lin + nl
         cfg = EvolveConfig(p=p, N=N, tau_max=FIT_TAU_MAX)
-        taus, Q = evolve_states(cfg, (d - V @ C).reshape(2, -1), grid)
-        ell = correction_functional(Phi, d, (taus, Q[:, 1] ** 2))
+        taus, Q = evolve_states(cfg, d - V @ C, grid)
+        ell = correction_functional(Phi, d, (taus, Q[:, -(N + 1):] ** 2))
         del Q   # free this trajectory before the next one is evolved
         cnorm = energy_norm(DEFAULT_K, V @ ell, grid)
         history.append((it, p, T, kappa, *ell, cnorm))
@@ -179,7 +181,8 @@ def modulated_decay(f: np.ndarray, baseline: tuple, state: ModulationState,
     flow should decay at the spectral-gap rate without any projection.
     """
     grid = ChebGrid.make(N)
-    d = initial_data_operator(state.p_star, state.T_star, state.kappa_star,
-                              baseline, f, grid)
+    d = to_state(initial_data_operator(state.p_star, state.T_star,
+                                       state.kappa_star, baseline, f, grid),
+                 grid)
     cfg = EvolveConfig(p=state.p_star, N=N, tau_max=DECAY_TAU_MAX)
     return DecayFit.of(*evolve_states(cfg, d, grid), 0, grid)

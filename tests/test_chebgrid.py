@@ -42,7 +42,7 @@ def test_differentiation_exact_on_polynomials(deg):
 def test_second_derivative_matrix():
     grid = ChebGrid.make(20)
     vals = grid.y ** 5
-    assert np.max(np.abs(grid.D2 @ vals - 20.0 * grid.y ** 3)) < 1e-9
+    assert np.max(np.abs(grid.deriv_pow(2) @ vals - 20.0 * grid.y ** 3)) < 1e-9
 
 
 def test_clenshaw_curtis_polynomial_exactness():
@@ -144,6 +144,22 @@ def test_truncate_modes_zeroes_tail():
     assert np.max(np.abs(c[keep:])) < 1e-14
     # low modes untouched
     assert np.max(np.abs(c[:keep] - cheb_coeffs(vals)[:keep])) < 1e-12
+
+
+@pytest.mark.parametrize("N", [8, 16, 64])
+def test_integral_matrix_exact_on_polynomials(N):
+    """int_{-1}^y of every monomial of degree <= N, on the nodes, to
+    rounding; below degree N, where the integral is resolved on the grid,
+    D undoes it.  The matrix is built once per grid."""
+    grid = ChebGrid.make(N)
+    vals = np.array([grid.y ** deg for deg in range(N + 1)])
+    exact = np.array([(grid.y ** (deg + 1) - (-1.0) ** (deg + 1)) / (deg + 1)
+                      for deg in range(N + 1)])
+    out = vals @ grid.integral_matrix.T
+    assert np.max(np.abs(out - exact)) < 1e-13
+    assert np.max(np.abs(out[:, -1])) < 1e-15     # it vanishes at y = -1
+    assert np.max(np.abs(out[:-1] @ grid.D.T - vals[:-1])) < 1e-10
+    assert grid.integral_matrix is grid.integral_matrix
 
 
 def test_cheb_diff_rows_sum_to_zero():

@@ -715,7 +715,8 @@ def test_spectrum_csv_lists_every_eigenvalue(tmp_path):
     with open(tmp_path / "spectrum_p0.75_N32.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["re", "im", "residual"]
-    assert len(rows) - 1 == 2 * (32 + 1)
+    # one eigenvalue per unknown of the state (c, v, q2): 2 N + 3
+    assert len(rows) - 1 == 2 * 32 + 3
 
 
 def test_instability_nan_slope_fails(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blowuplab import evolve, linop
-from blowuplab.chebgrid import ChebGrid, exponential_filter
+from blowuplab.chebgrid import ChebGrid, exponential_filter, truncate_modes
 from blowuplab.evolve import (
     IF_STEP,
     MAX_SIMILARITY_STEPS,
@@ -23,7 +23,7 @@ from blowuplab.evolve import (
     step_similarity,
 )
 from blowuplab.linop import (DEFAULT_K, assemble_Lp, energy_norm, f1_state,
-                             neutral_coordinates)
+                             neutral_coordinates, q1_values)
 from blowuplab.profiles import ProfileParams, eval_profile
 
 
@@ -54,24 +54,25 @@ def test_tiny_tau_max_takes_one_step():
     cfg = EvolveConfig(p=0.75, N=32, tau_max=1e-14, epsilon=1e-4)
     grid = ChebGrid.make(32)
     taus, Q = evolve_states(cfg, initial_perturbation(cfg, grid), grid)
-    assert taus.tolist() == [0.0, 1e-14] and Q.shape == (2, 2, 33)
+    assert taus.tolist() == [0.0, 1e-14] and Q.shape == (2, 67)
 
 
-@pytest.mark.parametrize("shape,bad", [((2, 33), math.nan),
-                                       ((2, 33), math.inf),
-                                       ((2, 32), 0.0)])
+@pytest.mark.parametrize("shape,bad", [((67,), math.nan),
+                                       ((67,), math.inf),
+                                       ((66,), 0.0),
+                                       ((2, 33), 0.0)])
 def test_evolve_states_rejects_bad_data(shape, bad):
     q0 = np.zeros(shape)
-    q0[1, 5] = bad
+    q0.flat[40] = bad
     cfg = EvolveConfig(p=0.75, N=32, tau_max=1.0)
-    with pytest.raises(ValueError, match=r"finite \(2, 33\) array"):
+    with pytest.raises(ValueError, match="finite state of 67 values"):
         evolve_states(cfg, q0, ChebGrid.make(32))
 
 
 def test_zero_data_stays_zero():
     cfg = EvolveConfig(p=0.75, N=32, tau_max=2.0, epsilon=0.0)
     grid = ChebGrid.make(32)
-    _, Q = evolve_states(cfg, np.zeros((2, 33)), grid)
+    _, Q = evolve_states(cfg, np.zeros(67), grid)
     assert np.max(np.abs(Q)) == 0.0
 
 
@@ -114,21 +115,28 @@ def test_projected_decay_rate_epsilon_independent():
 
 
 def _nonlinear(u):
-    """N(u) = (0, q2^2) on a flattened state."""
+    """N(u) = (0, 0, q2^2) on a state."""
     out = np.zeros_like(u)
     n = len(u) // 2
-    out[n:] = u[n:] ** 2
+    out[-n:] = u[-n:] ** 2
     return out
 
 
+def _filtered(u):
+    """exponential_filter on the v and q2 blocks of a state."""
+    n = len(u) // 2
+    return np.concatenate([u[:1], exponential_filter(u[1:].reshape(2, n))
+                           .ravel()])
+
+
 def _final_state(cfg, q0, grid):
-    return evolve_states(cfg, q0, grid)[1][-1].ravel()
+    return evolve_states(cfg, q0, grid)[1][-1]
 
 
 def _projected_data(cfg, grid):
     Phi, V = neutral_coordinates(cfg.p, cfg.N)
-    u = initial_perturbation(cfg, grid).ravel()
-    return (u - V @ (Phi @ u)).reshape(2, -1)
+    u = initial_perturbation(cfg, grid)
+    return u - V @ (Phi @ u)
 
 
 def test_flow_converged_in_time():
@@ -150,18 +158,17 @@ def test_flow_converged_in_time():
 def test_step_propagates_linear_part_exactly():
     """At epsilon = 1e-12 the nonlinearity is below roundoff, so one step is
     the filtered exact linear propagator expm(h L) u.  The step squares
-    expm(h L / 2); that equals expm(h L) to this gate only within one
-    implementation, where the power-of-two scaling gives the same Pade base,
-    so the reference is the package's own _expm.  scipy's expm differs from
-    it by 1.5e-13 here, and each is about 3e-13 from a long-double Pade."""
+    expm(h L / 2), so the reference is the package's own _expm, whose
+    power-of-two scaling gives the same Pade base.  scipy's expm differs
+    from it by 9.4e-15 here, and each is about 1e-14 from a long-double
+    Pade."""
     p, N = 0.75, 64
     grid = ChebGrid.make(N)
     cfg = EvolveConfig(p=p, N=N, epsilon=1e-12)
     q0 = initial_perturbation(cfg, grid)
     q = step_similarity(q0, p, IF_STEP, grid)
-    u = linop._expm(IF_STEP * assemble_Lp(p, grid)) @ q0.ravel()
-    ref = exponential_filter(u.reshape(2, N + 1)).ravel()
-    assert np.linalg.norm(q.ravel() - ref) < 1e-13 * np.linalg.norm(ref)
+    ref = _filtered(linop._expm(IF_STEP * assemble_Lp(p, grid)) @ q0)
+    assert np.linalg.norm(q - ref) < 1e-13 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("p,N", [(0.5, 32), (0.6, 48), (0.75, 64), (0.9, 96)])
@@ -173,18 +180,17 @@ def test_step_matches_reference_if_rk4(p, N):
     h = IF_STEP
     half = linop._expm(0.5 * h * assemble_Lp(p, grid))
     full = half @ half
-    u = initial_perturbation(EvolveConfig(p=p, N=N, epsilon=1.0), grid).ravel()
+    u = initial_perturbation(EvolveConfig(p=p, N=N, epsilon=1.0), grid)
     k1 = _nonlinear(u)
     k2 = _nonlinear(half @ (u + 0.5 * h * k1))
     k3 = _nonlinear(half @ u + 0.5 * h * k2)
     k4 = _nonlinear(full @ u + h * (half @ k3))
-    ref = exponential_filter(
-        (full @ u + (h / 6.0) * (full @ k1 + 2.0 * (half @ (k2 + k3)) + k4))
-        .reshape(2, N + 1)).ravel()
-    linear = exponential_filter((full @ u).reshape(2, N + 1)).ravel()
+    ref = _filtered(
+        full @ u + (h / 6.0) * (full @ k1 + 2.0 * (half @ (k2 + k3)) + k4))
+    linear = _filtered(full @ u)
     assert np.linalg.norm(ref - linear) > 1e-3 * np.linalg.norm(ref)
-    q = step_similarity(u.reshape(2, N + 1), p, h, grid)
-    assert np.linalg.norm(q.ravel() - ref) <= 1e-12 * np.linalg.norm(ref)
+    q = step_similarity(u, p, h, grid)
+    assert np.linalg.norm(q - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def _pade13_extended(A, s):
@@ -226,8 +232,7 @@ def _expm_s(A):
 def test_expm_accuracy_against_extended_pade(p, N, h):
     """_expm(h L_p) against the long-double Pade-13 at the same s: within
     three times the error of scipy's expm, the test-only oracle (measured
-    ratios 0.6 to 1.9).  The untransposed solve of V - U reads 20 to 110
-    times scipy's error here."""
+    ratios 0.97 to 1.5)."""
     from scipy.linalg import expm
 
     A = h * assemble_Lp(p, ChebGrid.make(N))
@@ -313,6 +318,19 @@ def test_decay_fit_reads_one_trajectory_at_any_order():
     assert not np.allclose(at_0.norms, at_k.norms)
 
 
+def test_decay_fit_l2_norms_read_q1_of_the_state():
+    """The L2 column reads q1 = c + int v back from the state: on the
+    initial bump it is the L2 norm of the data (q1, q2) themselves."""
+    cfg = EvolveConfig(p=0.75, N=32, epsilon=1e-3)
+    grid = ChebGrid.make(cfg.N)
+    q1, q2 = (truncate_modes(cfg.epsilon * s * bump(grid.y)) for s in (1.0, 0.5))
+    u = initial_perturbation(cfg, grid)
+    np.testing.assert_allclose(q1_values(u, grid), q1, rtol=0, atol=1e-17)
+    fit = DecayFit.of(np.zeros(1), u[None], 0, grid)
+    l2 = math.sqrt(grid.integrate(q1 ** 2) + grid.integrate(q2 ** 2))
+    assert fit.l2_norms[0] == pytest.approx(l2, rel=1e-13)
+
+
 def test_trajectory_guard_raises_on_blowup():
     # unprojected data with a large unstable component must trip the guard
     p, N = 0.75, 32
@@ -374,12 +392,12 @@ def test_crosscheck_nan_error_propagates(monkeypatch):
     def nan_at_second_section(grid, vals, yq):
         reads.append(yq)
         out = interpolate(grid, vals, yq)
-        # reads 1 and 2 take the data at t = 0, then one per cone section
-        return out * math.nan if len(reads) == 4 else out
+        # reads 1 to 3 take q1, q2 and v at t = 0, then one per cone section
+        return out * math.nan if len(reads) == 5 else out
 
     monkeypatch.setattr(ChebGrid, "interpolate", nan_at_second_section)
     rep = physical_space_crosscheck(EvolveConfig(p=0.9, N=64, epsilon=0.0))
-    assert len(reads) == 4 and np.isnan(rep["max_discrepancy"])
+    assert len(reads) == 5 and np.isnan(rep["max_discrepancy"])
     assert np.isfinite(rep["max_abs_err"][0])
 
 
@@ -407,7 +425,7 @@ def _exact_oracle_error(p, intervals):
     T, x0, kappa = 1.7, 0.2, 0.3
     params = ProfileParams(p=p, T=T, x0=x0, kappa=kappa)
     cfg = EvolveConfig(p=p, T=T, kappa=kappa, N=32, epsilon=0.0)
-    sections = evolve._physical_sections(cfg, np.zeros((2, 33)),
+    sections = evolve._physical_sections(cfg, np.zeros(67),
                                          ChebGrid.make(32), intervals)
     err = 0.0
     for s, (y, u) in zip(evolve.CROSSCHECK_T_SAMPLES, sections):
@@ -444,8 +462,8 @@ def test_crosscheck_at_small_p(p):
 def test_characteristic_solver_names_t_of_a_blow_up():
     """Data that blow up inside the cone (u_t about 40 > 1 / t_last, the
     ODE u_tt = u_t^2) raise RuntimeError naming the time, not a NaN."""
-    q0 = np.zeros((2, 33))
-    q0[1] = 40.0
+    q0 = np.zeros(67)
+    q0[-33:] = 40.0
     with pytest.raises(RuntimeError, match=r"blew up before t=0\.02"):
         evolve._physical_sections(EvolveConfig(p=0.75, N=32), q0,
                                   ChebGrid.make(32))

@@ -24,8 +24,6 @@ PROBE = textwrap.dedent("""
     for mod in pkgutil.iter_modules(blowuplab.__path__):
         importlib.import_module(f"blowuplab.{mod.name}")
     assert "scipy.linalg" not in sys.modules
-    # only the eigen-triple certificate needs decimal, and imports it
-    assert "decimal" not in sys.modules
     from blowuplab.evolve import _step_operators, ode_blowup_instability
     from blowuplab.modeanalysis import mode_scan
     from blowuplab.modulation import _nonlinear_integrals
@@ -48,7 +46,7 @@ def test_fresh_process_loads_no_integrate_or_interpolate():
     """Importing every module, running mode scans with and without
     degenerate points (p = 0.5, 0.75, 1), the closed-form instability check,
     the Simpson integrals and the step propagators expm(h L_p / 2) loads no
-    scipy module at all, and importing every module loads no decimal."""
+    scipy module at all."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", PROBE], env=env, check=True,
                          capture_output=True, text=True).stdout

@@ -11,7 +11,7 @@ from blowuplab.chebgrid import ChebGrid
 from blowuplab.evolve import EvolveConfig, evolve_states
 from blowuplab.linop import (DEFAULT_K, energy_norm, f0_state, f1_state,
                              g0_state, neutral_coordinates,
-                             riesz_projectors_for)
+                             riesz_projectors_for, to_state)
 from blowuplab.modulation import (
     FIT_TAU_MAX,
     FIT_TOL,
@@ -31,7 +31,8 @@ ZERO = np.zeros((2, 65))
 def _coordinates_and_data(f):
     """(Phi, d) of correction_functional at the baseline point."""
     Phi, _ = neutral_coordinates(BASELINE[0], GRID.N)
-    return Phi, initial_data_operator(*BASELINE, BASELINE, f, GRID).ravel()
+    return Phi, to_state(initial_data_operator(*BASELINE, BASELINE, f, GRID),
+                         GRID)
 
 
 def _legendre_f(eps):
@@ -41,10 +42,10 @@ def _legendre_f(eps):
 
 
 def _q2_squared(p, start):
-    """(taus, q2^2 history) of the fit's trajectory at p from flat data."""
+    """(taus, q2^2 history) of the fit's trajectory at p from a state."""
     cfg = EvolveConfig(p=p, N=GRID.N, tau_max=FIT_TAU_MAX)
-    taus, Q = evolve_states(cfg, start.reshape(2, -1), GRID)
-    return taus, Q[:, 1] ** 2
+    taus, Q = evolve_states(cfg, start, GRID)
+    return taus, Q[:, -(GRID.N + 1):] ** 2
 
 
 def _three_pass_correction(p, T, kappa, f):
@@ -52,7 +53,7 @@ def _three_pass_correction(p, T, kappa, f):
     self-consistent by three passes of evolving d - V ell and reading ell
     off the trajectory, starting from ell = Phi d."""
     Phi, V = neutral_coordinates(p, GRID.N)
-    d = initial_data_operator(p, T, kappa, BASELINE, f, GRID).ravel()
+    d = to_state(initial_data_operator(p, T, kappa, BASELINE, f, GRID), GRID)
     ell = Phi @ d
     for _ in range(3):
         ell = correction_functional(Phi, d, _q2_squared(p, d - V @ ell))
@@ -64,7 +65,7 @@ def _three_pass_correction(p, T, kappa, f):
 
 def test_initial_data_operator_vanishes_at_baseline():
     d = initial_data_operator(0.75, 1.0, 0.0, BASELINE, ZERO, GRID)
-    assert energy_norm(4, d, GRID) < 1e-12
+    assert energy_norm(4, to_state(d, GRID), GRID) < 1e-12
 
 
 def test_initial_data_operator_domain_constraint():
@@ -98,7 +99,8 @@ def test_expansion_remainder_quadratic():
     steps = (1e-3, 1e-4)
     for s in steps:
         p, T, kappa = p0 + 0.7 * s, T0 * (1.0 + 0.4 * s), k0 + 0.3 * s
-        d = initial_data_operator(p, T, kappa, BASELINE, ZERO, GRID)
+        d = to_state(initial_data_operator(p, T, kappa, BASELINE, ZERO, GRID),
+                     GRID)
         t = T / T0 - 1.0
         b = (p0 - p,
              (k0 - kappa) - p * t + p * (p0 - p) / (2.0 * (1.0 - p)),
@@ -144,8 +146,8 @@ def test_correction_scales_linearly_in_epsilon():
     Phi, d1 = _coordinates_and_data(_legendre_f(1e-5))
     _, d2 = _coordinates_and_data(_legendre_f(1e-4))
     e1, e2 = Phi @ d1, Phi @ d2
-    # the coordinate map (norm ~5e4) amplifies input roundoff through heavy
-    # cancellation, so linearity holds to well below 1e-5 relative, not 1e-15
+    # the coordinate map amplifies input roundoff through cancellation, so
+    # linearity holds to well below 1e-5 relative, not 1e-15
     for a, b in zip(e1, e2):
         assert b == pytest.approx(10.0 * a, rel=1e-5)
 
@@ -159,7 +161,7 @@ def test_correction_nonlinear_terms_match_projector_formula():
     q2sq = 1e-8 * np.exp(-taus)[:, None] * (shape ** 2)[None, :]
     ell = correction_functional(*_coordinates_and_data(ZERO), (taus, q2sq))
     P0, _, P1, _, L = riesz_projectors_for(0.75, GRID)
-    lift = [np.concatenate([np.zeros(65), I])
+    lift = [np.concatenate([np.zeros(66), I])
             for I in _nonlinear_integrals(taus, q2sq)]
     C = (P0 @ lift[0] + L @ (P0 @ lift[1]) + P1 @ lift[2]).real
     _, V = neutral_coordinates(0.75, 64)
@@ -255,7 +257,7 @@ def test_fit_waits_for_the_trajectory_to_start_from_the_data(monkeypatch):
 
     def recorded(cfg, q0, grid):
         starts.append(q0.ravel().copy())
-        return np.zeros(1), np.zeros((1, 2, grid.N + 1))
+        return np.zeros(1), np.zeros((1, 2 * grid.N + 3))
 
     monkeypatch.setattr(modulation, "evolve_states", recorded)
     monkeypatch.setattr(modulation, "correction_functional",
