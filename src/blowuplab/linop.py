@@ -208,7 +208,6 @@ def free_wave_dissipativity_check(grid: ChebGrid, trials: int = 200,
 # at 8e-12 to 2.2e-10 for p in [0.5, 0.9] at N = 64, where the exact residual
 # is below 1e-18, and the discretisation error sets it to 4.3e-10 at
 # p = 0.25: 230 times below the 1e-7 certification level at the worst p.
-# The second-order form, with D^2, left 3.5e-8 to 6.2e-8 in float64.
 
 def eigen_triple_residuals(p: float, N: int = 64) -> dict:
     """Relative residuals of the four identities in the order-0 energy norm;

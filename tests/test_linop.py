@@ -458,8 +458,7 @@ def test_schur_projector_matches_contour_oracle(p, N, rtol):
 
 def test_split_mode_at_one_matches_contour_oracle():
     """P1 = Z1 W1 reads 2.9e-12 from the contour projector at p = 0.5,
-    N = 64, 3e6 times below the N = 64 tolerance of the test above (4.0e-9
-    when the state was (q1, q2) and D^2 sat in the generator)."""
+    N = 64, 3e6 times below the N = 64 tolerance of the test above."""
     Z0, W0, Z1, W1 = spectral_split(0.5, 64)
     C = _contour_projector(assemble_Lp(0.5, GRID), 1.0, 0.5)
     assert np.linalg.norm(Z1 @ W1 - C) / np.linalg.norm(C) < 1e-7
