@@ -241,9 +241,9 @@ def _second_order_Lp(p, grid):
 
 
 # largest distance of a top eigenvalue from its rung, per N: the pairs at 0
-# and -1 are defective and split by rounding.  Measured on the second-order
-# matrix 1.3e-3 at N = 64 (p = 0.9) and 9.6e-3 at N = 128 (p = 0.75); on
-# the first-order one 5.8e-5 and 1.3e-4.
+# and -1 are defective and split by rounding.  Measured on one and two BLAS
+# threads on the second-order matrix 1.3e-3 at N = 64 (p = 0.9) and 9.9e-3
+# at N = 128 (p = 0.5); on the first-order one 5.8e-5 and 1.7e-4.
 _RUNG_TOL = {64: 2e-3, 128: 2e-2}
 
 
